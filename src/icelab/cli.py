@@ -129,13 +129,33 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_value(action: argparse.Action, value):
+    """A config-file value checked against the flag it stands in for.
+
+    A scalar for a repeatable flag becomes a one-element list; any other
+    value the flag could not have produced raises ValueError.
+    """
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    for item in items:
+        if action.nargs == 0:                      # on/off switch
+            ok = isinstance(item, bool)
+        else:
+            allowed = (str, int) if action.type is int else (str, int, float)
+            ok = isinstance(item, allowed) and not isinstance(item, bool)
+        if not ok:
+            raise ValueError(f"config value {action.dest!r} has the wrong type: "
+                             f"{json.dumps(value)}")
+    return items if repeatable else value
+
+
 def _resolve(args: argparse.Namespace, cfg: dict, names: list) -> dict:
     """Flag > config-file > parser default; echoes the resolved values."""
     resolved = {}
     for name in names:
         val = getattr(args, name)
         if val is None and name in cfg:
-            val = cfg[name]
+            val = _config_value(args.options[name], cfg[name])
         resolved[name] = val
     return resolved
 
@@ -256,6 +276,8 @@ def cmd_solve(args, cfg) -> int:
         log["converged"] = True
         log["iterations"] = info.iterations
         log["grad_norm"] = info.grad_norm
+        log["evals"] = info.evals
+        log["backtracks"] = info.backtracks
     except NonConvergence as err:
         hf = err.best
         log["converged"] = False
@@ -597,6 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cylinder", default=None, help="M,N")
     p.add_argument("--eta1", default=None, help="bit string, row 0 first")
     p.add_argument("--eta2", default=None)
+    for p in sub.choices.values():
+        p.set_defaults(options={a.dest: a for a in p._actions})
     return ap
 
 

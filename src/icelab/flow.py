@@ -525,20 +525,6 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
     return FlowState.from_l(state.L, interp(zeta))
 
 
-def burgers_trajectory(state: FlowState, F: BurgersFunction, xs,
-                       sign: int = +1) -> Trajectory:
-    """Characteristic solution sampled on a list of axis positions."""
-    xs = np.asarray(xs, dtype=float)
-    states = [state]
-    dens_h = spectral_antideriv(state.t, state.L) + np.mean(state.t) * state.ys
-    heights = [dens_h]
-    for x in xs[1:]:
-        st = burgers_evolve(state, F, float(x), sign=sign)
-        states.append(st)
-        heights.append(None)
-    return Trajectory(xs, states, heights)
-
-
 # ---------------------------------------------------------------------------
 # Poisson commutation certificate
 # ---------------------------------------------------------------------------

@@ -116,6 +116,69 @@ def test_solve_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert (tmp_path / "height.csv").exists()   # partial results still written
 
 
+def test_solve_default_start_feasible_for_steep_end_slopes(tmp_path):
+    # x-slope 0.5, the middle of the slope box, is infeasible at t = 0.6
+    code = run(["solve", "--nx", "9", "--ny", "8", "--t-left", "0.6",
+                "--t-right", "0.6", "--out", str(tmp_path)])
+    assert code == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["converged"] is True
+
+
+def test_solve_log_reports_evals_and_backtracks(tmp_path):
+    code = run(["solve", "--nx", "9", "--ny", "8", "--out", str(tmp_path)])
+    assert code == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["backtracks"] >= 0
+    assert log["evals"] >= log["iterations"] >= 1
+
+
+def test_config_scalar_u_for_tension(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": 0.5}))
+    code = run(["tension", "--variant", "ff", "--config", str(cfg), "--lo", "0.4",
+                "--hi", "0.4", "--n", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "tension-ff-u0.5.csv").exists()
+
+
+def test_config_scalar_u_for_solve(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_minimize(grid, sigma, bd, V=0.0, tol=1e-9, max_iter=0, **kw):
+        seen["variant"] = sigma.variant
+        xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+        hf = sh.HeightField(grid, xs / 3 + ys / 3, 0.0, 1.0, kappa=grid.L / 3)
+        raise NonConvergence("stub", best=hf, diagnostics={"grad_norm": 1.0})
+
+    monkeypatch.setattr(cli.sh, "minimize_action", fake_minimize)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": 0.5, "tension": "ff"}))
+    code = run(["solve", "--config", str(cfg), "--nx", "9", "--ny", "8",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert seen["variant"] == "FFClosed(u=0.5)"
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["resolved"]["u"] == [0.5]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    (["solve"], {"nx": [9]}),
+    (["solve"], {"nx": 8.5}),
+    (["solve"], {"svg": "yes"}),
+    (["tension", "--variant", "ff"], {"u": {"value": 0.5}}),
+    (["flow"], {"ny": {"n": 32}}),
+])
+def test_config_wrongly_typed_value_is_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(command + ["--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert repr(next(iter(cfg))) in err
+
+
 def test_flow_outputs_and_determinism(tmp_path):
     args = ["flow", "--variant", "hex", "--ny", "48", "--horizon", "0.15",
             "--steps", "48", "--out", str(tmp_path)]

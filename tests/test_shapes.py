@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icelab import shapes as sh
 from icelab import tension as tn
@@ -137,6 +139,71 @@ def test_minimize_nonconvergence_carries_best():
         sh.minimize_action(grid, HEX, bd, tol=1e-30, max_iter=3)
     assert isinstance(err.value.best, sh.HeightField)
     assert "grad_norm" in err.value.diagnostics
+    assert err.value.diagnostics["iterations"] <= 3
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([8, 12, 16]), tbar=st.floats(0.3, 0.45),
+       amps=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+       phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+       mode=st.sampled_from([1, 2]))
+def test_minimize_smooth_profiles_property(n, tbar, amps, phases, mode):
+    grid = sh.CylinderGrid(1.0, 1.0, n + 1, n)
+    yj = grid.ys() + grid.hy / 2
+    bd = sh.BoundaryData(*(tbar + a * np.sin(2 * np.pi * mode * yj + p)
+                           for a, p in zip(amps, phases)))
+    hf, info = sh.minimize_action(grid, HEX, bd, tol=1e-10)
+    assert info.converged and info.grad_norm <= 1e-10
+    assert all(b <= a + 1e-12 for a, b in zip(info.actions, info.actions[1:]))
+    pert = 0.01 * np.sin(2 * np.pi * grid.ys())[None, :] \
+        * np.sin(np.pi * grid.xs())[:, None]
+    hf2, _ = sh.minimize_action(grid, HEX, bd, tol=1e-10, start=hf.values + pert)
+    assert np.max(np.abs(hf.values - hf2.values)) < 1e-8
+
+
+def test_default_start_feasible_for_steep_end_slopes():
+    grid = sh.CylinderGrid(1.0, 1.0, 9, 8)
+    for t in (0.6, 0.8):
+        bd = sh.BoundaryData(np.full(8, t), np.full(8, t))
+        hf, info = sh.minimize_action(grid, HEX, bd, tol=1e-10)
+        xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+        diff = hf.values - (xs * (1 - t) / 2 + t * ys)
+        assert np.max(np.abs(diff - diff[0, 0])) < 1e-8
+        assert info.evals >= info.iterations
+
+
+def test_hessian_blocks_match_gradient_differences():
+    grid = sh.CylinderGrid(1.0, 1.0, 5, 4)
+    rng = np.random.default_rng(7)
+    xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    base = 0.3 * xs + 0.35 * ys + 0.004 * rng.standard_normal((5, 4))
+
+    def field(vals):
+        return sh.HeightField(grid, vals, 0, 1, kappa=0.35)
+
+    diag, upper = sh._hessian_blocks(field(base), HEX)
+    dense = np.zeros((20, 20))
+    for i in range(5):
+        dense[4 * i:4 * i + 4, 4 * i:4 * i + 4] = diag[i]
+    for i in range(4):
+        dense[4 * i:4 * i + 4, 4 * i + 4:4 * i + 8] = upper[i]
+        dense[4 * i + 4:4 * i + 8, 4 * i:4 * i + 4] = upper[i].T
+    d = 1e-6
+    for k in range(20):
+        step = np.zeros(20)
+        step[k] = d
+        gp = sh.action_gradient(field(base + step.reshape(5, 4)), HEX).ravel()
+        gm = sh.action_gradient(field(base - step.reshape(5, 4)), HEX).ravel()
+        assert np.max(np.abs((gp - gm) / (2 * d) - dense[:, k])) < 1e-7
+    # the Newton step over the free variables (interior nodes, right-column
+    # offset) agrees with a dense solve of the projected Hessian
+    proj = np.zeros((20, 13))
+    proj[4:16, :12] = np.eye(12)
+    proj[16:, 12] = 1.0
+    g = sh.action_gradient(field(base), HEX)
+    gvec = np.append(g[1:-1].ravel(), g[-1].sum())
+    newton = sh._newton_direction(field(base), HEX, gvec)
+    assert np.max(np.abs(newton - np.linalg.solve(proj.T @ dense @ proj, -gvec))) < 1e-12
 
 
 def test_facet_mask_flags_box_slopes():
