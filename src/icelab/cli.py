@@ -200,8 +200,7 @@ def cmd_verify(args, cfg) -> int:
         "suites": names,
         "checks": [
             {"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed,
-             "inputs": {k: v for k, v in c.info.items()
-                        if k not in ("suite_seconds",)}}
+             "inputs": c.info}
             for c in all_checks
         ],
         "passed": passed,

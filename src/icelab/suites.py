@@ -451,9 +451,9 @@ def run_suite(name: str, **kwargs) -> list:
 
     sig = inspect.signature(fn)
     usable = {k: v for k, v in kwargs.items() if k in sig.parameters}
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = fn(**usable)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     for c in checks:
         c.info.setdefault("suite", name)
     if checks:

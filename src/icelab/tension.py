@@ -8,8 +8,12 @@ product of circles,
 The default evaluator integrates the inner circle exactly by factoring the
 fiber polynomial (Jensen's formula) and the outer circle by the periodic
 trapezoid rule with resolution doubling; a plain two-dimensional trapezoid
-grid is kept as an independent cross-check.  Gradients of f use the exact
-root-counting form of d/dH with bisection-located crossings.
+grid is kept as an independent cross-check.  A fiber of degree one in z
+has its root in closed form; higher degrees go through companion-matrix
+eigenvalues.  Gradients of f use the exact root-counting form of d/dH:
+roots are counted on a fixed grid of the outer circle, and every grid
+interval where the count jumps is bisected, all of them together in one
+vectorized count per step.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
@@ -74,74 +78,75 @@ def lobachevsky_fast(x):
 # free energy of a spectral curve
 # ---------------------------------------------------------------------------
 
-def _fiber_coeffs(curve: SpectralCurve, w: np.ndarray):
+def _fiber_layout(curve: SpectralCurve):
+    """(i_min, z-degree, terms) of a curve read as a z-polynomial.
+
+    Each term is (row, j, c): c w^j adds to the coefficient of z^(i_min + row).
+    """
+    i_all = [i for (i, _), _ in curve.coeffs]
+    i_min = min(i_all)
+    terms = tuple((i - i_min, j, c) for (i, j), c in curve.coeffs)
+    return i_min, max(i_all) - i_min, terms
+
+
+def _fiber_coeffs(layout, w: np.ndarray) -> np.ndarray:
     """Coefficients of P(., w) as a z-polynomial for each w on the fiber."""
-    d = curve.as_dict()
-    i_all = sorted({i for (i, _) in d})
-    i_min, i_max = i_all[0], i_all[-1]
-    deg = i_max - i_min
+    _, deg, terms = layout
     coeffs = np.zeros((deg + 1, w.size), dtype=complex)
-    for (i, j), c in d.items():
-        coeffs[i - i_min] += c * w ** j
-    return i_min, coeffs
+    for row, j, c in terms:
+        coeffs[row] += c * w ** j
+    return coeffs
 
 
 def _fiber_roots(coeffs: np.ndarray):
-    """Roots of each column polynomial (lowest degree first layout)."""
+    """Roots and leading coefficient of each column polynomial.
+
+    Columns are laid out lowest degree first.  Where a column's leading
+    coefficient has dropped to roundoff, the column is trimmed to its true
+    degree: the escaped roots are returned as inf and the leading
+    coefficient as that of the trimmed polynomial.
+    """
     deg = coeffs.shape[0] - 1
     n = coeffs.shape[1]
     if deg == 0:
         return np.zeros((n, 0), dtype=complex), coeffs[0]
-    lead = coeffs[-1]
+    lead = coeffs[-1].copy()
     scale = np.max(np.abs(coeffs), axis=0)
     bad = np.abs(lead) < 1e-13 * np.maximum(scale, 1e-300)
-    roots = np.full((n, deg), np.nan, dtype=complex)
-    good = ~bad
-    if np.any(good):
-        comp = np.zeros((int(good.sum()), deg, deg), dtype=complex)
-        comp[:, 1:, :-1] = np.eye(deg - 1)
-        comp[:, 0, :] = (-coeffs[deg - 1::-1, good] / lead[good]).T
-        roots[good] = np.linalg.eigvals(comp)
-    if np.any(bad):
-        for k in np.nonzero(bad)[0]:
-            col = coeffs[:, k]
-            nz = np.nonzero(np.abs(col) > 1e-13 * max(np.max(np.abs(col)), 1e-300))[0]
-            if nz.size == 0:
-                raise SingularLocus("fiber polynomial vanished identically")
-            top = nz[-1]
-            rts = np.roots(col[top::-1]) if top > 0 else np.zeros(0, dtype=complex)
-            roots[k, :top] = rts
-            roots[k, top:] = np.inf
-            # escaped roots: treat via the reduced leading coefficient
+    if deg == 1:
+        # the eigenvalue of the 1x1 companion matrix, bit for bit
+        roots = (-coeffs[0] / np.where(bad, 1.0, lead))[:, None]
+    else:
+        roots = np.full((n, deg), np.nan, dtype=complex)
+        good = ~bad
+        if np.any(good):
+            comp = np.zeros((int(good.sum()), deg, deg), dtype=complex)
+            comp[:, 1:, :-1] = np.eye(deg - 1)
+            comp[:, 0, :] = (-coeffs[deg - 1::-1, good] / lead[good]).T
+            roots[good] = np.linalg.eigvals(comp)
+    for k in np.nonzero(bad)[0]:
+        col = coeffs[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-13 * max(np.max(np.abs(col)), 1e-300))[0]
+        if nz.size == 0:
+            raise SingularLocus("fiber polynomial vanished identically")
+        top = nz[-1]
+        roots[k, :top] = np.roots(col[top::-1]) if top > 0 else np.zeros(0, dtype=complex)
+        roots[k, top:] = np.inf
+        lead[k] = col[top]
     return roots, lead
 
 
 def _jensen_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
     """Outer trapezoid of the exact inner-circle integral."""
     psi = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    w = np.exp(V + 1j * psi)
-    i_min, coeffs = _fiber_coeffs(curve, w)
-    deg = coeffs.shape[0] - 1
-    if deg == 0:
-        vals = np.log(np.abs(coeffs[0]))
-        return i_min * H + float(np.mean(vals))
-    roots, lead = _fiber_roots(coeffs)
+    layout = _fiber_layout(curve)
+    roots, lead = _fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psi)))
     finite = np.isfinite(roots)
-    logmod = np.where(finite,
-                      np.log(np.maximum(np.abs(np.where(finite, roots, 1.0)), 1e-300)),
-                      0.0)
-    inner = np.log(np.abs(lead)) + np.sum(np.maximum(H, logmod), axis=1)
-    # fibers whose degree dropped: redo them with the trimmed polynomial
-    for k in np.nonzero(np.any(~finite, axis=1))[0]:
-        col = coeffs[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-13 * max(float(np.max(np.abs(col))), 1e-300))[0]
-        if nz.size == 0:
-            raise SingularLocus("fiber polynomial vanished identically")
-        top = nz[-1]
-        rts = np.roots(col[top::-1]) if top > 0 else np.zeros(0, dtype=complex)
-        inner[k] = math.log(abs(col[top])) + float(
-            np.sum(np.maximum(H, np.log(np.maximum(np.abs(rts), 1e-300)))))
-    return i_min * H + float(np.mean(inner))
+    logmod = np.log(np.maximum(np.abs(np.where(finite, roots, 1.0)), 1e-300))
+    # roots that escaped a trimmed fiber contribute nothing
+    inner = np.log(np.abs(lead)) + np.sum(np.where(finite, np.maximum(H, logmod), 0.0),
+                                          axis=1)
+    return layout[0] * H + float(np.mean(inner))
 
 
 def _grid_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
@@ -162,7 +167,10 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
     """Torus free energy, converged by resolution doubling.
 
     ``method`` is "jensen" (exact inner circle, default) or "grid" (plain
-    two-dimensional trapezoid; independent cross-check path).
+    two-dimensional trapezoid; independent cross-check path).  The info
+    holds the final resolution ``n``, the last doubling difference
+    ``estimate`` and ``converged``, which is False when ``n_max`` was
+    reached with the estimate still above ``tol``.
     """
     if n0 < 64:
         raise OutOfRange("resolution parameter must be at least 64")
@@ -178,19 +186,15 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
         if est <= tol:
             break
     if return_info:
-        return prev, {"n": n, "estimate": est}
+        return prev, {"n": n, "estimate": est, "converged": est <= tol}
     return prev
 
 
-def _count_inside(curve: SpectralCurve, H: float, psis: np.ndarray, V: float):
-    w = np.exp(V + 1j * np.atleast_1d(psis))
-    i_min, coeffs = _fiber_coeffs(curve, w)
-    deg = coeffs.shape[0] - 1
-    if deg == 0:
-        return np.zeros(w.size, dtype=int), i_min
-    roots, _ = _fiber_roots(coeffs)
+def _count_inside(layout, H: float, psis: np.ndarray, V: float) -> np.ndarray:
+    """Number of fiber roots inside radius e^H at each w = e^(V + i psi)."""
+    roots, _ = _fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psis)))
     inside = np.isfinite(roots) & (np.abs(roots) < math.exp(H))
-    return inside.sum(axis=1), i_min
+    return inside.sum(axis=1)
 
 
 def grad_free_energy(curve: SpectralCurve, H: float, V: float,
@@ -198,33 +202,35 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
     """(d/dH, d/dV) of the free energy via exact root counting.
 
     The H-derivative equals i_min plus the fraction of the outer circle on
-    which roots of the fiber polynomial sit inside radius e^H; jump
-    positions are located by bisection, so the result is accurate to the
-    bisection tolerance rather than the grid spacing.
+    which roots of the fiber polynomial sit inside radius e^H.  The count
+    is taken at n nodes; every interval whose end counts differ is then
+    bisected 46 times, all intervals together, so the jump positions and
+    the result are accurate to the bisection tolerance rather than the
+    grid spacing.  A pair of jumps inside one interval is not seen.
     """
 
     def one_direction(cv, hh, vv):
-        psis = np.arange(n) * (_TWO_PI / n)
-        counts, i_min = _count_inside(cv, hh, psis, vv)
-        total = 0.0
-        for k in range(n):
-            c0 = counts[k]
-            c1 = counts[(k + 1) % n]
-            a = psis[k]
-            b = psis[k] + _TWO_PI / n
-            if c0 == c1:
-                total += c0 * (b - a)
-                continue
-            lo, hi = a, b
+        layout = _fiber_layout(cv)
+        a = np.arange(n) * (_TWO_PI / n)
+        b = a + _TWO_PI / n
+        c0 = _count_inside(layout, hh, a, vv)
+        c1 = np.roll(c0, -1)
+        # the count is c0 on [a, lo], c1 on [hi, b] and their mean between;
+        # lo = hi = b where the count does not jump
+        lo, hi = b.copy(), b.copy()
+        jump = np.nonzero(c0 != c1)[0]
+        if jump.size:
+            jlo, jhi, left = a[jump], b[jump], c0[jump]
             for _ in range(46):
-                mid = 0.5 * (lo + hi)
-                cm, _ = _count_inside(cv, hh, np.array([mid]), vv)
-                if cm[0] == c0:
-                    lo = mid
-                else:
-                    hi = mid
-            total += c0 * (lo - a) + c1 * (b - hi) + 0.5 * (c0 + c1) * (hi - lo)
-        return i_min + total / _TWO_PI
+                mid = 0.5 * (jlo + jhi)
+                same = _count_inside(layout, hh, mid, vv) == left
+                jlo = np.where(same, mid, jlo)
+                jhi = np.where(same, jhi, mid)
+            lo[jump], hi[jump] = jlo, jhi
+        parts = c0 * (lo - a) + c1 * (b - hi) + 0.5 * (c0 + c1) * (hi - lo)
+        # summed in node order, as a scalar loop would add them
+        total = float(np.add.accumulate(parts)[-1])
+        return layout[0] + total / _TWO_PI
 
     swapped = curve.transformed(swap=True)
     return one_direction(curve, H, V), one_direction(swapped, V, H)

@@ -21,6 +21,10 @@ def test_verify_suite_passes(tmp_path):
     assert report["passed"] is True
     assert all("tol" in c for c in report["checks"])
     assert {c["name"] for c in report["checks"]} >= {"ybe-A1", "ybe-B2", "ybe-C"}
+    # the suite's wall time rides on its first check
+    timed = [c["inputs"]["suite_seconds"] for c in report["checks"]
+             if "suite_seconds" in c["inputs"]]
+    assert len(timed) == 1 and timed[0] >= 0.0
 
 
 def test_verify_unknown_suite_is_config_error(tmp_path):

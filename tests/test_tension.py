@@ -45,6 +45,113 @@ def test_grid_method_singular_node():
         tn._grid_mean(curve, 0.0, 0.0, 65)   # odd grid hits z = -1 exactly
 
 
+def test_free_energy_flags_a_missed_tolerance():
+    # resolution doubling stops at n_max above tol here; the info says so
+    value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
+                                 return_info=True)
+    assert info["n"] == 16384 and info["estimate"] > 1e-8
+    assert info["converged"] is False
+    assert math.isfinite(value)
+    # gas phase: spectral decay, met well before n_max
+    _, info = tn.free_energy(tn.hex_curve(), 2.0, 0.1, return_info=True)
+    assert info["converged"] is True and info["n"] < 16384
+
+
+def test_degree_drop_on_the_free_fermion_fiber():
+    # at V = log tan u the z-coefficient cos(u) w + sin(u) of the free-fermion
+    # curve vanishes at psi = pi, a node of both grids used below
+    u = 1.0
+    curve = tn.ff_curve(u)
+    V = math.log(math.tan(u))
+    psi = np.arange(2048) * (2 * np.pi / 2048)
+    coeffs = tn._fiber_coeffs(tn._fiber_layout(curve), np.exp(V + 1j * psi))
+    roots, lead = tn._fiber_roots(coeffs)
+    assert np.array_equal(np.nonzero(np.isinf(roots[:, 0]))[0], [1024])
+    assert lead[1024] == coeffs[0, 1024]          # trimmed to degree 0
+    for H in (-0.3, 0.0, 0.2):
+        g = tn.grad_free_energy(curve, H, V)
+        ge = tn.grad_free_energy_ff(H, V, u)
+        assert abs(g[0] - ge[0]) < 1e-10 and abs(g[1] - ge[1]) < 1e-10
+    # an odd Jensen grid puts its middle node on psi = pi
+    f_jensen = tn._jensen_mean(curve, 0.1, V, 4097)
+    f_grid = tn.free_energy(curve, 0.1, V, tol=1e-7, n_max=4096, method="grid")
+    assert abs(f_jensen - f_grid) < 1e-6
+
+
+# reference root counting as it was before the crossing search was batched:
+# companion-matrix roots at every degree and one scalar bisection per jump
+
+def _eigvals_fiber_roots(coeffs):
+    deg = coeffs.shape[0] - 1
+    lead = coeffs[-1].copy()
+    assert np.all(np.abs(lead) >= 1e-13 * np.max(np.abs(coeffs), axis=0))
+    comp = np.zeros((coeffs.shape[1], deg, deg), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, 0, :] = (-coeffs[deg - 1::-1] / lead).T
+    return np.linalg.eigvals(comp), lead
+
+
+def _scalar_bisection_grad(curve, H, V, n=2048):
+
+    def count_inside(cv, hh, psis, vv):
+        w = np.exp(vv + 1j * np.atleast_1d(psis))
+        d = cv.as_dict()
+        i_all = sorted({i for (i, _) in d})
+        coeffs = np.zeros((i_all[-1] - i_all[0] + 1, w.size), dtype=complex)
+        for (i, j), c in d.items():
+            coeffs[i - i_all[0]] += c * w ** j
+        roots, _ = _eigvals_fiber_roots(coeffs)
+        return (np.abs(roots) < math.exp(hh)).sum(axis=1), i_all[0]
+
+    def one_direction(cv, hh, vv):
+        psis = np.arange(n) * (2 * np.pi / n)
+        counts, i_min = count_inside(cv, hh, psis, vv)
+        total = 0.0
+        for k in range(n):
+            c0 = counts[k]
+            c1 = counts[(k + 1) % n]
+            a = psis[k]
+            b = psis[k] + 2 * np.pi / n
+            if c0 == c1:
+                total += c0 * (b - a)
+                continue
+            lo, hi = a, b
+            for _ in range(46):
+                mid = 0.5 * (lo + hi)
+                cm, _ = count_inside(cv, hh, np.array([mid]), vv)
+                if cm[0] == c0:
+                    lo = mid
+                else:
+                    hi = mid
+            total += c0 * (lo - a) + c1 * (b - hi) + 0.5 * (c0 + c1) * (hi - lo)
+        return i_min + total / (2 * np.pi)
+
+    return one_direction(curve, H, V), one_direction(curve.transformed(swap=True), V, H)
+
+
+_DEGREE_TWO = tn.SpectralCurve.from_dict({(0, 0): 1.0, (1, 0): -0.7, (2, 0): 0.2,
+                                          (0, 1): -0.9, (1, 1): 0.3})
+
+
+@pytest.mark.parametrize("curve", [tn.hex_curve(), tn.ff_curve(1.0), _DEGREE_TWO],
+                         ids=["hex", "ff", "degree2"])
+def test_batched_crossing_search_matches_scalar_bisection(curve):
+    rng = np.random.default_rng(31)
+    for H, V in rng.uniform(-0.6, 0.6, (4, 2)):
+        got = tn.grad_free_energy(curve, H, V)
+        want = _scalar_bisection_grad(curve, H, V)
+        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("curve", [tn.hex_curve(), tn.ff_curve(1.0)], ids=["hex", "ff"])
+def test_closed_form_degree_one_roots_match_eigvals(curve, monkeypatch):
+    rng = np.random.default_rng(32)
+    points = rng.uniform(-0.6, 0.6, (3, 2))
+    closed = [tn.free_energy(curve, H, V, return_info=True) for H, V in points]
+    monkeypatch.setattr(tn, "_fiber_roots", _eigvals_fiber_roots)
+    assert closed == [tn.free_energy(curve, H, V, return_info=True) for H, V in points]
+
+
 def test_counting_gradient_matches_ff_closed_form():
     u = math.pi / 3
     for H, V in [(0.2, -0.1), (0.0, 0.0), (-0.4, 0.3)]:
