@@ -13,6 +13,8 @@ Common flags: --out DIR, --config FILE, --tol X, --seed N.  Flag values
 override config-file values; every resolved value is echoed into the
 report.  Exit codes: 0 pass, 1 configuration error, 2 verification
 failure, 3 solver non-convergence, 4 shock before the requested horizon.
+``flow`` also exits 1 when the worst drift of I_1..I_4 exceeds ``--tol``
+(default 1e-6).
 
 Boundary and initial profiles are CSV files with a header row followed by
 ``y,value`` lines; they are resampled onto the grid by periodic linear
@@ -348,6 +350,7 @@ def cmd_flow(args, cfg) -> int:
     horizon = float(opts["horizon"] if opts["horizon"] is not None else 0.25)
     steps = int(opts["steps"] if opts["steps"] is not None else 128)
     out = opts["out"] or "."
+    drift_tol = float(opts["tol"] if opts["tol"] is not None else 1e-6)
     uval = float(opts["u"][0]) if opts["u"] else 1.1
     if variant == "hex":
         dens, F = fl.hex_density(), fl.hex_burgers()
@@ -384,6 +387,8 @@ def cmd_flow(args, cfg) -> int:
             traj = fl.hamilton_evolve(state, dens, (0.0, horizon), steps,
                                       keep_every=max(1, steps // 8))
             states, xs_traj = traj.states, traj.xs
+            report["filter_modes"] = traj.filter_modes
+            report["filter_energy_removed"] = traj.filter_energy_removed
         else:
             states = [state] + [fl.burgers_evolve(state, F, float(x))
                                 for x in xs_out[1:]]
@@ -409,7 +414,7 @@ def cmd_flow(args, cfg) -> int:
             series["hamilton_vs_burgers_sup"] = float(
                 np.max(np.abs(states[-1].l - endB.l)))
         report["conservation"] = series
-        report["drift_tol"] = 1e-6
+        report["drift_tol"] = drift_tol
     except ShockDetected as err:
         report["shock"] = {"x": err.x, "detail": str(err)}
         code = EXIT_SHOCK
@@ -439,6 +444,10 @@ def cmd_flow(args, cfg) -> int:
         worst = max(report["conservation"][f"I{n}"]["max_rel_drift"]
                     for n in range(1, 5))
         print(f"flow: done, worst I_n drift {worst:.3e}")
+        if worst > drift_tol:
+            print(f"flow: worst I_n drift {worst:.3e} exceeds tol {drift_tol:g}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     return code
 
 

@@ -25,6 +25,7 @@ equation only with the sign used here).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,11 +36,11 @@ from .errors import (BranchAmbiguous, DomainBoundary, OutOfRange,
                      ShockDetected, SingularBranch, StepFailure)
 from .special import dilog
 from .tension import (SurfaceTension, partial_legendre, sigma_hex,
-                      grad_sigma_ff, hess_sigma_ff, hess_sigma_hex,
                       _FFValueCache)
 
 TWO_PI_I = 2.0j * np.pi
 SHOCK_DELTA = 1e-3
+FILTER_GROWTH = 1e4  # largest roundoff growth the default mode filter lets through
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +81,23 @@ class FlowState:
         return FlowState(L, l.real, l.imag / np.pi)
 
 
+@functools.lru_cache(maxsize=16)
+def _wavenumbers(n: int, L: float) -> np.ndarray:
+    """Angular wavenumbers of an n-point periodic grid on [0, L), read-only."""
+    k = np.fft.fftfreq(n, d=L / (2 * np.pi * n))
+    k.flags.writeable = False
+    return k
+
+
 def spectral_dy(arr: np.ndarray, L: float) -> np.ndarray:
     """Spectral periodic derivative."""
-    n = arr.shape[-1]
-    k = np.fft.fftfreq(n, d=L / (2 * np.pi * n))
-    out = np.fft.ifft(1j * k * np.fft.fft(arr))
+    out = np.fft.ifft(1j * _wavenumbers(arr.shape[-1], L) * np.fft.fft(arr))
     return out.real if np.isrealobj(arr) else out
 
 
 def spectral_antideriv(arr: np.ndarray, L: float) -> np.ndarray:
     """Periodic antiderivative of (arr - mean), anchored at y = 0."""
-    n = arr.size
-    k = np.fft.fftfreq(n, d=L / (2 * np.pi * n))
+    k = _wavenumbers(arr.size, L)
     hat = np.fft.fft(arr)
     hat0 = hat[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -103,8 +109,7 @@ def spectral_antideriv(arr: np.ndarray, L: float) -> np.ndarray:
 
 def spectral_shift(arr: np.ndarray, delta: float, L: float) -> np.ndarray:
     """Evaluate the trigonometric interpolant at y + delta."""
-    n = arr.size
-    k = np.fft.fftfreq(n, d=L / (2 * np.pi * n))
+    k = _wavenumbers(arr.size, L)
     out = np.fft.ifft(np.fft.fft(arr) * np.exp(1j * k * delta))
     return out.real if np.isrealobj(arr) else out
 
@@ -248,6 +253,7 @@ def ff_density(u: float) -> HamiltonianDensity:
 
     values = _FFValueCache(u)
     c2u, s2u = math.cos(2 * u), math.sin(2 * u)
+    tu = math.tan(u)
 
     def nu_star(p, t):
         p = np.asarray(p, dtype=float)
@@ -268,8 +274,9 @@ def ff_density(u: float) -> HamiltonianDensity:
         return out
 
     def d2(p, t):
-        s = nu_star(p, t)
-        return -grad_sigma_ff(s, t, u)[1]
+        # Re ff_phi(p + i pi t), without the complex logarithms
+        z = np.exp(np.asarray(p, dtype=float) + 1j * np.pi * np.asarray(t, dtype=float))
+        return np.log(np.abs(1.0 + z / tu) / np.abs(1.0 - z * tu)) + math.log(tu)
 
     return HamiltonianDensity(f"FF(u={u})", nu_star, value, d2,
                               sigma=ff_tension(u), burgers=ff_burgers(u))
@@ -343,14 +350,11 @@ class Trajectory:
     xs: np.ndarray
     states: list
     heights: list  # h(y) samples per x, anchored h(0, 0) = 0
+    filter_modes: int = 0  # the mode cutoff the projection used
+    filter_energy_removed: float = 0.0  # largest share of sum |l_hat|^2 cut in one step
 
     def state_at(self, k: int) -> FlowState:
         return self.states[k]
-
-
-def _mode_filter(ny: int, keep: int) -> np.ndarray:
-    k = np.abs(np.fft.fftfreq(ny, d=1.0 / ny))
-    return (k <= keep).astype(float)
 
 
 def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
@@ -358,15 +362,20 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
                     keep_every: int = 1, filter_modes: int | None = None) -> Trajectory:
     """Classical 4th-order method-of-lines integration of the flow.
 
-    Evolves (p, t, h) with spectral periodic y-derivatives; h rides along
-    so cross-sections integrate exactly into height fields.  The x
-    evolution of the elliptic limit-shape system amplifies the k-th mode
-    like exp(c k x), so roundoff in high modes must be kept out: after
-    every step the fields are projected onto |k| <= filter_modes (default
-    ny/4), which is far above the mode content of analytic initial data
-    on any pre-shock horizon.  Raises ShockDetected once the
-    characteristic-map indicator of the initial data drops below the
-    shock threshold, StepFailure on blow-up.
+    Evolves l = p + i pi t by dl/dx = d/dy Phi with Phi = d2 tau + i pi d1
+    tau, one complex spectral derivative per stage; h rides along so
+    cross-sections integrate exactly into height fields.  The x evolution
+    of the elliptic limit-shape system amplifies Fourier mode k of
+    roundoff like exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so high modes
+    must be kept out: after every step l is projected onto |k| <=
+    filter_modes.  When the density carries its Burgers function F, the
+    default cutoff is the largest k whose growth over the span is at most
+    FILTER_GROWTH, clipped to [2, ny/4]; without F it is ny/4.  Either is
+    far above the mode content of analytic initial data on any pre-shock
+    horizon.  The trajectory records the cutoff and the largest share of
+    spectral energy one projection removed.  Raises ShockDetected once the
+    characteristic-map indicator of the initial data drops below the shock
+    threshold, StepFailure on blow-up.
     """
     x0, x1 = x_span
     if steps < 1:
@@ -374,34 +383,44 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
     dx = (x1 - x0) / steps
     L = state.L
     ny = state.ny
+    F = dens.burgers
+    g0 = None if F is None else F(np.exp(state.l))
     if filter_modes is None:
         filter_modes = max(2, ny // 4)
-    mask = _mode_filter(ny, filter_modes)
+        if g0 is not None:
+            rate = 2 * np.pi * float(np.max(np.abs(g0.imag))) * abs(x1 - x0) / L
+            if rate * filter_modes > math.log(FILTER_GROWTH):
+                filter_modes = max(2, int(math.log(FILTER_GROWTH) / rate))
+    cut = np.abs(np.fft.fftfreq(ny, d=1.0 / ny)) > filter_modes
 
-    def smooth(arr):
-        return np.fft.ifft(np.fft.fft(arr) * mask).real
+    def project(arr):
+        """arr on |k| <= filter_modes, and the share of energy removed."""
+        hat = np.fft.fft(arr)
+        power = hat.real ** 2 + hat.imag ** 2
+        total = float(np.sum(power))
+        hat[cut] = 0.0
+        return np.fft.ifft(hat), float(np.sum(power[cut])) / total if total > 0 else 0.0
 
-    p = smooth(state.p.copy())
-    t = smooth(state.t.copy())
+    l, _ = project(state.l)
+    t = l.imag / np.pi
     h = spectral_antideriv(t, L) + np.mean(t) * state.ys
 
-    def rhs(p, t):
+    def rhs(l):
+        p, t = l.real, l.imag / np.pi
         d1 = np.asarray(dens.d1(p, t))
-        d2 = np.asarray(dens.d2(p, t))
-        if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        phi = dens.d2(p, t) + 1j * np.pi * d1
+        if not np.isfinite(phi).all():
             raise StepFailure("density partials blew up")
         if dens.sigma is not None and not dens.sigma.feasible(d1, t, margin=0.0):
             raise StepFailure("state left the tension domain")
-        return spectral_dy(d2, L), spectral_dy(d1, L), d1
+        return spectral_dy(phi, L), d1
 
-    F = dens.burgers
-    gprime0 = None
-    if F is not None:
-        gprime0 = spectral_dy(F(np.exp(state.l)), L)
+    gprime0 = None if g0 is None else spectral_dy(g0, L)
 
     xs = [x0]
-    states = [FlowState(L, p.copy(), t.copy())]
+    states = [FlowState.from_l(L, l)]
     heights = [h.copy()]
+    removed = 0.0
     for k in range(steps):
         x = x0 + k * dx
         if gprime0 is not None:
@@ -409,20 +428,20 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
             if ind < SHOCK_DELTA:
                 raise ShockDetected("characteristic map about to fold",
                                     x=x, diagnostics={"indicator": ind})
-        k1 = rhs(p, t)
-        k2 = rhs(p + 0.5 * dx * k1[0], t + 0.5 * dx * k1[1])
-        k3 = rhs(p + 0.5 * dx * k2[0], t + 0.5 * dx * k2[1])
-        k4 = rhs(p + dx * k3[0], t + dx * k3[1])
-        p = smooth(p + dx / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]))
-        t = smooth(t + dx / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-        h = h + dx / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not np.all(np.isfinite(p)) or not np.all(np.isfinite(t)):
+        k1, s1 = rhs(l)
+        k2, s2 = rhs(l + 0.5 * dx * k1)
+        k3, s3 = rhs(l + 0.5 * dx * k2)
+        k4, s4 = rhs(l + dx * k3)
+        l, share = project(l + dx / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        h = h + dx / 6.0 * (s1 + 2 * s2 + 2 * s3 + s4)
+        if not np.isfinite(l).all():
             raise StepFailure(f"non-finite state at x={x + dx}")
+        removed = max(removed, share)
         if (k + 1) % keep_every == 0 or k == steps - 1:
             xs.append(x + dx)
-            states.append(FlowState(L, p.copy(), t.copy()))
+            states.append(FlowState.from_l(L, l))
             heights.append(h.copy())
-    return Trajectory(np.array(xs), states, heights)
+    return Trajectory(np.array(xs), states, heights, filter_modes, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +464,12 @@ class _TrigInterp:
         keep = np.abs(c) > rel_tol * max(float(np.max(np.abs(c))), 1e-300)
         self.c = c[keep]
         self.k = k[keep]
+        self.dc = 1j * self.k * self.c
 
-    def __call__(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        phase = np.exp(1j * np.outer(zeta.ravel(), self.k))
-        out = phase @ self.c
-        return out.reshape(zeta.shape)
-
-    def deriv(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        phase = np.exp(1j * np.outer(zeta.ravel(), self.k)) * (1j * self.k)
-        out = phase @ self.c
-        return out.reshape(zeta.shape)
+    def with_deriv(self, zeta: np.ndarray):
+        """The interpolant and its derivative at zeta, from one phase matrix."""
+        phase = np.exp(1j * np.outer(zeta, self.k))
+        return phase @ self.c, phase @ self.dc
 
 
 def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
@@ -483,16 +496,19 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
 
     speed_cap = 1e3 * state.L
 
-    def gprime(z):
-        lz = interp(z)
-        return F.df(np.exp(lz)) * np.exp(lz) * interp.deriv(z)
+    def foot(z):
+        """l0(z), e^l0(z) and dG/dz, G = F o exp o l0."""
+        lz, dlz = interp.with_deriv(z)
+        ez = np.exp(lz)
+        return lz, ez, F.df(ez) * ez * dlz
 
     def velocity(z, xk):
-        jac = 1.0 - sign * xk * gprime(z)
+        _, ez, gprime = foot(z)
+        jac = 1.0 - sign * xk * gprime
         if np.min(np.abs(jac)) < SHOCK_DELTA:
             raise ShockDetected("characteristic Jacobian degenerated",
                                 x=xk, diagnostics={"min_jac": float(np.min(np.abs(jac)))})
-        fz = F(np.exp(interp(z)))
+        fz = F(ez)
         if np.max(np.abs(fz)) > speed_cap:
             raise StepFailure("characteristic passed near a pole of the velocity")
         return sign * fz / jac
@@ -509,10 +525,11 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
 
     # Newton polish on g(zeta) = zeta - sign*x*F(e^(l0(zeta))) - y
     for _ in range(30):
-        g = zeta - sign * x * F(np.exp(interp(zeta))) - ys
+        lz, ez, gprime = foot(zeta)
+        g = zeta - sign * x * F(ez) - ys
         if np.max(np.abs(g)) < newton_tol:
             break
-        jac = 1.0 - sign * x * gprime(zeta)
+        jac = 1.0 - sign * x * gprime
         if np.min(np.abs(jac)) < SHOCK_DELTA:
             raise ShockDetected("characteristic Jacobian degenerated", x=x)
         zeta = zeta - g / jac
@@ -522,7 +539,7 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
     if np.min(incr) < SHOCK_DELTA * hy:
         raise ShockDetected("characteristic foot points stopped increasing",
                             x=x, diagnostics={"min_increment": float(np.min(incr))})
-    return FlowState.from_l(state.L, interp(zeta))
+    return FlowState.from_l(state.L, lz)
 
 
 # ---------------------------------------------------------------------------

@@ -316,22 +316,41 @@ class TransferOperator:
         return [np.array(g, dtype=int) for g in groups]
 
 
+def _fold_row(t: np.ndarray, cur: list, pairs) -> np.ndarray:
+    """Sum over (e0, etop) in pairs of the blocks with one more row folded in.
+
+    The new row is the most significant bit: block (i, j) of the result is
+    sum_er t[i, er, j, etop] * cur[e0][er].  The ice rule i + er = j + etop
+    leaves one er per block, so each block is a single scaled copy, equal
+    bit for bit to the sum of Kronecker products t[:, er, :, etop] (x)
+    cur[e0][er].
+    """
+    m = cur[0][0].shape[0]
+    out = np.zeros((2 * m, 2 * m))
+    for n, (e0, etop) in enumerate(pairs):
+        for i in range(2):
+            for j in range(2):
+                er = j + etop - i
+                if er not in (0, 1):
+                    continue
+                block = out[i * m:(i + 1) * m, j * m:(j + 1) * m]
+                if n == 0:
+                    np.multiply(cur[e0][er], t[i, er, j, etop], out=block)
+                else:
+                    block += t[i, er, j, etop] * cur[e0][er]
+    return out
+
+
 def _dense_transfer(n: int, w: VertexWeights) -> np.ndarray:
     t = _site_tensor(w)  # [q_out, a_south, q_in, a_north]
-    blocks = [[t[:, s, :, a] for a in range(2)] for s in range(2)]
     # cur[e_bottom][e_top]: rows 0..r folded in, row r most significant bit
-    cur = [[blocks[e0][e1] for e1 in range(2)] for e0 in range(2)]
-    for _ in range(1, n):
-        nxt = [[None, None], [None, None]]
-        for e0 in range(2):
-            for etop in range(2):
-                acc = None
-                for er in range(2):
-                    term = np.kron(blocks[er][etop], cur[e0][er])
-                    acc = term if acc is None else acc + term
-                nxt[e0][etop] = acc
-        cur = nxt
-    return cur[0][0] + cur[1][1]
+    cur = [[t[:, e0, :, e1] for e1 in range(2)] for e0 in range(2)]
+    if n == 1:
+        return cur[0][0] + cur[1][1]
+    for _ in range(2, n):
+        cur = [[_fold_row(t, cur, [(e0, etop)]) for etop in range(2)] for e0 in range(2)]
+    # the last row: only the traced blocks e_bottom = e_top
+    return _fold_row(t, cur, [(0, 0), (1, 1)])
 
 
 def transfer(n: int, w: VertexWeights, dense: bool | None = None) -> TransferOperator:

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .dimers import SpectralCurve
+from .dimers import (SpectralCurve, ff_reference_curve as ff_curve,
+                     hex_reference_curve as hex_curve)
 from .errors import (DomainBoundary, NonConvergence, OutOfRange,
                      SingularLocus, Unbounded)
 from .special import dilog, lobachevsky
@@ -419,15 +420,6 @@ def grad_free_energy_ff(H, V, u, clamp_tol: float = 1e-12):
     return clamped_acos(arg_h) / np.pi, clamped_acos(arg_v) / np.pi
 
 
-def ff_curve(u: float) -> SpectralCurve:
-    cu, su = math.cos(u), math.sin(u)
-    return SpectralCurve.from_dict({(1, 1): cu, (0, 0): -cu, (1, 0): su, (0, 1): su})
-
-
-def hex_curve() -> SpectralCurve:
-    return SpectralCurve.from_dict({(0, 0): 1.0, (1, 0): -1.0, (0, 1): -1.0})
-
-
 class _FFValueCache:
     """sigma_ff values via the exact gradient map plus one quadrature."""
 
@@ -466,8 +458,7 @@ def hex_tension() -> SurfaceTension:
     def feasible(s, t, margin=0.0):
         s = np.asarray(s)
         t = np.asarray(t)
-        return bool(np.all(s > margin) and np.all(t > margin)
-                    and np.all(s + t < 1.0 - margin))
+        return bool(((s > margin) & (t > margin) & (s + t < 1.0 - margin)).all())
 
     return SurfaceTension("HexClosed", 0.0, 1.0, sigma_hex, grad_sigma_hex,
                           hess_sigma_hex, feasible)
@@ -490,8 +481,8 @@ def ff_tension(u: float) -> SurfaceTension:
     def feasible(s, t, margin=0.0):
         s = np.asarray(s)
         t = np.asarray(t)
-        return bool(np.all(s > margin) and np.all(t > margin)
-                    and np.all(s < 1.0 - margin) and np.all(t < 1.0 - margin))
+        return bool(((s > margin) & (t > margin)
+                     & (s < 1.0 - margin) & (t < 1.0 - margin)).all())
 
     return SurfaceTension(f"FFClosed(u={u})", 0.0, 1.0, value,
                           lambda s, t: grad_sigma_ff(s, t, u),

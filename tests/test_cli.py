@@ -216,6 +216,32 @@ def test_flow_compare_variational(tmp_path):
     assert report["compare_variational"]["sup"] <= 1e-3
 
 
+def test_flow_fine_grid_hamilton(tmp_path):
+    # the default mode filter once let roundoff push this run out of the
+    # tension domain ("state left the tension domain", exit 1)
+    code = run(["flow", "--ny", "256", "--steps", "512", "--method", "hamilton",
+                "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    assert report["filter_modes"] == 14
+    assert 0.0 <= report["filter_energy_removed"] < 1e-20
+
+
+def test_flow_honours_tol(tmp_path, capsys):
+    args = ["flow", "--variant", "hex", "--ny", "32", "--horizon", "0.15",
+            "--steps", "32", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert json.loads((tmp_path / "conservation.json").read_text())["drift_tol"] == 1e-6
+    assert run(args + ["--tol", "1e-3"]) == 0
+    assert json.loads((tmp_path / "conservation.json").read_text())["drift_tol"] == 1e-3
+    capsys.readouterr()
+    assert run(args + ["--tol", "1e-30"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "1e-30" in err
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    assert report["drift_tol"] == 1e-30
+
+
 def test_flow_shock_exit_code(tmp_path, monkeypatch):
     def fake_evolve(*a, **kw):
         raise ShockDetected("stub shock", x=0.1)

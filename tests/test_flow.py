@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -208,6 +209,40 @@ def test_shock_detected_synthetic():
     assert np.all(np.isfinite(out.p))
     with pytest.raises(ShockDetected):
         fl.burgers_evolve(st, F, 0.8)
+
+
+@pytest.mark.parametrize("ny", [128, 192, 256])
+def test_default_filter_keeps_roundoff_out(ny):
+    # criterion-9 data: with a cutoff of ny // 4, amplified roundoff reached
+    # the result (sup gap 1.3e-8 at ny = 128, 2.4e-4 at ny = 192)
+    st = sine_state(ny)
+    endB = fl.burgers_evolve(st, fl.hex_burgers(), 0.25)
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 2 * (ny - 1))
+    assert np.max(np.abs(traj.states[-1].l - endB.l)) <= 1e-10
+
+
+def test_default_filter_modes_from_growth():
+    st = sine_state(128)
+    # max Im F(e^l0) = cot(0.285 pi) / 2 on this data: growth 1e4 at k = 14.6
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 8)
+    assert traj.filter_modes == 14
+    # a shorter horizon allows more modes, up to ny // 4
+    assert fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.05), 8).filter_modes == 32
+    # no Burgers function: ny // 4; an explicit cutoff is honoured
+    generic = dataclasses.replace(fl.hex_density(), burgers=None)
+    assert fl.hamilton_evolve(st, generic, (0.0, 0.25), 8).filter_modes == 32
+    assert fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 8,
+                              filter_modes=5).filter_modes == 5
+
+
+def test_filter_energy_removed_is_recorded():
+    st = sine_state(128)
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 254)
+    assert 0.0 <= traj.filter_energy_removed < 1e-20
+    # a cutoff of one mode cuts the harmonics the flow itself generates
+    coarse = fl.hamilton_evolve(sine_state(32, amp=0.1), fl.hex_density(),
+                                (0.0, 0.05), 4, filter_modes=1)
+    assert 1e-7 < coarse.filter_energy_removed < 1e-6
 
 
 def test_hamilton_leaves_domain_raises():

@@ -206,6 +206,35 @@ def test_transfer_field_factorization_ctm():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _kron_transfer(n, w):
+    """The dense transfer matrix built as a sum of Kronecker products.
+
+    An independent oracle for the block-wise build: all four auxiliary
+    blocks of every row, summed over the shared edge, traced at the end.
+    """
+    t = sv.r_matrix(w).reshape(2, 2, 2, 2)  # [q_out, a_south, q_in, a_north]
+    blocks = [[t[:, s, :, a] for a in range(2)] for s in range(2)]
+    cur = [[blocks[e0][e1] for e1 in range(2)] for e0 in range(2)]
+    for _ in range(1, n):
+        nxt = [[None, None], [None, None]]
+        for e0 in range(2):
+            for etop in range(2):
+                acc = None
+                for er in range(2):
+                    term = np.kron(blocks[er][etop], cur[e0][er])
+                    acc = term if acc is None else acc + term
+                nxt[e0][etop] = acc
+        cur = nxt
+    return cur[0][0] + cur[1][1]
+
+
+@pytest.mark.parametrize("w", [ff_weights(0.7), sv.VertexWeights(1.1, 0.8, 1.3, 0.35, -0.6)],
+                         ids=["free-fermion", "fields"])
+def test_transfer_matches_kron_oracle(w):
+    for n in range(1, 11):
+        assert np.array_equal(sv.transfer(n, w).matrix, _kron_transfer(n, w)), n
+
+
 def test_transfer_dense_cap_and_matrix_free():
     with pytest.raises(TooLarge):
         sv.transfer(13, ff_weights(0.5), dense=True)
