@@ -6,14 +6,14 @@ product of circles,
     f(H, V) = mean over (phi, psi) of log|P(e^(H + i phi), e^(V + i psi))|.
 
 The default evaluator integrates the inner circle exactly by factoring the
-fiber polynomial (Jensen's formula) and the outer circle by the periodic
-trapezoid rule with resolution doubling; a plain two-dimensional trapezoid
-grid is kept as an independent cross-check.  A fiber of degree one in z
-has its root in closed form; higher degrees go through companion-matrix
-eigenvalues.  Gradients of f use the exact root-counting form of d/dH:
-roots are counted on a fixed grid of the outer circle, and every grid
-interval where the count jumps is bisected, all of them together in one
-vectorized count per step.
+fiber polynomial (Jensen's formula; a fiber of degree one in z has its root
+in closed form, higher degrees use companion-matrix eigenvalues).  Roots
+are counted on a fixed grid of the outer circle and every jump of the
+count, where a root crosses |z| = e^H and the integrand has a kink, is
+located by a secant search, all jumps together.  The outer circle is then
+integrated by Gauss-Legendre between the kinks, and the same crossings give
+the exact root-counting form of the gradient.  A plain two-dimensional
+trapezoid grid is kept as an independent cross-check.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
@@ -30,6 +30,7 @@ and is what the commutation certificate consumes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .dimers import (SpectralCurve, ff_reference_curve as ff_curve,
                      hex_reference_curve as hex_curve)
 from .errors import (DomainBoundary, NonConvergence, OutOfRange,
                      SingularLocus, Unbounded)
-from .special import dilog, lobachevsky
+from .special import lobachevsky
 
 _TWO_PI = 2.0 * np.pi
 
@@ -137,17 +138,14 @@ def _fiber_roots(coeffs: np.ndarray):
     return roots, lead
 
 
-def _jensen_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
-    """Outer trapezoid of the exact inner-circle integral."""
-    psi = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    layout = _fiber_layout(curve)
+def _jensen_inner(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
+    """Exact inner-circle mean of log|P| at each w = e^(V + i psi)."""
     roots, lead = _fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psi)))
     finite = np.isfinite(roots)
     logmod = np.log(np.maximum(np.abs(np.where(finite, roots, 1.0)), 1e-300))
     # roots that escaped a trimmed fiber contribute nothing
-    inner = np.log(np.abs(lead)) + np.sum(np.where(finite, np.maximum(H, logmod), 0.0),
-                                          axis=1)
-    return layout[0] * H + float(np.mean(inner))
+    return layout[0] * H + np.log(np.abs(lead)) + np.sum(
+        np.where(finite, np.maximum(H, logmod), 0.0), axis=1)
 
 
 def _grid_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
@@ -162,40 +160,97 @@ def _grid_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
     return float(np.mean(np.log(vals)))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre rule on [-1, 1], order >= 8: Newton on the recurrence, O(order) memory."""
+    x = np.cos(np.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(order), x
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = order * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
                 n0: int = 256, n_max: int = 16384, method: str = "jensen",
                 return_info: bool = False):
-    """Torus free energy, converged by resolution doubling.
+    """Torus free energy, converged by doubling the resolution.
 
-    ``method`` is "jensen" (exact inner circle, default) or "grid" (plain
-    two-dimensional trapezoid; independent cross-check path).  The info
-    holds the final resolution ``n``, the last doubling difference
-    ``estimate`` and ``converged``, which is False when ``n_max`` was
-    reached with the estimate still above ``tol``.
+    "jensen" (default) takes the inner circle exactly and the outer circle
+    by Gauss-Legendre on the pieces between the crossings `_crossings`
+    locates, where the integrand is analytic; the order doubles from 8, or
+    from n0 on one piece [0, 2 pi) when no crossing is found.  "grid" is
+    the plain two-dimensional trapezoid rule from n0, an independent
+    cross-check.  The info holds the number of outer nodes ``n``, the last
+    difference ``estimate`` and ``converged``, False if ``n_max`` came first.
     """
     if n0 < 64:
         raise OutOfRange("resolution parameter must be at least 64")
-    evaluate = _jensen_mean if method == "jensen" else _grid_mean
-    n = n0
-    prev = evaluate(curve, H, V, n)
-    est = math.inf
-    while n < n_max:
-        n *= 2
-        cur = evaluate(curve, H, V, n)
-        est = abs(cur - prev)
-        prev = cur
-        if est <= tol:
-            break
+    level = n0
+    if method == "jensen":
+        layout = _fiber_layout(curve)
+        start = _crossings(layout, H, V)[2]
+        level, start = (8, start) if start.size else (n0, np.zeros(1))
+        half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
+
+    def evaluate(order):
+        if method != "jensen":
+            return _grid_mean(curve, H, V, order), order
+        x, w = _gauss_legendre(order)
+        psi = start[:, None] + half * (1.0 + x)
+        inner = _jensen_inner(layout, H, V, psi.ravel()).reshape(psi.shape)
+        return float(np.sum(half * w * inner)) / _TWO_PI, psi.size
+
+    (value, n), est = evaluate(level), math.inf
+    while n < n_max and est > tol:
+        level *= 2
+        cur, n = evaluate(level)
+        est, value = abs(cur - value), cur
     if return_info:
-        return prev, {"n": n, "estimate": est, "converged": est <= tol}
-    return prev
+        return value, {"n": n, "estimate": est, "converged": est <= tol}
+    return value
 
 
-def _count_inside(layout, H: float, psis: np.ndarray, V: float) -> np.ndarray:
-    """Number of fiber roots inside radius e^H at each w = e^(V + i psi)."""
-    roots, _ = _fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psis)))
-    inside = np.isfinite(roots) & (np.abs(roots) < math.exp(H))
-    return inside.sum(axis=1)
+def _crossings(layout, H: float, V: float, n: int = 2048):
+    """Where fiber roots cross |z| = e^H as w goes round |w| = e^V.
+
+    Returns the root counts at the nodes 2 pi k / n, the indices k of the
+    intervals whose end counts differ, and the crossing angle in each, all
+    solved together.  An odd jump is found to a few ulp by secant steps on
+    q = prod tanh(log|z_k| - H), continuous (escaped roots give +1) with
+    sign (-1)^count, taking the midpoint for a step that leaves the bracket;
+    an even jump is bisected on the count.  Two jumps inside one interval
+    cancel and are not seen.
+    """
+    step, ulps = _TWO_PI / n, 4.0 * np.spacing(_TWO_PI)
+
+    def probe(psis):
+        mod = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psis)))[0])
+        return (mod < math.exp(H)).sum(axis=1), np.prod(np.tanh(np.log(mod) - H), axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count, q_nodes = probe(np.arange(n) * step)
+        jump = np.nonzero(count != np.roll(count, -1))[0]
+        cross, idx, left = np.empty(jump.size), np.arange(jump.size), count[jump]
+        x0, q0 = jump * step, q_nodes[jump]
+        x1, q1 = x0 + step, q_nodes[(jump + 1) % n]
+        secant, blo, bhi = q0 * q1 < 0, x0, x1
+        for _ in range(64):
+            x = x1 - q1 * (x1 - x0) / (q1 - q0)
+            done = (bhi - blo <= ulps) | secant & ((np.abs(x - x1) <= ulps) | (q1 == 0))
+            cross[idx[done]] = x1[done]
+            idx, x0, q0, x1, q1, blo, bhi, x, left, secant = (
+                v[~done] for v in (idx, x0, q0, x1, q1, blo, bhi, x, left, secant))
+            if not idx.size:
+                break
+            x = np.where(secant & (x > blo) & (x < bhi), x, 0.5 * (blo + bhi))
+            cx, qx = probe(x)
+            blo, bhi = np.where(cx == left, x, blo), np.where(cx == left, bhi, x)
+            x0, q0, x1, q1 = x1, q1, x, qx
+        cross[idx] = x1
+    return count, jump, cross
 
 
 def grad_free_energy(curve: SpectralCurve, H: float, V: float,
@@ -204,34 +259,22 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
 
     The H-derivative equals i_min plus the fraction of the outer circle on
     which roots of the fiber polynomial sit inside radius e^H.  The count
-    is taken at n nodes; every interval whose end counts differ is then
-    bisected 46 times, all intervals together, so the jump positions and
-    the result are accurate to the bisection tolerance rather than the
-    grid spacing.  A pair of jumps inside one interval is not seen.
+    is taken at n nodes and `_crossings` locates the jump in every interval
+    where it changes, so the result is accurate to a few ulp rather than
+    to the grid spacing.  A pair of jumps inside one interval is not seen.
     """
 
     def one_direction(cv, hh, vv):
         layout = _fiber_layout(cv)
+        count, jump, cross = _crossings(layout, hh, vv, n)
         a = np.arange(n) * (_TWO_PI / n)
         b = a + _TWO_PI / n
-        c0 = _count_inside(layout, hh, a, vv)
-        c1 = np.roll(c0, -1)
-        # the count is c0 on [a, lo], c1 on [hi, b] and their mean between;
-        # lo = hi = b where the count does not jump
-        lo, hi = b.copy(), b.copy()
-        jump = np.nonzero(c0 != c1)[0]
-        if jump.size:
-            jlo, jhi, left = a[jump], b[jump], c0[jump]
-            for _ in range(46):
-                mid = 0.5 * (jlo + jhi)
-                same = _count_inside(layout, hh, mid, vv) == left
-                jlo = np.where(same, mid, jlo)
-                jhi = np.where(same, jhi, mid)
-            lo[jump], hi[jump] = jlo, jhi
-        parts = c0 * (lo - a) + c1 * (b - hi) + 0.5 * (c0 + c1) * (hi - lo)
+        # count[k] holds on [a, x] and count[k + 1] on [x, b]; x = b without a jump
+        x = b.copy()
+        x[jump] = cross
+        parts = count * (x - a) + np.roll(count, -1) * (b - x)
         # summed in node order, as a scalar loop would add them
-        total = float(np.add.accumulate(parts)[-1])
-        return layout[0] + total / _TWO_PI
+        return layout[0] + float(np.add.accumulate(parts)[-1]) / _TWO_PI
 
     swapped = curve.transformed(swap=True)
     return one_direction(curve, H, V), one_direction(swapped, V, H)
@@ -246,7 +289,12 @@ class FreeEnergyField:
     warm_start: object = None   # optional callable (s, t) -> (H, V)
 
     def value(self, H: float, V: float) -> float:
-        return free_energy(self.curve, H, V, tol=self.tol)
+        """`free_energy` at tol; a miss raises NonConvergence with (H, V) as best."""
+        f, info = free_energy(self.curve, H, V, tol=self.tol, return_info=True)
+        if not info["converged"]:
+            raise NonConvergence(f"free energy missed tol {self.tol}", best=(H, V),
+                                 diagnostics={k: info[k] for k in ("estimate", "n")})
+        return f
 
     def grad(self, H: float, V: float) -> tuple[float, float]:
         return grad_free_energy(self.curve, H, V)
@@ -258,7 +306,6 @@ def _newton_polygon_contains(curve: SpectralCurve, s: float, t: float,
     # strict interior test by margin-shrunk support function over directions
     if pts.shape[0] < 3:
         return False
-    center = pts.mean(axis=0)
     p = np.array([s, t])
     for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
         d = np.array([a, b], dtype=float)
@@ -272,14 +319,12 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     """sigma(s, t) = max over (H, V) of sH + tV - f(H, V).
 
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
-    with finite-difference Jacobian; returns (sigma, (H, V)).
+    with finite-difference Jacobian; returns (sigma, (H, V)).  A free
+    energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
     if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
         raise DomainBoundary(f"slope ({s}, {t}) not strictly inside the Newton polygon")
-    if fef.warm_start is not None:
-        H, V = fef.warm_start(s, t)
-    else:
-        H, V = 0.0, 0.0
+    H, V = fef.warm_start(s, t) if fef.warm_start is not None else (0.0, 0.0)
 
     def residual(H, V):
         gh, gv = fef.grad(H, V)
@@ -290,8 +335,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     prev = None
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
-            sigma = s * H + t * V - fef.value(H, V)
-            return sigma, (H, V)
+            return s * H + t * V - fef.value(H, V), (H, V)
         rph = residual(H + step, V)
         rpv = residual(H, V + step)
         jac = np.column_stack([(rph - r) / step, (rpv - r) / step])
@@ -311,19 +355,16 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
             delta *= cap / norm
         scale = 1.0
         base = np.max(np.abs(r))
-        accepted = False
         for _ in range(30):
             rn = residual(H + scale * delta[0], V + scale * delta[1])
             if np.max(np.abs(rn)) < base:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             raise NonConvergence("line search stalled in the Legendre solve",
                                  best=(H, V), diagnostics={"residual": float(base)})
         prev = (H, V)
-        H += scale * delta[0]
-        V += scale * delta[1]
+        H, V = H + scale * delta[0], V + scale * delta[1]
         r = rn
     raise NonConvergence("Legendre solve did not reach tolerance",
                          best=(H, V), diagnostics={"residual": float(np.max(np.abs(r)))})
@@ -425,15 +466,14 @@ class _FFValueCache:
 
     def __init__(self, u: float, tol: float = 1e-9):
         self.u = u
-        self.curve = ff_curve(u)
-        self.tol = tol
+        self.field = FreeEnergyField(ff_curve(u), tol)
         self._cache: dict = {}
 
     def __call__(self, s: float, t: float) -> float:
         key = (round(float(s), 14), round(float(t), 14))
         if key not in self._cache:
             H, V = (float(x) for x in grad_sigma_ff(s, t, self.u))
-            f = free_energy(self.curve, H, V, tol=self.tol)
+            f = self.field.value(H, V)
             self._cache[key] = s * H + t * V - f
         return self._cache[key]
 
@@ -522,8 +562,7 @@ def numeric_tension(curve: SpectralCurve, warm_start=None,
         return legendre_sigma(fef, float(s), float(t), tol=tol)[0]
 
     def grad(s, t):
-        _, hv = legendre_sigma(fef, float(s), float(t), tol=tol)
-        return hv
+        return legendre_sigma(fef, float(s), float(t), tol=tol)[1]
 
     def hess(s, t, step=1e-5):
         g0s, g0t = grad(s - step, t)

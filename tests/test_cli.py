@@ -137,6 +137,16 @@ def test_solve_log_reports_evals_and_backtracks(tmp_path):
     assert log["evals"] >= log["iterations"] >= 1
 
 
+def test_solve_free_fermion_takes_few_newton_steps(tmp_path):
+    # the tension value agrees with its exact gradient, so the line search
+    # takes full Newton steps
+    code = run(["solve", "--tension", "ff", "--u", "1.0", "--nx", "9", "--ny", "8",
+                "--out", str(tmp_path)])
+    assert code == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["iterations"] <= 5 and log["backtracks"] == 0
+
+
 def test_config_scalar_u_for_tension(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"u": 0.5}))

@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from icelab import tension as tn
-from icelab.errors import (BranchCut, DomainBoundary, OutOfRange,
-                           SingularLocus, Unbounded)
+from icelab.errors import (BranchCut, DomainBoundary, NonConvergence,
+                           OutOfRange, SingularLocus, Unbounded)
 from icelab.special import lobachevsky
 
 
@@ -45,16 +46,101 @@ def test_grid_method_singular_node():
         tn._grid_mean(curve, 0.0, 0.0, 65)   # odd grid hits z = -1 exactly
 
 
+def _hex_closed_form(H, V):
+    """f = sH + tV - sigma_hex(s, t) on the hexagonal amoeba.
+
+    pi s and pi t are the angles opposite the sides e^H and e^V of the
+    triangle with sides (e^H, e^V, 1); sigma_hex through the dilogarithm.
+    """
+    a, b = math.exp(H), math.exp(V)
+    s = math.acos((b * b + 1.0 - a * a) / (2.0 * b)) / math.pi
+    t = math.acos((a * a + 1.0 - b * b) / (2.0 * a)) / math.pi
+    sigma = -(lobachevsky(math.pi * s) + lobachevsky(math.pi * t)
+              + lobachevsky(math.pi * (1.0 - s - t))) / math.pi
+    return s * H + t * V - sigma
+
+
 def test_free_energy_flags_a_missed_tolerance():
-    # resolution doubling stops at n_max above tol here; the info says so
+    # with the kinks located, (-0.5, -0.5) converges to the closed form
     value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
                                  return_info=True)
-    assert info["n"] == 16384 and info["estimate"] > 1e-8
+    assert info["converged"] is True and info["estimate"] <= 1e-8
+    assert abs(value - _hex_closed_form(-0.5, -0.5)) <= 1e-8
+    # an n_max below what the point needs: the info says so
+    value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
+                                 n_max=32, return_info=True)
+    assert info["n"] <= 32 and info["estimate"] > 1e-8
     assert info["converged"] is False
     assert math.isfinite(value)
     # gas phase: spectral decay, met well before n_max
     _, info = tn.free_energy(tn.hex_curve(), 2.0, 0.1, return_info=True)
     assert info["converged"] is True and info["n"] < 16384
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-7])
+def test_converged_hex_free_energy_is_within_tol(tol):
+    rng = np.random.default_rng(47)
+    infos, off = [], []
+    for H, V in rng.uniform(-0.3, 0.3, (120, 2)).tolist():
+        value, info = tn.free_energy(tn.hex_curve(), H, V, tol=tol, return_info=True)
+        infos.append(info)
+        if info["converged"] and abs(value - _hex_closed_form(H, V)) > tol:
+            off.append((H, V, info))
+    assert off == []
+    assert all(info["converged"] is True for info in infos)
+
+
+def _ff_free_energy_mp(u, H, V):
+    """Free-fermion free energy by mpmath, split at the kink of the integrand.
+
+    The curve is (sin u + cos u w) z + (sin u w - cos u), so Jensen's formula
+    gives the inner mean max(H + log|a(w)|, log|b(w)|).  The coefficients are
+    real, so the outer mean is over [0, pi]; |b|^2 - e^(2H) |a|^2 is linear
+    in cos(psi), which puts the kink in closed form.
+    """
+    with mp.workdps(20):
+        cu, su, H, r = mp.cos(u), mp.sin(u), mp.mpf(H), mp.exp(V)
+        e2h = mp.exp(2 * H)
+
+        def inner(psi):
+            w = r * mp.expj(psi)
+            return max(H + mp.log(abs(su + cu * w)), mp.log(abs(su * w - cu)))
+
+        const = cu ** 2 + (su * r) ** 2 - e2h * (su ** 2 + (cu * r) ** 2)
+        slope = -2 * su * cu * r * (1 + e2h)
+        pts = [mp.mpf(0), mp.pi]
+        if abs(const) < abs(slope):
+            pts.insert(1, mp.acos(-const / slope))
+        return float(mp.quad(inner, pts) / mp.pi)
+
+
+def test_free_fermion_free_energy_converges_on_the_slope_grid():
+    u = math.pi / 3
+    curve = tn.ff_curve(u)
+    for s in (0.2, 0.35, 0.5, 0.65, 0.8):
+        for t in (0.2, 0.35, 0.5, 0.65, 0.8):
+            H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
+            value, info = tn.free_energy(curve, H, V, tol=1e-9, return_info=True)
+            assert info["converged"] is True, (s, t, info)
+            assert abs(value - _ff_free_energy_mp(u, H, V)) <= 1e-9, (s, t)
+
+
+def test_a_missed_free_energy_propagates_as_nonconvergence(monkeypatch):
+    real = tn.free_energy
+    monkeypatch.setattr(tn, "free_energy",
+                        lambda *args, **kw: real(*args, **{**kw, "n_max": 16}))
+    fef = tn.FreeEnergyField(tn.hex_curve())
+    with pytest.raises(NonConvergence) as err:
+        tn.legendre_sigma(fef, 0.3, 0.35)
+    gs, gt = tn.grad_sigma_hex(0.3, 0.35)
+    assert np.allclose(err.value.best, (gs, gt), atol=1e-7)
+    assert err.value.diagnostics["n"] <= 16
+    assert err.value.diagnostics["estimate"] > fef.tol
+    u = 1.0
+    with pytest.raises(NonConvergence) as err:
+        tn._FFValueCache(u)(0.4, 0.55)
+    assert err.value.best == tuple(float(x) for x in tn.grad_sigma_ff(0.4, 0.55, u))
+    assert err.value.diagnostics["n"] <= 16
 
 
 def test_degree_drop_on_the_free_fermion_fiber():
@@ -73,7 +159,8 @@ def test_degree_drop_on_the_free_fermion_fiber():
         ge = tn.grad_free_energy_ff(H, V, u)
         assert abs(g[0] - ge[0]) < 1e-10 and abs(g[1] - ge[1]) < 1e-10
     # an odd Jensen grid puts its middle node on psi = pi
-    f_jensen = tn._jensen_mean(curve, 0.1, V, 4097)
+    psi = (np.arange(4097) + 0.5) * (2 * np.pi / 4097)
+    f_jensen = float(np.mean(tn._jensen_inner(tn._fiber_layout(curve), 0.1, V, psi)))
     f_grid = tn.free_energy(curve, 0.1, V, tol=1e-7, n_max=4096, method="grid")
     assert abs(f_jensen - f_grid) < 1e-6
 
