@@ -162,15 +162,17 @@ def _resolve(args: argparse.Namespace, cfg: dict, names: list) -> dict:
     return resolved
 
 
-def _tension_bundle(variant: str, u: float | None):
+def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
+    if variant == "numeric":
+        return tn.numeric_tension(tn.hex_curve(), tol=1e-9 if tol is None else tol)
+    if tol is not None:
+        raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
     if variant == "hex":
         return tn.hex_tension()
     if variant == "ff":
         if u is None:
             raise ValueError("variant ff needs --u")
         return tn.ff_tension(float(u))
-    if variant == "numeric":
-        return tn.numeric_tension(tn.hex_curve())
     raise ValueError(f"unknown tension variant {variant!r}")
 
 
@@ -179,7 +181,9 @@ def _tension_bundle(variant: str, u: float | None):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, cfg) -> int:
-    opts = _resolve(args, cfg, ["suite", "out", "seed", "fast"])
+    opts = _resolve(args, cfg, ["suite", "out", "seed", "fast", "tol"])
+    if opts["tol"] is not None:
+        raise ValueError("verify takes no tolerance (--tol); each check carries its own")
     names = list(SUITES) if opts["suite"] in (None, "all") else [opts["suite"]]
     for name in names:
         if name not in SUITES:
@@ -215,7 +219,7 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_tension(args, cfg) -> int:
-    opts = _resolve(args, cfg, ["variant", "u", "lo", "hi", "n", "out"])
+    opts = _resolve(args, cfg, ["variant", "u", "lo", "hi", "n", "out", "tol"])
     variant = opts["variant"] or "hex"
     lo = float(opts["lo"] if opts["lo"] is not None else 0.15)
     hi = float(opts["hi"] if opts["hi"] is not None else 0.45)
@@ -224,7 +228,7 @@ def cmd_tension(args, cfg) -> int:
     out = opts["out"] or "."
     grid = np.linspace(lo, hi, n)
     for u in us or [None]:
-        sigma = _tension_bundle(variant, u)
+        sigma = _tension_bundle(variant, u, opts["tol"])
         rows = []
         for s in grid:
             for t in grid:

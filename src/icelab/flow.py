@@ -35,8 +35,8 @@ from .dimers import SpectralCurve
 from .errors import (BranchAmbiguous, DomainBoundary, OutOfRange,
                      ShockDetected, SingularBranch, StepFailure)
 from .special import dilog
-from .tension import (SurfaceTension, partial_legendre, sigma_hex,
-                      _FFValueCache)
+from .tension import (SurfaceTension, partial_legendre, sigma_ff, sigma_hex,
+                      _ff_dilogs)
 
 TWO_PI_I = 2.0j * np.pi
 SHOCK_DELTA = 1e-3
@@ -251,7 +251,6 @@ def hex_density() -> HamiltonianDensity:
 def ff_density(u: float) -> HamiltonianDensity:
     from .tension import ff_tension
 
-    values = _FFValueCache(u)
     c2u, s2u = math.cos(2 * u), math.sin(2 * u)
     tu = math.tan(u)
 
@@ -262,16 +261,8 @@ def ff_density(u: float) -> HamiltonianDensity:
                           c2u * np.cos(np.pi * t) - s2u * np.sinh(p)) / np.pi
 
     def value(p, t):
-        p_arr = np.asarray(p, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        s = nu_star(p_arr, t_arr)
-        if p_arr.ndim == 0:
-            return float(p_arr) * float(s) - values(float(s), float(t_arr))
-        out = np.empty(np.broadcast(p_arr, t_arr).shape)
-        pb, tb, sb = np.broadcast_arrays(p_arr, t_arr, s)
-        for idx in np.ndindex(out.shape):
-            out[idx] = pb[idx] * sb[idx] - values(float(sb[idx]), float(tb[idx]))
-        return out
+        s = nu_star(p, t)
+        return p * s - sigma_ff(s, t, u)
 
     def d2(p, t):
         # Re ff_phi(p + i pi t), without the complex logarithms
@@ -619,15 +610,9 @@ def hamiltonian_ff(l, u: float, lbar=None):
     """Four-dilogarithm free-fermion density; lbar defaults to conj(l)."""
     if not 0.0 < u < np.pi / 2:
         raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
-    l = complex(l)
-    lb = complex(np.conj(l)) if lbar is None else complex(lbar)
-    tu = math.tan(u)
-    cu = 1.0 / tu
-
-    def hol(w):
-        return dilog(cmath.exp(w) * tu) - dilog(-cmath.exp(w) * cu)
-
-    return (hol(l) - hol(lb)) / TWO_PI_I
+    l = np.asarray(l, dtype=complex)
+    lb = np.conj(l) if lbar is None else np.asarray(lbar, dtype=complex)
+    return (_ff_dilogs(l, u) - _ff_dilogs(lb, u)) / TWO_PI_I
 
 
 def hex_phi(l):

@@ -113,18 +113,8 @@ def baxter_delta(regime: str, gamma: float) -> float:
 
 def weights_from_baxter(p: BaxterParam, H: float = 0.0, V: float = 0.0) -> VertexWeights:
     """Weight triple of a Baxter spectral point, with optional fields."""
-    u, g, r = p.u, p.gamma, p.r
-    if p.regime == "A1":
-        abc = (math.sinh(u + g), math.sinh(u), math.sinh(g))
-    elif p.regime == "A2":
-        abc = (math.sinh(u - g), math.sinh(u), math.sinh(g))
-    elif p.regime == "B1":
-        abc = (math.sin(u - g), math.sin(u), math.sin(g))
-    elif p.regime == "B2":
-        abc = (math.sin(g - u), math.sin(u), math.sin(g))
-    else:
-        abc = (math.sinh(g - u), math.sinh(u), math.sinh(g))
-    return VertexWeights(r * abc[0], r * abc[1], r * abc[2], H, V)
+    a, b, c = _baxter_abc(p.regime, p.u, p.gamma)
+    return VertexWeights(p.r * a, p.r * b, p.r * c, H, V)
 
 
 # ---------------------------------------------------------------------------

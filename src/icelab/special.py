@@ -22,72 +22,97 @@ PI2_6 = np.pi ** 2 / 6.0
 # Bernoulli numbers B_0..B_48; odd ones beyond B_1 vanish.
 _BERN = bernoulli(48)
 _FACT = np.array([float(math.factorial(k + 1)) for k in range(49)])
+_SQUARES = np.arange(1, 40, dtype=float) ** 2
 
 
-def _dilog_series(z):
-    # plain power series, |z| <= 0.4
-    total = 0.0 + 0.0j
-    term = complex(z)
-    for k in range(1, 40):
-        total += term / (k * k)
-        term *= z
-        if abs(term) < 1e-18:
-            break
-    return total
+def _modulus(z):
+    # libm's hypot, as Python's abs(complex) rounds it; numpy's vectorized
+    # complex abs can differ in the last bit, which moves branch boundaries
+    return np.hypot(z.real, z.imag)
 
 
-def _dilog_bernoulli(z):
-    # series in u = -log(1-z); converges for |u| < 2*pi
-    u = -np.log(1.0 - z)
-    total = 0.0 + 0.0j
-    upow = u
-    for k in range(0, 49):
-        total += _BERN[k] * upow / _FACT[k]
-        upow *= u
-        if abs(upow) / _FACT[min(k + 1, 48)] < 1e-19:
-            break
-    return total
+def _powers(x, n):
+    """x, x^2, ..., x^n for each x, multiplied in that order."""
+    return np.cumprod(np.repeat(x[:, None], n, axis=1), axis=1)
 
 
-def _dilog_scalar(z: complex) -> complex:
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise BranchCut(f"dilog evaluated on the cut [1, inf): z={z.real}")
-    if z == 0:
-        return 0.0 + 0.0j
-    if abs(z) > 1.0:
-        # inversion: Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2
-        return -_dilog_scalar(1.0 / z) - PI2_6 - 0.5 * np.log(-z) ** 2
-    if abs(z) <= 0.4:
-        return _dilog_series(z)
-    if abs(1.0 - z) <= 0.25:
-        # reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
-        w = 1.0 - z
-        return PI2_6 - np.log(z) * np.log(w) - _dilog_series(w)
-    return _dilog_bernoulli(z)
+def _sum_until(terms, stop):
+    """Each row of terms summed in order, through its first column where stop holds."""
+    last = np.where(stop.any(axis=1), stop.argmax(axis=1), terms.shape[1] - 1)
+    return np.cumsum(terms, axis=1)[np.arange(last.size), last]
+
+
+def _series(x):
+    # power series sum x^k / k^2 for |x| <= 0.4, until |x^(k+1)| < 1e-18;
+    # each part is divided by the real k^2, as Python divides a complex by an int
+    p = _powers(x, 40)
+    terms = np.empty((x.size, 39), dtype=complex)
+    terms.real, terms.imag = p[:, :39].real / _SQUARES, p[:, :39].imag / _SQUARES
+    return _sum_until(terms, _modulus(p[:, 1:]) < 1e-18)
+
+
+def _bernoulli(x):
+    # series in u = -log(1 - x); converges for |u| < 2 pi
+    p = _powers(-np.log(1.0 - x), 50)
+    stop = _modulus(p[:, 1:]) / _FACT[np.minimum(np.arange(1, 50), 48)] < 1e-19
+    return _sum_until(_BERN * p[:, :49] / _FACT, stop)
+
+
+def _reflection(x):
+    # Li2(x) = pi^2/6 - log(x) log(1 - x) - Li2(1 - x), for |1 - x| <= 0.25
+    w = 1.0 - x
+    return PI2_6 - np.log(x) * np.log(w) - _series(w)
+
+
+def _reciprocal(z):
+    # 1 / z by Smith's rule, rounded as Python's complex division rounds it;
+    # numpy's vectorized division can differ in the last bit
+    flip = abs(z.real) < abs(z.imag)
+    big, small = np.where(flip, z.imag, z.real), np.where(flip, z.real, z.imag)
+    ratio = small / big
+    den = big + small * ratio
+    out = np.empty_like(z)
+    out.real = np.where(flip, ratio, 1.0) / den
+    out.imag = -np.where(flip, 1.0, ratio) / den
+    return out
 
 
 def dilog(z):
-    """Principal-branch Li2(z); raises BranchCut on the real ray z >= 1."""
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return _dilog_scalar(complex(z))
+    """Principal-branch Li2(z); raises BranchCut on the real ray z >= 1.
+
+    One numpy path for scalars and arrays, each branch chosen by mask:
+    |z| > 1 is inverted, Li2(z) + Li2(1/z) = -pi^2/6 - log(-z)^2 / 2; then
+    |z| <= 0.4 takes the power series, |1 - z| <= 0.25 the reflection and
+    the rest the Bernoulli series in -log(1 - z).  Each series stops where
+    a scalar loop adding term by term would.  A scalar comes back as a
+    complex.
+    """
     arr = np.asarray(z, dtype=complex)
-    out = np.empty(arr.shape, dtype=complex)
     flat = arr.reshape(-1)
-    res = out.reshape(-1)
-    for i, val in enumerate(flat):
-        res[i] = _dilog_scalar(val)
-    return out
+    cut = (flat.imag == 0.0) & (flat.real >= 1.0)
+    if np.any(cut):
+        raise BranchCut(f"dilog evaluated on the cut [1, inf): z={flat.real[cut][0]}")
+    inv = _modulus(flat) > 1.0
+    x = flat.copy()
+    if inv.any():
+        x[inv] = _reciprocal(flat[inv])
+    out = np.empty_like(x)
+    series = _modulus(x) <= 0.4
+    refl = ~series & (_modulus(1.0 - x) <= 0.25)
+    for branch, where in ((_series, series), (_reflection, refl),
+                          (_bernoulli, ~(series | refl))):
+        if where.any():
+            out[where] = branch(x[where])
+    if inv.any():
+        out[inv] = -out[inv] - PI2_6 - 0.5 * np.log(-flat[inv]) ** 2
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def lobachevsky(x):
     """L(x) = -int_0^x log(2 sin t) dt, computed via the dilogarithm."""
-    if not (np.isscalar(x) or np.ndim(x) == 0):
-        arr = np.asarray(x, dtype=float)
-        return np.array([lobachevsky(v) for v in arr.reshape(-1)]).reshape(arr.shape)
-    x = float(x)
+    arr = np.asarray(x, dtype=float)
     # pi-periodic and odd; reduce to [0, pi)
-    r = x - np.pi * np.floor(x / np.pi)
-    if r == 0.0 or abs(np.sin(r)) < 1e-300:
-        return 0.0
-    return 0.5 * _dilog_scalar(np.exp(2j * r)).imag
+    r = arr - np.pi * np.floor(arr / np.pi)
+    zero = np.abs(np.sin(r)) < 1e-300
+    val = np.where(zero, 0.0, 0.5 * dilog(np.where(zero, 0.0, np.exp(2j * r))).imag)
+    return float(val) if arr.ndim == 0 else val

@@ -12,13 +12,16 @@ are counted on a fixed grid of the outer circle and every jump of the
 count, where a root crosses |z| = e^H and the integrand has a kink, is
 located by a secant search, all jumps together.  The outer circle is then
 integrated by Gauss-Legendre between the kinks, and the same crossings give
-the exact root-counting form of the gradient.  A plain two-dimensional
-trapezoid grid is kept as an independent cross-check.
+the exact root-counting form of the gradient and, from the rate at which
+each crossing moves, the exact Hessian that the Legendre Newton iteration
+uses as its Jacobian.  A plain two-dimensional trapezoid grid is kept as an
+independent cross-check.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
-gradient map).  Both Hessians have determinant pi^2, which is what makes
-the commuting-Hamiltonian certificate in the flow module tick.
+gradient map, four dilogarithms for the value), both on arrays.  Both
+Hessians have determinant pi^2, which is what makes the commuting-Hamiltonian
+certificate in the flow module tick.
 
 Sign conventions: f is convex, sigma = f* is convex, and the variational
 problem is treated uniformly as minimization of the convex integrand.
@@ -41,7 +44,7 @@ from .dimers import (SpectralCurve, ff_reference_curve as ff_curve,
                      hex_reference_curve as hex_curve)
 from .errors import (DomainBoundary, NonConvergence, OutOfRange,
                      SingularLocus, Unbounded)
-from .special import lobachevsky
+from .special import dilog, lobachevsky
 
 _TWO_PI = 2.0 * np.pi
 
@@ -253,8 +256,26 @@ def _crossings(layout, H: float, V: float, n: int = 2048):
     return count, jump, cross
 
 
+def _crossing_rates(layout, H: float, V: float, cross: np.ndarray):
+    """(d psi_c/dH, d psi_c/dV) of each crossing angle psi_c.
+
+    The crossing root Z of P(., w), w = e^(V + i psi_c), is the one with
+    log|Z| nearest H; with rho = -(w dP/dw) / (z dP/dz) at (Z, w), keeping
+    log|Z| = H gives -1 / Im rho and Re rho / Im rho.
+    """
+    w = np.exp(V + 1j * cross)
+    roots = _fiber_roots(_fiber_coeffs(layout, w))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.argmin(np.abs(np.log(np.abs(roots)) - H), axis=1)
+    z = roots[np.arange(cross.size), near]
+    z_dz = sum(c * row * z ** row * w ** j for row, j, c in layout[2])
+    w_dw = sum(c * j * z ** row * w ** j for row, j, c in layout[2])
+    rho = -w_dw / z_dz
+    return -1.0 / rho.imag, rho.real / rho.imag
+
+
 def grad_free_energy(curve: SpectralCurve, H: float, V: float,
-                     n: int = 2048) -> tuple[float, float]:
+                     n: int = 2048, hessian: bool = False):
     """(d/dH, d/dV) of the free energy via exact root counting.
 
     The H-derivative equals i_min plus the fraction of the outer circle on
@@ -262,6 +283,13 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
     is taken at n nodes and `_crossings` locates the jump in every interval
     where it changes, so the result is accurate to a few ulp rather than
     to the grid spacing.  A pair of jumps inside one interval is not seen.
+
+    With ``hessian=True`` the result is ((d/dH, d/dV), 2x2 Hessian).  The
+    second derivatives move the same crossings: each adds its jump in the
+    count (before minus after) times the rates of `_crossing_rates`, over
+    2 pi.  The V-V entry comes from the swapped curve and the cross term
+    from the first direction only, so the matrix is exactly symmetric; with
+    no crossing it is zero.
     """
 
     def one_direction(cv, hh, vv):
@@ -274,10 +302,18 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
         x[jump] = cross
         parts = count * (x - a) + np.roll(count, -1) * (b - x)
         # summed in node order, as a scalar loop would add them
-        return layout[0] + float(np.add.accumulate(parts)[-1]) / _TWO_PI
+        grad = layout[0] + float(np.add.accumulate(parts)[-1]) / _TWO_PI
+        if not hessian:
+            return grad, None
+        delta = count[jump] - count[(jump + 1) % n]
+        rate_h, rate_v = _crossing_rates(layout, hh, vv, cross)
+        return grad, (float(delta @ rate_h) / _TWO_PI, float(delta @ rate_v) / _TWO_PI)
 
-    swapped = curve.transformed(swap=True)
-    return one_direction(curve, H, V), one_direction(swapped, V, H)
+    gh, second_h = one_direction(curve, H, V)
+    gv, second_v = one_direction(curve.transformed(swap=True), V, H)
+    if not hessian:
+        return gh, gv
+    return (gh, gv), np.array([[second_h[0], second_h[1]], [second_h[1], second_v[0]]])
 
 
 @dataclass
@@ -296,8 +332,9 @@ class FreeEnergyField:
                                  diagnostics={k: info[k] for k in ("estimate", "n")})
         return f
 
-    def grad(self, H: float, V: float) -> tuple[float, float]:
-        return grad_free_energy(self.curve, H, V)
+    def grad(self, H: float, V: float, hessian: bool = False):
+        """The module's `grad_free_energy` at call time, with its Hessian if asked."""
+        return grad_free_energy(self.curve, H, V, hessian=hessian)
 
 
 def _newton_polygon_contains(curve: SpectralCurve, s: float, t: float,
@@ -319,26 +356,24 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     """sigma(s, t) = max over (H, V) of sH + tV - f(H, V).
 
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
-    with finite-difference Jacobian; returns (sigma, (H, V)).  A free
-    energy that misses ``fef.tol`` there raises `NonConvergence`.
+    whose Jacobian is the exact Hessian of f from the located crossings
+    (`grad_free_energy` with ``hessian=True``); an accepted line-search
+    trial hands its Hessian on to the next step.  Returns (sigma, (H, V)).
+    A free energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
     if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
         raise DomainBoundary(f"slope ({s}, {t}) not strictly inside the Newton polygon")
     H, V = fef.warm_start(s, t) if fef.warm_start is not None else (0.0, 0.0)
 
     def residual(H, V):
-        gh, gv = fef.grad(H, V)
-        return np.array([gh - s, gv - t])
+        (gh, gv), hess = fef.grad(H, V, hessian=True)
+        return np.array([gh - s, gv - t]), hess
 
-    r = residual(H, V)
-    step = 1e-4
+    r, jac = residual(H, V)
     prev = None
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
             return s * H + t * V - fef.value(H, V), (H, V)
-        rph = residual(H + step, V)
-        rpv = residual(H, V + step)
-        jac = np.column_stack([(rph - r) / step, (rpv - r) / step])
         if abs(np.linalg.det(jac)) < 1e-14:
             # stepped onto a facet of the gradient map; back toward the
             # last liquid point (or probe inward from the start)
@@ -346,7 +381,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
                 raise NonConvergence("gradient map flat at the start point",
                                      best=(H, V))
             H, V = 0.5 * (H + prev[0]), 0.5 * (V + prev[1])
-            r = residual(H, V)
+            r, jac = residual(H, V)
             continue
         delta = np.linalg.solve(jac, -r)
         cap = 0.5
@@ -356,7 +391,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
         scale = 1.0
         base = np.max(np.abs(r))
         for _ in range(30):
-            rn = residual(H + scale * delta[0], V + scale * delta[1])
+            rn, jn = residual(H + scale * delta[0], V + scale * delta[1])
             if np.max(np.abs(rn)) < base:
                 break
             scale *= 0.5
@@ -365,7 +400,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
                                  best=(H, V), diagnostics={"residual": float(base)})
         prev = (H, V)
         H, V = H + scale * delta[0], V + scale * delta[1]
-        r = rn
+        r, jac = rn, jn
     raise NonConvergence("Legendre solve did not reach tolerance",
                          best=(H, V), diagnostics={"residual": float(np.max(np.abs(r)))})
 
@@ -430,6 +465,26 @@ def grad_sigma_ff(s, t, u):
     return -np.arcsinh(_ff_q(s, t, u)), -np.arcsinh(_ff_q(t, s, u))
 
 
+def _ff_dilogs(l, u: float):
+    """Li2(e^l tan u) - Li2(-e^l cot u), both dilogarithms in one call."""
+    z = np.exp(np.asarray(l, dtype=complex))
+    tu = math.tan(u)
+    li2 = dilog(np.stack([z * tu, -z * (1.0 / tu)]))
+    return li2[0] - li2[1]
+
+
+def sigma_ff(s, t, u):
+    """Closed-form free-fermion tension, on arrays.
+
+    sigma = H s - Im[Li2(e^l tan u) - Li2(-e^l cot u)] / pi - t log tan u
+    - log cos u, with l = H + i pi t and H = d sigma/ds from the gradient map.
+    """
+    s, t = _check_ff_domain(s, t, u)
+    H = -np.arcsinh(_ff_q(s, t, u))
+    return (H * s - _ff_dilogs(H + 1j * np.pi * t, u).imag / np.pi
+            - t * math.log(math.tan(u)) - math.log(math.cos(u)))
+
+
 def hess_sigma_ff(s, t, u):
     s, t = _check_ff_domain(s, t, u)
     s2u = np.sin(2 * u)
@@ -461,23 +516,6 @@ def grad_free_energy_ff(H, V, u, clamp_tol: float = 1e-12):
     return clamped_acos(arg_h) / np.pi, clamped_acos(arg_v) / np.pi
 
 
-class _FFValueCache:
-    """sigma_ff values via the exact gradient map plus one quadrature."""
-
-    def __init__(self, u: float, tol: float = 1e-9):
-        self.u = u
-        self.field = FreeEnergyField(ff_curve(u), tol)
-        self._cache: dict = {}
-
-    def __call__(self, s: float, t: float) -> float:
-        key = (round(float(s), 14), round(float(t), 14))
-        if key not in self._cache:
-            H, V = (float(x) for x in grad_sigma_ff(s, t, self.u))
-            f = self.field.value(H, V)
-            self._cache[key] = s * H + t * V - f
-        return self._cache[key]
-
-
 @dataclass
 class SurfaceTension:
     """Evaluator bundle (value, gradient, Hessian) on a slope box."""
@@ -505,26 +543,14 @@ def hex_tension() -> SurfaceTension:
 
 
 def ff_tension(u: float) -> SurfaceTension:
-    values = _FFValueCache(u)
-
-    def value(s, t):
-        s_arr = np.asarray(s, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        if s_arr.ndim == 0:
-            return values(float(s_arr), float(t_arr))
-        out = np.empty(np.broadcast(s_arr, t_arr).shape)
-        sb, tb = np.broadcast_arrays(s_arr, t_arr)
-        for idx in np.ndindex(out.shape):
-            out[idx] = values(float(sb[idx]), float(tb[idx]))
-        return out
-
     def feasible(s, t, margin=0.0):
         s = np.asarray(s)
         t = np.asarray(t)
         return bool(((s > margin) & (t > margin)
                      & (s < 1.0 - margin) & (t < 1.0 - margin)).all())
 
-    return SurfaceTension(f"FFClosed(u={u})", 0.0, 1.0, value,
+    return SurfaceTension(f"FFClosed(u={u})", 0.0, 1.0,
+                          lambda s, t: sigma_ff(s, t, u),
                           lambda s, t: grad_sigma_ff(s, t, u),
                           lambda s, t: hess_sigma_ff(s, t, u), feasible)
 

@@ -147,6 +147,33 @@ def test_solve_free_fermion_takes_few_newton_steps(tmp_path):
     assert log["iterations"] <= 5 and log["backtracks"] == 0
 
 
+def test_tension_numeric_honours_tol(tmp_path, monkeypatch):
+    seen = []
+    real = cli.tn.numeric_tension
+
+    def numeric(curve, **kw):
+        seen.append(kw.get("tol"))
+        return real(curve, **kw)
+
+    monkeypatch.setattr(cli.tn, "numeric_tension", numeric)
+    code = run(["tension", "--variant", "numeric", "--tol", "1e-7", "--lo", "0.3",
+                "--hi", "0.3", "--n", "1", "--out", str(tmp_path)])
+    assert code == 0 and seen == [1e-7]
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "ybe"],
+    ["tension", "--variant", "hex"],
+    ["tension", "--variant", "ff", "--u", "0.5"],
+])
+def test_tol_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    code = run(command + ["--tol", "1e-3", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "takes no tolerance" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_scalar_u_for_tension(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"u": 0.5}))

@@ -37,6 +37,19 @@ def test_weights_from_baxter_examples():
     assert abs(w.a - w.b) < 1e-15
 
 
+@pytest.mark.parametrize("regime, u, g, abc", [
+    ("A1", 0.5, 0.3, lambda u, g: (math.sinh(u + g), math.sinh(u), math.sinh(g))),
+    ("A2", 0.9, 0.3, lambda u, g: (math.sinh(u - g), math.sinh(u), math.sinh(g))),
+    ("B1", 0.6, 0.3, lambda u, g: (math.sin(u - g), math.sin(u), math.sin(g))),
+    ("B2", 0.4, 0.9, lambda u, g: (math.sin(g - u), math.sin(u), math.sin(g))),
+    ("C", 0.4, 1.1, lambda u, g: (math.sinh(g - u), math.sinh(u), math.sinh(g))),
+])
+def test_weights_from_baxter_are_the_scaled_family_weights(regime, u, g, abc):
+    w = sv.weights_from_baxter(sv.BaxterParam(regime, u, g, r=1.7), H=0.2, V=-0.1)
+    a, b, c = abc(u, g)
+    assert w == sv.VertexWeights(1.7 * a, 1.7 * b, 1.7 * c, 0.2, -0.1)
+
+
 def test_baxter_delta_signs_match_computation():
     # the stated Delta of each family equals the computed anisotropy
     cases = [("A1", 0.5, 0.3), ("A2", 0.9, 0.3), ("B1", 0.6, 0.3),

@@ -37,8 +37,25 @@ def test_dilog_against_mpmath():
     assert worst < 5e-14
 
 
+def test_dilog_on_arrays_matches_mpmath_in_every_branch():
+    rng = np.random.default_rng(12)
+    radius, angle = rng.uniform(0.0, 1.0, 40), rng.uniform(-np.pi, np.pi, 40)
+    series = 0.4 * radius * np.exp(1j * angle)
+    reflection = 1.0 - 0.25 * radius * np.exp(1j * angle)
+    bernoulli = np.exp(1j * angle) * rng.uniform(0.45, 1.0, 40)
+    bernoulli = bernoulli[np.abs(1.0 - bernoulli) > 0.3]
+    inside = np.concatenate([series, reflection, bernoulli])
+    z = np.concatenate([inside, 1.0 / inside[np.abs(inside) > 1e-3]])
+    z = z[(z.imag != 0.0) | (z.real < 1.0)]
+    got = dilog(z)
+    want = np.array([complex(mp.polylog(2, complex(v))) for v in z])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert all(got[k] == dilog(z[k]) for k in range(z.size))
+    assert np.array_equal(dilog(z[:20].reshape(4, 5)), got[:20].reshape(4, 5))
+
+
 def test_dilog_branch_cut_raises():
-    for z in (1.0, 1.5, 7.0):
+    for z in (1.0, 1.5, 7.0, np.array([0.5j, 0.3, 2.0])):
         with pytest.raises(BranchCut):
             dilog(z)
 

@@ -3,7 +3,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from icelab import flow as fl
 from icelab import tension as tn
 from icelab.errors import (BranchCut, DomainBoundary, NonConvergence,
                            OutOfRange, SingularLocus, Unbounded)
@@ -138,8 +141,8 @@ def test_a_missed_free_energy_propagates_as_nonconvergence(monkeypatch):
     assert err.value.diagnostics["estimate"] > fef.tol
     u = 1.0
     with pytest.raises(NonConvergence) as err:
-        tn._FFValueCache(u)(0.4, 0.55)
-    assert err.value.best == tuple(float(x) for x in tn.grad_sigma_ff(0.4, 0.55, u))
+        tn.legendre_sigma(tn.FreeEnergyField(tn.ff_curve(u)), 0.4, 0.55)
+    assert np.allclose(err.value.best, tn.grad_sigma_ff(0.4, 0.55, u), atol=1e-7)
     assert err.value.diagnostics["n"] <= 16
 
 
@@ -239,6 +242,62 @@ def test_closed_form_degree_one_roots_match_eigvals(curve, monkeypatch):
     assert closed == [tn.free_energy(curve, H, V, return_info=True) for H, V in points]
 
 
+def _matrix(h11, h12, h22):
+    return np.array([[h11, h12], [h12, h22]], dtype=float)
+
+
+def test_exact_hessian_inverts_the_closed_form_tension_hessians():
+    # Hess f at (H, V) = grad sigma(s, t) is the inverse of Hess sigma(s, t)
+    rng = np.random.default_rng(61)
+    for s, t in rng.uniform(0.1, 0.45, (8, 2)):
+        H, V = (float(x) for x in tn.grad_sigma_hex(s, t))
+        _, hess = tn.grad_free_energy(tn.hex_curve(), H, V, hessian=True)
+        assert np.max(np.abs(hess @ _matrix(*tn.hess_sigma_hex(s, t)) - np.eye(2))) <= 1e-12
+    for s, t, u in zip(*rng.uniform(0.1, 0.9, (2, 8)), rng.uniform(0.3, 1.3, 8)):
+        H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
+        _, hess = tn.grad_free_energy(tn.ff_curve(u), H, V, hessian=True)
+        assert np.max(np.abs(hess @ _matrix(*tn.hess_sigma_ff(s, t, u)) - np.eye(2))) <= 1e-12
+
+
+def test_exact_hessian_matches_differences_of_the_gradient():
+    h = 1e-5
+    for H, V in [(0.12, 0.16), (0.48, 0.25), (-0.1, 0.3)]:
+        _, hess = tn.grad_free_energy(_DEGREE_TWO, H, V, hessian=True)
+        assert hess[0, 1] == hess[1, 0] and np.linalg.det(hess) > 0.01
+        fd = np.column_stack([
+            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H + h, V),
+                         tn.grad_free_energy(_DEGREE_TWO, H - h, V))) / (2 * h),
+            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H, V + h),
+                         tn.grad_free_energy(_DEGREE_TWO, H, V - h))) / (2 * h)])
+        assert np.max(np.abs(hess - fd)) <= 1e-8
+    # off the amoeba no root crosses and the Hessian vanishes
+    _, hess = tn.grad_free_energy(tn.hex_curve(), 2.0, 0.1, hessian=True)
+    assert np.array_equal(hess, np.zeros((2, 2)))
+
+
+# grad_free_energy as it returned these points before the Hessian was added
+_GRADIENTS = [
+    (tn.hex_curve(), (-0.5866476065228805, 0.2626927845212411),
+     (0.13158751584520187, 0.6115099273875162)),
+    (tn.hex_curve(), (-0.20264737061880572, 0.5197063963440317),
+     (0.11096546643301851, 0.7516518012066171)),
+    (tn.ff_curve(1.0), (0.38310471216744335, 0.22988029192928883),
+     (0.599117371346931, 0.527809513638024)),
+    (tn.ff_curve(1.0), (-0.24980711620551932, -0.23842049818991518),
+     (0.4466938907848137, 0.4521055516300243)),
+    (_DEGREE_TWO, (0.11981233912500311, 0.15541781887768913),
+     (0.14235877150181303, 0.5215599366347521)),
+    (_DEGREE_TWO, (0.476170414481467, 0.24550554561108384),
+     (0.2054903931928129, 0.5294598761828789)),
+]
+
+
+@pytest.mark.parametrize("curve, point, grad", _GRADIENTS)
+def test_gradient_is_unchanged_by_the_hessian(curve, point, grad):
+    assert tn.grad_free_energy(curve, *point) == grad
+    assert tn.grad_free_energy(curve, *point, hessian=True)[0] == grad
+
+
 def test_counting_gradient_matches_ff_closed_form():
     u = math.pi / 3
     for H, V in [(0.2, -0.1), (0.0, 0.0), (-0.4, 0.3)]:
@@ -292,6 +351,27 @@ def test_sigma_hex_examples():
     assert abs(gs) < 1e-14
     with pytest.raises(DomainBoundary):
         tn.sigma_hex(0.6, 0.5)
+
+
+def test_closed_form_ff_tension_matches_the_free_energy():
+    for u in (0.4, math.pi / 4, 1.2):
+        curve = tn.ff_curve(u)
+        for s in (0.2, 0.5, 0.8):
+            for t in (0.2, 0.35, 0.65, 0.8):
+                H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
+                oracle = s * H + t * V - tn.free_energy(curve, H, V, tol=1e-11)
+                assert abs(tn.sigma_ff(s, t, u) - oracle) <= 1e-10, (s, t, u)
+
+
+def test_ff_values_on_arrays_match_the_scalar_path():
+    u = 0.9
+    s, t = np.meshgrid(np.linspace(0.1, 0.9, 7), np.linspace(0.15, 0.85, 5))
+    values = tn.ff_tension(u).value(s, t)
+    assert values.shape == s.shape
+    assert all(values[k] == tn.ff_tension(u).value(s[k], t[k]) for k in np.ndindex(s.shape))
+    p = np.linspace(-1.0, 1.0, 7)[None, :] + 0 * t
+    dens = fl.ff_density(u).value(p, t)
+    assert all(dens[k] == fl.ff_density(u).value(p[k], t[k]) for k in np.ndindex(p.shape))
 
 
 def test_grad_sigma_ff_examples():
@@ -377,6 +457,25 @@ def test_legendre_sigma_matches_hex_closed_form():
         gs, gt = tn.grad_sigma_hex(s, t)
         assert abs(H - float(gs)) < 1e-4
         assert abs(V - float(gt)) < 1e-4
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(0.05, 0.9), frac=st.floats(0.0, 1.0))
+def test_legendre_involution_on_the_hex_triangle(s, frac):
+    t = 0.05 + frac * (0.9 - s)        # s, t >= 0.05 and s + t <= 0.95
+    calls = []
+    real = tn.grad_free_energy
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(tn, "grad_free_energy",
+                    lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        # (H, V) is off by up to |Hess sigma| * tol, and |Hess sigma| reaches
+        # 40 at this margin, so the residual is asked to 1e-10
+        sig, (H, V) = tn.legendre_sigma(tn.FreeEnergyField(tn.hex_curve()), s, t,
+                                        tol=1e-10)
+    gs, gt = tn.grad_sigma_hex(s, t)
+    assert max(abs(H - gs), abs(V - gt)) <= 1e-8
+    assert abs(sig - tn.sigma_hex(s, t)) <= 1e-9
+    assert len(calls) <= 16
 
 
 def test_legendre_sigma_symmetry():
