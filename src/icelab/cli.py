@@ -164,9 +164,7 @@ def _resolve(args: argparse.Namespace, cfg: dict, names: list) -> dict:
 
 def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
     if variant == "numeric":
-        return tn.numeric_tension(tn.hex_curve(), tol=1e-9 if tol is None else tol)
-    if tol is not None:
-        raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
+        return tn.numeric_tension(tn.hex_curve(), **({} if tol is None else {"tol": tol}))
     if variant == "hex":
         return tn.hex_tension()
     if variant == "ff":
@@ -181,9 +179,9 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, cfg) -> int:
-    opts = _resolve(args, cfg, ["suite", "out", "seed", "fast", "tol"])
-    if opts["tol"] is not None:
+    if args.tol is not None:
         raise ValueError("verify takes no tolerance (--tol); each check carries its own")
+    opts = _resolve(args, cfg, ["suite", "out", "seed", "fast"])
     names = list(SUITES) if opts["suite"] in (None, "all") else [opts["suite"]]
     for name in names:
         if name not in SUITES:
@@ -221,6 +219,8 @@ def cmd_verify(args, cfg) -> int:
 def cmd_tension(args, cfg) -> int:
     opts = _resolve(args, cfg, ["variant", "u", "lo", "hi", "n", "out", "tol"])
     variant = opts["variant"] or "hex"
+    if variant != "numeric" and args.tol is not None:
+        raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
     lo = float(opts["lo"] if opts["lo"] is not None else 0.15)
     hi = float(opts["hi"] if opts["hi"] is not None else 0.45)
     n = int(opts["n"] if opts["n"] is not None else 5)

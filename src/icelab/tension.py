@@ -318,7 +318,11 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
 
 @dataclass
 class FreeEnergyField:
-    """Evaluator bundle (value, gradient) for a curve's free energy."""
+    """A curve's free energy at a quadrature tolerance, with a warm start.
+
+    The Legendre solve takes gradients and Hessians from the module's
+    `grad_free_energy`, looked up at call time.
+    """
 
     curve: SpectralCurve
     tol: float = 1e-8
@@ -331,10 +335,6 @@ class FreeEnergyField:
             raise NonConvergence(f"free energy missed tol {self.tol}", best=(H, V),
                                  diagnostics={k: info[k] for k in ("estimate", "n")})
         return f
-
-    def grad(self, H: float, V: float, hessian: bool = False):
-        """The module's `grad_free_energy` at call time, with its Hessian if asked."""
-        return grad_free_energy(self.curve, H, V, hessian=hessian)
 
 
 def _newton_polygon_contains(curve: SpectralCurve, s: float, t: float,
@@ -366,7 +366,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     H, V = fef.warm_start(s, t) if fef.warm_start is not None else (0.0, 0.0)
 
     def residual(H, V):
-        (gh, gv), hess = fef.grad(H, V, hessian=True)
+        (gh, gv), hess = grad_free_energy(fef.curve, H, V, hessian=True)
         return np.array([gh - s, gv - t]), hess
 
     r, jac = residual(H, V)
@@ -590,14 +590,10 @@ def numeric_tension(curve: SpectralCurve, warm_start=None,
     def grad(s, t):
         return legendre_sigma(fef, float(s), float(t), tol=tol)[1]
 
-    def hess(s, t, step=1e-5):
-        g0s, g0t = grad(s - step, t)
-        g1s, g1t = grad(s + step, t)
-        h11 = (g1s - g0s) / (2 * step)
-        g2s, g2t = grad(s, t - step)
-        g3s, g3t = grad(s, t + step)
-        h22 = (g3t - g2t) / (2 * step)
-        h12 = (g3s - g2s) / (2 * step)
+    def hess(s, t):
+        # Hess sigma is the inverse of Hess f at the maximizer
+        H, V = grad(s, t)
+        (h11, h12), (_, h22) = np.linalg.inv(grad_free_energy(curve, H, V, hessian=True)[1])
         return h11, h12, h22
 
     def feasible(s, t, margin=0.0):

@@ -174,6 +174,31 @@ def test_tol_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+def test_config_tol_is_read_by_numeric_tension_and_ignored_elsewhere(tmp_path, monkeypatch):
+    seen = []
+    real = cli.tn.numeric_tension
+
+    def numeric(curve, **kw):
+        seen.append(kw.get("tol"))
+        return real(curve, **kw)
+
+    monkeypatch.setattr(cli.tn, "numeric_tension", numeric)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-7, "u": 0.5}))
+    for command in (["verify", "--suite", "ybe"],
+                    ["tension", "--variant", "hex"],
+                    ["tension", "--variant", "ff"],
+                    ["tension", "--variant", "numeric"]):
+        out = tmp_path / command[-1]
+        code = run(command + ["--config", str(cfg), "--lo", "0.3", "--hi", "0.3",
+                              "--n", "1", "--out", str(out)]
+                   if command[0] == "tension" else
+                   command + ["--config", str(cfg), "--out", str(out)])
+        assert code == 0, command
+        assert list(out.iterdir()), command
+    assert seen == [1e-7]
+
+
 def test_config_scalar_u_for_tension(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"u": 0.5}))

@@ -562,6 +562,18 @@ def test_partial_legendre_maximizer_equation():
     assert abs(pl.d2 + float(hx.grad(pl.nu_star, 0.4)[1])) < 1e-12
 
 
+def test_numeric_tension_hessian_is_the_closed_form():
+    # one Legendre solve and the inverse of the exact Hessian of f
+    u = 0.8
+    for curve, hess in ((tn.hex_curve(), tn.hess_sigma_hex),
+                        (tn.ff_curve(u), lambda s, t: tn.hess_sigma_ff(s, t, u))):
+        num = tn.numeric_tension(curve)
+        for s, t in ((0.3, 0.4), (0.15, 0.6), (0.5, 0.2)):
+            got = np.array(num.hess(s, t), dtype=float)
+            want = np.array(hess(s, t), dtype=float)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (s, t)
+
+
 def test_numeric_tension_matches_hex():
     num = tn.numeric_tension(tn.hex_curve())
     assert abs(float(num.value(0.3, 0.4)) - float(tn.sigma_hex(0.3, 0.4))) < 1e-4
