@@ -9,12 +9,18 @@ flow     Hamiltonian / characteristic evolution (trajectory CSV + JSON)
 dimer    dimer utilities: matchings, curves, height checks
 sixv     six-vertex utilities: weights, R-matrices, partitions
 
-Common flags: --out DIR, --config FILE, --tol X, --seed N.  Flag values
-override config-file values; every resolved value is echoed into the
-report.  Exit codes: 0 pass, 1 configuration error, 2 verification
-failure, 3 solver non-convergence, 4 shock before the requested horizon.
-``flow`` also exits 1 when the worst drift of I_1..I_4 exceeds ``--tol``
-(default 1e-6).
+Common flags: --out DIR, --config FILE, --tol X, --seed N.  A flag beats
+the config-file key of its name, which beats the command's one stated
+default; a config value is converted as the flag's text would be.  The
+``resolved`` block of the solve, flow and sixv reports records the value
+every parameter took.  Exit codes: 0 pass, 1 configuration error,
+2 verification failure, 3 solver non-convergence, 4 shock before the
+requested horizon.  ``flow`` also exits 1 when the worst drift of
+I_1..I_4 exceeds ``--tol`` (default 1e-6).
+
+``flow --compare-variational`` and ``solve --mesh-study`` call the
+criterion-9 and criterion-10 helpers of ``suites``; a mesh-study order is
+null when the coarse residual is already at or below ``--tol``.
 
 Boundary and initial profiles are CSV files with a header row followed by
 ``y,value`` lines; they are resampled onto the grid by periodic linear
@@ -49,7 +55,8 @@ from . import shapes as sh
 from . import sixvertex as sv
 from . import tension as tn
 from .errors import IceLabError, NonConvergence, ShockDetected
-from .suites import SUITES, run_suite
+from .suites import (FLOW_VARIATIONAL_TOL, SUITES, el_mesh_study,
+                     flow_variational_gap, run_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,18 +95,15 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_profile(path: str):
-    ys, vals = [], []
+def _read_profile(path: str, L: float):
+    """The profile CSV at ``path`` as a function of n: its samples resampled
+    onto n rows, so that every grid resamples the original samples."""
     with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")[:2]
-            ys.append(float(a))
-            vals.append(float(b))
-    return np.array(ys), np.array(vals)
+        rows = [line.split(",")[:2] for line in fh.read().splitlines()[1:] if line.strip()]
+    if not rows:
+        raise ValueError(f"profile {path} holds no samples")
+    ys, vals = np.array(rows, dtype=float).T
+    return lambda n: sh.resample_profile(ys, vals, n, L)
 
 
 def _svg_heatmap(path: str, values: np.ndarray) -> None:
@@ -134,31 +138,44 @@ def _load_config(path: str | None) -> dict:
 def _config_value(action: argparse.Action, value):
     """A config-file value checked against the flag it stands in for.
 
-    A scalar for a repeatable flag becomes a one-element list; any other
-    value the flag could not have produced raises ValueError.
+    A scalar for a repeatable flag becomes a one-element list.  Each item
+    is converted as argparse converts the flag's text (``type``, else str);
+    any value the flag could not have produced raises ValueError.
     """
     repeatable = isinstance(action, argparse._AppendAction)
     items = value if repeatable and isinstance(value, list) else [value]
+    converted = []
     for item in items:
         if action.nargs == 0:                      # on/off switch
             ok = isinstance(item, bool)
         else:
             allowed = (str, int) if action.type is int else (str, int, float)
             ok = isinstance(item, allowed) and not isinstance(item, bool)
+            if ok:
+                try:
+                    item = (action.type or str)(item)
+                except ValueError:
+                    ok = False
+        ok = ok and (action.choices is None or item in action.choices)
         if not ok:
-            raise ValueError(f"config value {action.dest!r} has the wrong type: "
-                             f"{json.dumps(value)}")
-    return items if repeatable else value
+            raise ValueError(f"config value {action.dest!r} is not one its flag "
+                             f"accepts: {json.dumps(value)}")
+        converted.append(item)
+    return converted if repeatable else converted[0]
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, names: list) -> dict:
-    """Flag > config-file > parser default; echoes the resolved values."""
+def _resolve(args: argparse.Namespace, cfg: dict, defaults: dict) -> dict:
+    """Flag > config file > ``defaults[name]`` for each name in ``defaults``.
+
+    The result holds the value each parameter takes, so commands echo it
+    as their ``resolved`` block.
+    """
     resolved = {}
-    for name in names:
+    for name, default in defaults.items():
         val = getattr(args, name)
         if val is None and name in cfg:
             val = _config_value(args.options[name], cfg[name])
-        resolved[name] = val
+        resolved[name] = default if val is None else val
     return resolved
 
 
@@ -170,7 +187,7 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
     if variant == "ff":
         if u is None:
             raise ValueError("variant ff needs --u")
-        return tn.ff_tension(float(u))
+        return tn.ff_tension(u)
     raise ValueError(f"unknown tension variant {variant!r}")
 
 
@@ -181,17 +198,16 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
 def cmd_verify(args, cfg) -> int:
     if args.tol is not None:
         raise ValueError("verify takes no tolerance (--tol); each check carries its own")
-    opts = _resolve(args, cfg, ["suite", "out", "seed", "fast"])
-    names = list(SUITES) if opts["suite"] in (None, "all") else [opts["suite"]]
+    opts = _resolve(args, cfg, {"suite": "all", "out": ".", "seed": 1234, "fast": False})
+    names = list(SUITES) if opts["suite"] == "all" else [opts["suite"]]
     for name in names:
         if name not in SUITES:
             print(f"unknown suite {name!r}; available: {', '.join(SUITES)}",
                   file=sys.stderr)
             return EXIT_CONFIG
-    seed = int(opts["seed"] if opts["seed"] is not None else 1234)
     all_checks = []
     for name in names:
-        checks = run_suite(name, seed=seed, fast=bool(opts["fast"]))
+        checks = run_suite(name, seed=opts["seed"], fast=opts["fast"])
         all_checks.extend(checks)
         for c in checks:
             status = "pass" if c.passed else "FAIL"
@@ -200,7 +216,7 @@ def cmd_verify(args, cfg) -> int:
     report = {
         "version": __version__,
         "command": "verify",
-        "seed": seed,
+        "seed": opts["seed"],
         "suites": names,
         "checks": [
             {"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed,
@@ -209,25 +225,20 @@ def cmd_verify(args, cfg) -> int:
         ],
         "passed": passed,
     }
-    out = opts["out"] or "."
-    _write_json(os.path.join(out, "verify_report.json"), report)
+    _write_json(os.path.join(opts["out"], "verify_report.json"), report)
     print(f"verify: {'PASS' if passed else 'FAIL'} "
           f"({sum(c.passed for c in all_checks)}/{len(all_checks)} checks)")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_tension(args, cfg) -> int:
-    opts = _resolve(args, cfg, ["variant", "u", "lo", "hi", "n", "out", "tol"])
-    variant = opts["variant"] or "hex"
+    opts = _resolve(args, cfg, {"variant": "hex", "u": None, "lo": 0.15, "hi": 0.45,
+                                "n": 5, "out": ".", "tol": None})
+    variant = opts["variant"]
     if variant != "numeric" and args.tol is not None:
         raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
-    lo = float(opts["lo"] if opts["lo"] is not None else 0.15)
-    hi = float(opts["hi"] if opts["hi"] is not None else 0.45)
-    n = int(opts["n"] if opts["n"] is not None else 5)
-    us = [float(x) for x in (opts["u"] or [])] if variant == "ff" else [None]
-    out = opts["out"] or "."
-    grid = np.linspace(lo, hi, n)
-    for u in us or [None]:
+    grid = np.linspace(opts["lo"], opts["hi"], opts["n"])
+    for u in opts["u"] if variant == "ff" and opts["u"] else [None]:
         sigma = _tension_bundle(variant, u, opts["tol"])
         rows = []
         for s in grid:
@@ -239,101 +250,81 @@ def cmd_tension(args, cfg) -> int:
                 h11, h12, h22 = (float(x) for x in sigma.hess(s, t))
                 rows.append((s, t, val, gs, gt, h11 * h22 - h12 * h12))
         tag = variant if u is None else f"{variant}-u{u:.6g}"
-        _write_csv(os.path.join(out, f"tension-{tag}.csv"),
+        _write_csv(os.path.join(opts["out"], f"tension-{tag}.csv"),
                    ["s", "t", "sigma", "dsds", "dsdt", "detHess"], rows)
         print(f"tension-{tag}.csv: {len(rows)} rows")
     return EXIT_OK
 
 
 def cmd_solve(args, cfg) -> int:
-    names = ["T", "L", "nx", "ny", "tension", "u", "V", "tol", "left_csv",
-             "right_csv", "t_left", "t_right", "out", "mesh_study", "svg"]
-    opts = _resolve(args, cfg, names)
-    T = float(opts["T"] if opts["T"] is not None else 1.0)
-    L = float(opts["L"] if opts["L"] is not None else 1.0)
-    nx = int(opts["nx"] if opts["nx"] is not None else 33)
-    ny = int(opts["ny"] if opts["ny"] is not None else 32)
-    tol = float(opts["tol"] if opts["tol"] is not None else 1e-9)
-    V = float(opts["V"] if opts["V"] is not None else 0.0)
-    out = opts["out"] or "."
-    sigma = _tension_bundle(opts["tension"] or "hex",
-                            opts["u"][0] if opts["u"] else None)
+    opts = _resolve(args, cfg, {
+        "T": 1.0, "L": 1.0, "nx": 33, "ny": 32, "tension": "hex", "u": None,
+        "V": 0.0, "tol": 1e-9, "left_csv": None, "right_csv": None,
+        "t_left": 1.0 / 3.0, "t_right": 1.0 / 3.0, "out": ".", "mesh_study": False,
+        "svg": False})
+    T, L, nx, ny, V, tol, out = (opts[k] for k in ("T", "L", "nx", "ny", "V", "tol", "out"))
+    sigma = _tension_bundle(opts["tension"], opts["u"][0] if opts["u"] else None)
     grid = sh.CylinderGrid(T, L, nx, ny)
 
     def profile(csv_path, const):
-        if csv_path:
-            ys, vals = _read_profile(csv_path)
-            return sh.resample_profile(ys, vals, ny, L)
-        c = float(const if const is not None else 1.0 / 3.0)
-        return np.full(ny, c)
+        return _read_profile(csv_path, L) if csv_path else lambda n: np.full(n, const)
 
-    t_left = profile(opts["left_csv"], opts["t_left"])
-    t_right = profile(opts["right_csv"], opts["t_right"])
+    left = profile(opts["left_csv"], opts["t_left"])
+    right = profile(opts["right_csv"], opts["t_right"])
+    t_left, t_right = left(ny), right(ny)
     bd = sh.BoundaryData(t_left, t_right)
 
-    log = {"version": __version__, "command": "solve",
-           "resolved": {k: opts[k] for k in names},
-           "grid": {"T": T, "L": L, "nx": nx, "ny": ny}}
+    log = {"version": __version__, "command": "solve", "resolved": opts}
     code = EXIT_OK
     try:
-        hf, info = sh.minimize_action(grid, sigma, bd, V=V, tol=tol,
-                                      max_iter=60000)
-        log["converged"] = True
-        log["iterations"] = info.iterations
-        log["grad_norm"] = info.grad_norm
-        log["evals"] = info.evals
-        log["backtracks"] = info.backtracks
+        hf, info = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000)
+        log.update(converged=True, iterations=info.iterations, grad_norm=info.grad_norm,
+                   evals=info.evals, backtracks=info.backtracks)
     except NonConvergence as err:
         hf = err.best
         log["converged"] = False
         log["diagnostics"] = {k: float(v) for k, v in err.diagnostics.items()}
         code = EXIT_NONCONVERGENCE
 
+    xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     const_left = float(np.max(t_left) - np.min(t_left)) < 1e-14
     const_right = float(np.max(t_right) - np.min(t_right)) < 1e-14
     if const_left and const_right and abs(t_left[0] - t_right[0]) < 1e-14 \
             and log.get("converged"):
         t0 = float(t_left[0])
         pl = tn.partial_legendre(sigma, -V, t0)
-        xs, ys_g = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-        affine = pl.nu_star * xs + t0 * ys_g
+        affine = pl.nu_star * xs + t0 * ys
         gap = float(np.max(np.abs(hf.values - affine - hf.values[0, 0])))
         log["analytic-match"] = bool(gap < 1e-6)
         log["affine_gap"] = gap
 
-    rows = []
-    for i, x in enumerate(grid.xs()):
-        for j, y in enumerate(grid.ys()):
-            rows.append((x, y, hf.values[i, j]))
-    _write_csv(os.path.join(out, "height.csv"), ["x", "y", "h"], rows)
-    res = sh.el_residual(hf, sigma)
-    rows = []
-    for i in range(res.shape[0]):
-        for j in range(res.shape[1]):
-            rows.append((grid.xs()[i + 1], grid.ys()[j], res[i, j]))
-    _write_csv(os.path.join(out, "el_residual.csv"), ["x", "y", "residual"], rows)
+    _write_csv(os.path.join(out, "height.csv"), ["x", "y", "h"],
+               zip(xs.ravel(), ys.ravel(), hf.values.ravel()))
+    res = sh.el_residual(hf, sigma)                # on the interior x nodes
+    _write_csv(os.path.join(out, "el_residual.csv"), ["x", "y", "residual"],
+               zip(xs[1:-1].ravel(), ys[1:-1].ravel(), res.ravel()))
     mask = sh.facet_mask(hf)
     _write_csv(os.path.join(out, "facets.csv"), ["i", "j", "facet"],
-               [(i, j, int(mask[i, j])) for i in range(mask.shape[0])
-                for j in range(mask.shape[1])])
+               [(i, j, int(m)) for (i, j), m in np.ndenumerate(mask)])
     log["max_el_residual"] = float(np.max(np.abs(res)))
     log["facet_cells"] = int(np.sum(mask))
 
     if opts["mesh_study"]:
-        residuals = {}
-        prev = None
-        for nref in (ny, 2 * ny):
-            g2 = sh.CylinderGrid(T, L, nref + 1, nref)
-            b2 = sh.BoundaryData(sh.resample_profile(grid.ys(), t_left, nref, L),
-                                 sh.resample_profile(grid.ys(), t_right, nref, L))
-            start = sh.prolong(prev, g2) if prev is not None else None
-            prev, _ = sh.minimize_action(g2, sigma, b2, V=V, tol=max(tol, 1e-8),
-                                         max_iter=60000, start=start)
-            residuals[nref] = float(np.max(np.abs(sh.el_residual(prev, sigma))))
-        order = math.log2(residuals[ny] / residuals[2 * ny])
+        def problem(n):
+            return sh.CylinderGrid(T, L, n + 1, n), sh.BoundaryData(left(n), right(n))
+
+        residuals = el_mesh_study(sigma, problem, (ny, 2 * ny), tol, V=V)
+        coarse = residuals[ny]
+        # a coarse residual already at the solver tolerance is roundoff, and
+        # the ratio of two roundoff levels is no order of accuracy
+        order = math.log2(coarse / residuals[2 * ny]) if coarse > tol else None
         log["mesh_study"] = {"residuals": {str(k): v for k, v in residuals.items()},
                              "order": order}
-        print(f"mesh study: order {order:.3f}")
+        if order is None:
+            print(f"mesh study: no order, the coarse EL residual {coarse:.3e} "
+                  f"is at or below tol {tol:g}")
+        else:
+            print(f"mesh study: order {order:.3f}")
 
     if opts["svg"]:
         _svg_heatmap(os.path.join(out, "height.svg"), hf.values)
@@ -344,45 +335,30 @@ def cmd_solve(args, cfg) -> int:
 
 
 def cmd_flow(args, cfg) -> int:
-    names = ["variant", "u", "L", "ny", "horizon", "steps", "t0_csv", "p0_csv",
-             "tbar", "pbar", "amp", "mode", "method", "compare_variational",
-             "out", "tol"]
-    opts = _resolve(args, cfg, names)
-    variant = opts["variant"] or "hex"
-    L = float(opts["L"] if opts["L"] is not None else 1.0)
-    ny = int(opts["ny"] if opts["ny"] is not None else 128)
-    horizon = float(opts["horizon"] if opts["horizon"] is not None else 0.25)
-    steps = int(opts["steps"] if opts["steps"] is not None else 128)
-    out = opts["out"] or "."
-    drift_tol = float(opts["tol"] if opts["tol"] is not None else 1e-6)
-    uval = float(opts["u"][0]) if opts["u"] else 1.1
+    opts = _resolve(args, cfg, {
+        "variant": "hex", "u": [1.1], "L": 1.0, "ny": 128, "horizon": 0.25,
+        "steps": 128, "t0_csv": None, "p0_csv": None, "tbar": None, "pbar": 0.0,
+        "amp": 0.03, "mode": 1, "method": "both", "compare_variational": False,
+        "out": ".", "tol": 1e-6})
+    variant, L, ny, horizon, steps, method, out, drift_tol = (opts[k] for k in (
+        "variant", "L", "ny", "horizon", "steps", "method", "out", "tol"))
+    if opts["tbar"] is None:
+        opts["tbar"] = 0.6 if variant == "hex" else 0.5
     if variant == "hex":
         dens, F = fl.hex_density(), fl.hex_burgers()
     elif variant == "ff":
-        dens, F = fl.ff_density(uval), fl.ff_burgers(uval)
+        dens, F = fl.ff_density(opts["u"][0]), fl.ff_burgers(opts["u"][0])
     else:
         raise ValueError(f"unknown flow variant {variant!r}")
 
     ys = np.arange(ny) * (L / ny)
-    if opts["t0_csv"]:
-        yy, vv = _read_profile(opts["t0_csv"])
-        t0 = sh.resample_profile(yy, vv, ny, L)
-    else:
-        tbar = float(opts["tbar"] if opts["tbar"] is not None else
-                     (0.6 if variant == "hex" else 0.5))
-        amp = float(opts["amp"] if opts["amp"] is not None else 0.03)
-        mode = int(opts["mode"] if opts["mode"] is not None else 1)
-        t0 = tbar + amp * np.sin(2 * np.pi * mode * ys / L)
-    if opts["p0_csv"]:
-        yy, vv = _read_profile(opts["p0_csv"])
-        p0 = sh.resample_profile(yy, vv, ny, L)
-    else:
-        p0 = np.full(ny, float(opts["pbar"] if opts["pbar"] is not None else 0.0))
+    t0 = (_read_profile(opts["t0_csv"], L)(ny) if opts["t0_csv"]
+          else opts["tbar"] + opts["amp"] * np.sin(2 * np.pi * opts["mode"] * ys / L))
+    p0 = (_read_profile(opts["p0_csv"], L)(ny) if opts["p0_csv"]
+          else np.full(ny, opts["pbar"]))
     state = fl.FlowState(L, p0, t0)
-    method = opts["method"] or "both"
 
-    report = {"version": __version__, "command": "flow",
-              "resolved": {k: opts[k] for k in names}}
+    report = {"version": __version__, "command": "flow", "resolved": opts}
     code = EXIT_OK
     xs_out = np.linspace(0.0, horizon, 9)
     try:
@@ -423,23 +399,14 @@ def cmd_flow(args, cfg) -> int:
         report["shock"] = {"x": err.x, "detail": str(err)}
         code = EXIT_SHOCK
 
-    if opts["compare_variational"] and code == EXIT_OK and variant == "hex":
+    if opts["compare_variational"] and code == EXIT_OK:
         n = min(64, ny)
         st_n = fl.FlowState(L, sh.resample_profile(ys, p0, n, L),
                             sh.resample_profile(ys, t0, n, L))
-        traj_n = fl.hamilton_evolve(st_n, dens, (0.0, horizon), 2 * (n - 1),
-                                    keep_every=2)
-        grid = sh.CylinderGrid(horizon, L, n, n)
-        bd = sh.BoundaryData(fl.spectral_shift(st_n.t, grid.hy / 2, L),
-                             fl.spectral_shift(traj_n.states[-1].t, grid.hy / 2, L))
-        h_flow = np.array(traj_n.heights)
-        hf, _ = sh.minimize_action(grid, tn.hex_tension(), bd, tol=1e-8,
-                                   max_iter=40000, start=h_flow)
-        diff = hf.values - h_flow
-        diff -= diff[0, 0]
-        report["compare_variational"] = {"sup": float(np.max(np.abs(diff))),
-                                         "tol": 1e-3, "grid": n}
-        print(f"variational cross-check sup: {report['compare_variational']['sup']:.3e}")
+        sup = flow_variational_gap(st_n, dens, horizon)
+        report["compare_variational"] = {"sup": sup, "tol": FLOW_VARIATIONAL_TOL,
+                                         "grid": n}
+        print(f"variational cross-check sup: {sup:.3e}")
 
     _write_json(os.path.join(out, "conservation.json"), report)
     if code == EXIT_SHOCK:
@@ -456,10 +423,11 @@ def cmd_flow(args, cfg) -> int:
 
 
 def cmd_dimer(args, cfg) -> int:
-    opts = _resolve(args, cfg, ["graph", "cell", "weights", "out", "check"])
-    out = opts["out"] or "."
+    opts = _resolve(args, cfg, {"graph": None, "cell": None, "weights": "1", "out": ".",
+                                "check": False})
+    out = opts["out"]
     if opts["cell"]:
-        w = [float(x) for x in (opts["weights"] or "1").split(",")]
+        w = [float(x) for x in opts["weights"].split(",")]
         if opts["cell"] == "hex":
             vals = (w + [1.0, 1.0, 1.0])[:3]
             fd = dm.hexagonal_cell(*vals)
@@ -497,33 +465,30 @@ def cmd_dimer(args, cfg) -> int:
 
 
 def cmd_sixv(args, cfg) -> int:
-    names = ["regime", "u", "gamma", "r", "H", "V", "ybe_v", "transfer",
-             "torus", "cylinder", "eta1", "eta2", "out"]
-    opts = _resolve(args, cfg, names)
-    out = opts["out"] or "."
-    H = float(opts["H"] or 0.0)
-    V = float(opts["V"] or 0.0)
-    payload = {"version": __version__, "command": "sixv",
-               "resolved": {k: opts[k] for k in names}}
+    opts = _resolve(args, cfg, {
+        "regime": None, "u": None, "gamma": None, "r": 1.0, "H": 0.0, "V": 0.0,
+        "ybe_v": None, "transfer": None, "torus": None, "cylinder": None,
+        "eta1": None, "eta2": None, "out": "."})
+    H, V, out = opts["H"], opts["V"], opts["out"]
+    payload = {"version": __version__, "command": "sixv", "resolved": opts}
     if opts["regime"]:
-        par = sv.BaxterParam(opts["regime"], float(opts["u"][0]),
-                             float(opts["gamma"]), float(opts["r"] or 1.0))
+        if opts["u"] is None or opts["gamma"] is None:
+            raise ValueError("sixv --regime needs a spectral point: give --u and --gamma")
+        u, gamma = opts["u"][0], opts["gamma"]
+        par = sv.BaxterParam(opts["regime"], u, gamma, opts["r"])
         w = sv.weights_from_baxter(par, H, V)
         payload["weights"] = {"a": w.a, "b": w.b, "c": w.c, "H": H, "V": V}
         payload["delta"] = sv.anisotropy_delta(w)
         print(f"(a, b, c) = ({w.a:.12g}, {w.b:.12g}, {w.c:.12g}), "
               f"Delta = {payload['delta']:.12g}")
         if opts["ybe_v"] is not None:
-            res = sv.yang_baxter_residual(float(opts["u"][0]),
-                                          float(opts["ybe_v"]),
-                                          opts["regime"], float(opts["gamma"]))
+            res = sv.yang_baxter_residual(u, opts["ybe_v"], opts["regime"], gamma)
             payload["ybe_residual"] = res
             print(f"Yang-Baxter residual: {res:.3e}")
     else:
         w = sv.VertexWeights(1.0, 1.0, 1.0, H, V)
     if opts["transfer"]:
-        n = int(opts["transfer"])
-        op = sv.transfer(n, w)
+        op = sv.transfer(opts["transfer"], w)
         _write_csv(os.path.join(out, "transfer.csv"),
                    [f"c{k}" for k in range(op.dim)], op.matrix)
         payload["transfer_rows"] = op.dim
@@ -533,8 +498,9 @@ def cmd_sixv(args, cfg) -> int:
         print(f"Z_torus({m},{n}) = {payload['torus_partition']:.12g}")
     if opts["cylinder"]:
         m, n = (int(x) for x in opts["cylinder"].split(","))
-        e1 = sv.BoundaryWord(tuple(int(c) for c in (opts["eta1"] or "0" * n)))
-        e2 = sv.BoundaryWord(tuple(int(c) for c in (opts["eta2"] or "0" * n)))
+        for key in ("eta1", "eta2"):       # the empty word by default
+            opts[key] = opts[key] or "0" * n
+        e1, e2 = (sv.BoundaryWord(tuple(map(int, opts[k]))) for k in ("eta1", "eta2"))
         payload["cylinder_partition"] = sv.cylinder_partition(m, n, w, e1, e2)
         print(f"Z_cyl({m},{n}) = {payload['cylinder_partition']:.12g}")
     _write_json(os.path.join(out, "sixv.json"), payload)
@@ -552,85 +518,83 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--tol", type=float)
+        p.add_argument("--seed", type=int,
                        help="seed for randomized test-point selection")
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p)
-    p.add_argument("--suite", default=None,
-                   help=f"suite name or 'all' ({', '.join(SUITES)})")
-    p.add_argument("--fast", action="store_const", const=True, default=None,
+    p.add_argument("--suite", help=f"suite name or 'all' ({', '.join(SUITES)})")
+    p.add_argument("--fast", action="store_const", const=True,
                    help="reduced grid sizes for the heavy suites")
 
     p = sub.add_parser("tension", help="tabulate a surface tension")
     common(p)
-    p.add_argument("--variant", choices=["hex", "ff", "numeric"], default=None)
-    p.add_argument("--u", action="append", default=None,
+    p.add_argument("--variant", choices=["hex", "ff", "numeric"])
+    p.add_argument("--u", type=float, action="append",
                    help="spectral parameter (repeatable for ff)")
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--lo", type=float)
+    p.add_argument("--hi", type=float)
+    p.add_argument("--n", type=int)
 
     p = sub.add_parser("solve", help="variational limit-shape solve")
     common(p)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--tension", choices=["hex", "ff"], default=None)
-    p.add_argument("--u", action="append", default=None)
-    p.add_argument("--V", type=float, default=None)
-    p.add_argument("--left-csv", dest="left_csv", default=None)
-    p.add_argument("--right-csv", dest="right_csv", default=None)
-    p.add_argument("--t-left", dest="t_left", type=float, default=None)
-    p.add_argument("--t-right", dest="t_right", type=float, default=None)
-    p.add_argument("--mesh-study", dest="mesh_study", action="store_const",
-                   const=True, default=None)
-    p.add_argument("--svg", action="store_const", const=True, default=None)
+    p.add_argument("--T", type=float)
+    p.add_argument("--L", type=float)
+    p.add_argument("--nx", type=int)
+    p.add_argument("--ny", type=int)
+    p.add_argument("--tension", choices=["hex", "ff"])
+    p.add_argument("--u", type=float, action="append")
+    p.add_argument("--V", type=float)
+    p.add_argument("--left-csv", dest="left_csv")
+    p.add_argument("--right-csv", dest="right_csv")
+    p.add_argument("--t-left", dest="t_left", type=float)
+    p.add_argument("--t-right", dest="t_right", type=float)
+    p.add_argument("--mesh-study", dest="mesh_study", action="store_const", const=True)
+    p.add_argument("--svg", action="store_const", const=True)
 
     p = sub.add_parser("flow", help="evolve the Hamiltonian flow")
     common(p)
-    p.add_argument("--variant", choices=["hex", "ff"], default=None)
-    p.add_argument("--u", action="append", default=None)
-    p.add_argument("--L", type=float, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--t0-csv", dest="t0_csv", default=None)
-    p.add_argument("--p0-csv", dest="p0_csv", default=None)
-    p.add_argument("--tbar", type=float, default=None)
-    p.add_argument("--pbar", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--mode", type=int, default=None)
-    p.add_argument("--method", choices=["hamilton", "burgers", "both"], default=None)
+    p.add_argument("--variant", choices=["hex", "ff"])
+    p.add_argument("--u", type=float, action="append")
+    p.add_argument("--L", type=float)
+    p.add_argument("--ny", type=int)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--t0-csv", dest="t0_csv")
+    p.add_argument("--p0-csv", dest="p0_csv")
+    p.add_argument("--tbar", type=float)
+    p.add_argument("--pbar", type=float)
+    p.add_argument("--amp", type=float)
+    p.add_argument("--mode", type=int)
+    p.add_argument("--method", choices=["hamilton", "burgers", "both"])
     p.add_argument("--compare-variational", dest="compare_variational",
-                   action="store_const", const=True, default=None)
+                   action="store_const", const=True)
 
     p = sub.add_parser("dimer", help="dimer utilities")
     common(p)
-    p.add_argument("--graph", default=None, help="adjacency-listing file")
-    p.add_argument("--cell", choices=["hex", "city"], default=None)
-    p.add_argument("--weights", default=None, help="comma-separated cell weights")
-    p.add_argument("--check", action="store_const", const=True, default=None,
+    p.add_argument("--graph", help="adjacency-listing file")
+    p.add_argument("--cell", choices=["hex", "city"])
+    p.add_argument("--weights", help="comma-separated cell weights")
+    p.add_argument("--check", action="store_const", const=True,
                    help="verify the height-weight identity on the graph")
 
     p = sub.add_parser("sixv", help="six-vertex utilities")
     common(p)
-    p.add_argument("--regime", choices=list(sv.REGIMES), default=None)
-    p.add_argument("--u", action="append", default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--H", type=float, default=None)
-    p.add_argument("--V", type=float, default=None)
-    p.add_argument("--ybe-v", dest="ybe_v", type=float, default=None)
-    p.add_argument("--transfer", type=int, default=None)
-    p.add_argument("--torus", default=None, help="M,N")
-    p.add_argument("--cylinder", default=None, help="M,N")
-    p.add_argument("--eta1", default=None, help="bit string, row 0 first")
-    p.add_argument("--eta2", default=None)
+    p.add_argument("--regime", choices=list(sv.REGIMES))
+    p.add_argument("--u", type=float, action="append")
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--r", type=float)
+    p.add_argument("--H", type=float)
+    p.add_argument("--V", type=float)
+    p.add_argument("--ybe-v", dest="ybe_v", type=float)
+    p.add_argument("--transfer", type=int)
+    p.add_argument("--torus", help="M,N")
+    p.add_argument("--cylinder", help="M,N")
+    p.add_argument("--eta1", help="bit string, row 0 first")
+    p.add_argument("--eta2")
     for p in sub.choices.values():
         p.set_defaults(options={a.dest: a for a in p._actions})
     return ap
@@ -647,7 +611,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    np.seterr(over="ignore", invalid="ignore", divide="ignore")
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

@@ -532,18 +532,6 @@ def trivalent_height(g: BipartiteGraph, d: frozenset,
     return vals
 
 
-def face_charge(g: BipartiteGraph, fid: int) -> float:
-    """q_f: product of boundary edge weights with orientation signs."""
-    items = g.face_boundary_sign()[fid]
-    logq = 0.0
-    for eid, eps in items:
-        w = g._edge(eid).weight
-        if w <= 0:
-            raise NegativeWeight("face charges need strictly positive weights")
-        logq += eps * math.log(w)
-    return math.exp(logq)
-
-
 def weight_from_height(theta: dict, g: BipartiteGraph) -> float:
     """Reassemble a configuration weight from its trivalent height.
 

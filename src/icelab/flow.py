@@ -183,17 +183,14 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
             raise BranchAmbiguous(f"two branches equally near the probe at z={z}")
         return roots[order[0]]
 
-    def f(z):
-        arr = np.asarray(z, dtype=complex)
-        flat = arr.reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        for idx, zz in enumerate(flat):
-            w = branch_w(zz)
-            pz, pw = _curve_partials(curve, zz, w)
-            if abs(pw) < 1e-13:
-                raise SingularBranch(f"dP/dw vanished at z={zz}")
-            out[idx] = (zz / w) * pz / pw
-        return out.reshape(arr.shape) if arr.ndim else complex(out[0])
+    def f_scalar(z):
+        w = branch_w(z)
+        pz, pw = _curve_partials(curve, z, w)
+        if abs(pw) < 1e-13:
+            raise SingularBranch(f"dP/dw vanished at z={z}")
+        return (z / w) * pz / pw
+
+    f = np.vectorize(f_scalar, otypes=[complex])
 
     def df(z, h=1e-6):
         return (f(z + h) - f(z - h)) / (2 * h)
@@ -276,25 +273,12 @@ def ff_density(u: float) -> HamiltonianDensity:
 def density_from_tension(sigma: SurfaceTension, tag: str | None = None) -> HamiltonianDensity:
     """Generic density via pointwise partial Legendre transforms."""
 
-    def scalarized(fn):
-        def wrapped(p, t):
-            p_arr = np.asarray(p, dtype=float)
-            t_arr = np.asarray(t, dtype=float)
-            if p_arr.ndim == 0:
-                return fn(float(p_arr), float(t_arr))
-            out = np.empty(np.broadcast(p_arr, t_arr).shape)
-            pb, tb = np.broadcast_arrays(p_arr, t_arr)
-            for idx in np.ndindex(out.shape):
-                out[idx] = fn(float(pb[idx]), float(tb[idx]))
-            return out
-        return wrapped
+    def lifted(field):
+        return np.vectorize(lambda p, t: getattr(partial_legendre(sigma, p, t), field),
+                            otypes=[float])
 
-    return HamiltonianDensity(
-        tag or f"Legendre[{sigma.variant}]",
-        scalarized(lambda p, t: partial_legendre(sigma, p, t).nu_star),
-        scalarized(lambda p, t: partial_legendre(sigma, p, t).tau),
-        scalarized(lambda p, t: partial_legendre(sigma, p, t).d2),
-        sigma=sigma)
+    return HamiltonianDensity(tag or f"Legendre[{sigma.variant}]", lifted("nu_star"),
+                              lifted("tau"), lifted("d2"), sigma=sigma)
 
 
 def hamiltonian(state: FlowState, dens: HamiltonianDensity, V: float = 0.0) -> float:
@@ -343,9 +327,6 @@ class Trajectory:
     heights: list  # h(y) samples per x, anchored h(0, 0) = 0
     filter_modes: int = 0  # the mode cutoff the projection used
     filter_energy_removed: float = 0.0  # largest share of sum |l_hat|^2 cut in one step
-
-    def state_at(self, k: int) -> FlowState:
-        return self.states[k]
 
 
 def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,

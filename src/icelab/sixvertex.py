@@ -60,9 +60,6 @@ class VertexWeights:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"field {name} must be finite")
 
-    def zero_field(self) -> "VertexWeights":
-        return VertexWeights(self.a, self.b, self.c)
-
 
 def anisotropy_delta(w: VertexWeights) -> float:
     """Delta = (a^2 + b^2 - c^2) / (2ab); independent of the fields."""
@@ -292,11 +289,6 @@ class TransferOperator:
             g = g.reshape(2, 2, 2 * d_out, d_in)
         return g[0, 0, :, 0] + g[1, 1, :, 0]
 
-    def dense(self) -> np.ndarray:
-        if self.matrix is None:
-            raise TooLarge("dense representation not built for this size")
-        return self.matrix
-
     def sector_indices(self) -> list[np.ndarray]:
         """Basis indices grouped by occupation number 0..N."""
         n = self.n_rows
@@ -381,7 +373,7 @@ def cylinder_partition(m: int, n: int, w: VertexWeights,
         raise DimensionMismatch("boundary words must have length N")
     if eta1.magnetization() != eta2.magnetization():
         return 0.0
-    op = transfer(n, w, dense=(n <= DENSE_CAP))
+    op = transfer(n, w)
     vec = np.zeros(op.dim)
     vec[eta2.index] = 1.0
     for _ in range(m):
@@ -477,12 +469,6 @@ class LatticeSpec:
             out.update(self.vertex_edges(x, y))
         return sorted(out)
 
-    def west_stubs(self) -> list:
-        return [self.h_edge(0, y) for y in range(self.n)]
-
-    def east_stubs(self) -> list:
-        return [self.h_edge(self.m, y) for y in range(self.n)]
-
 
 def enumerate_states(spec: LatticeSpec, boundary: dict | None = None) -> list[frozenset]:
     """All ice states as frozensets of occupied edges.
@@ -496,9 +482,6 @@ def enumerate_states(spec: LatticeSpec, boundary: dict | None = None) -> list[fr
     verts = spec.vertices()
     states: list[frozenset] = []
     assign: dict = dict(fixed)
-
-    def admissible(shape):
-        return shape in _SHAPES
 
     def rec(i: int):
         if i == len(verts):
@@ -577,10 +560,6 @@ class LatticeHeight:
         if self.spec.kind != "cylinder":
             return 0.0
         return self.values[(i, self.spec.n)] - self.values[(i, 0)]
-
-
-def _face_grid(spec: LatticeSpec):
-    return [(i, j) for i in range(spec.m + 1) for j in range(spec.n + 1)]
 
 
 def state_to_height(spec: LatticeSpec, state: frozenset,

@@ -299,6 +299,48 @@ def suite_conserve() -> list:
     return checks
 
 
+FLOW_VARIATIONAL_TOL = 1e-3
+
+
+def flow_variational_gap(state: fl.FlowState, dens: fl.HamiltonianDensity,
+                         horizon: float) -> float:
+    """Criterion 9's cross-check on the n x n cylinder grid, n = state size.
+
+    Evolves ``state`` by the Hamiltonian flow of ``dens`` up to ``horizon``,
+    solves the variational problem with ``dens.sigma`` between the flow's
+    end profiles, starting from the flow heights, and returns the sup of
+    the height gap anchored at the corner.
+    """
+    n, L = state.t.size, state.L
+    traj = fl.hamilton_evolve(state, dens, (0.0, horizon), 2 * (n - 1), keep_every=2)
+    grid = sh.CylinderGrid(horizon, L, n, n)
+    bd = sh.BoundaryData(fl.spectral_shift(state.t, grid.hy / 2, L),
+                         fl.spectral_shift(traj.states[-1].t, grid.hy / 2, L))
+    h_flow = np.array(traj.heights)            # (n, ny)
+    hf, _ = sh.minimize_action(grid, dens.sigma, bd, tol=1e-8, max_iter=40000,
+                               start=h_flow)
+    diff = hf.values - h_flow
+    return float(np.max(np.abs(diff - diff[0, 0])))
+
+
+def el_mesh_study(sigma, problem, levels, tol: float, V: float = 0.0) -> dict:
+    """Criterion 10's refinement loop: max |EL residual| on each level.
+
+    ``problem(n)`` gives level n's (grid, boundary data).  Each level starts
+    from the previous level's solution, prolonged, and every level is
+    solved to ``tol``.
+    """
+    residuals = {}
+    prev = None
+    for n in levels:
+        grid, bd = problem(n)
+        start = sh.prolong(prev, grid) if prev is not None else None
+        prev, _ = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000,
+                                     start=start)
+        residuals[n] = float(np.max(np.abs(sh.el_residual(prev, sigma))))
+    return residuals
+
+
 def suite_equivalence(fast: bool = False) -> list:
     """Criterion 9: Hamiltonian vs characteristics vs variational solver."""
     checks = []
@@ -312,22 +354,10 @@ def suite_equivalence(fast: bool = False) -> list:
     checks.append(Check.le("equivalence-hamilton-burgers",
                            float(np.max(np.abs(endH.l - endB.l))), 1e-5))
 
-    # variational comparison on the matching cylinder grid
     n = 64 if fast else 128
-    st_n = _hex_flow_problem(n)
-    traj_n = fl.hamilton_evolve(st_n, dens, (0.0, T), 2 * (n - 1), keep_every=2)
-    grid = sh.CylinderGrid(T, 1.0, n, n)
-    hy = grid.hy
-    t_left = fl.spectral_shift(st_n.t, hy / 2, 1.0)
-    t_right = fl.spectral_shift(traj_n.states[-1].t, hy / 2, 1.0)
-    bd = sh.BoundaryData(t_left, t_right)
-    h_flow = np.array(traj_n.heights)            # (n, ny)
-    hf, _ = sh.minimize_action(grid, tn.hex_tension(), bd, tol=1e-8,
-                               max_iter=40000, start=h_flow)
-    diff = hf.values - h_flow
-    diff -= diff[0, 0]
     checks.append(Check.le("equivalence-variational-flow",
-                           float(np.max(np.abs(diff))), 1e-3, grid=n))
+                           flow_variational_gap(_hex_flow_problem(n), dens, T),
+                           FLOW_VARIATIONAL_TOL, grid=n))
     return checks
 
 
@@ -353,19 +383,13 @@ def suite_solver() -> list:
                            float(np.max(np.abs(hf.values - hf2.values))), 1e-8))
     checks.append(Check.true("solver-facet-mask-empty", not np.any(sh.facet_mask(hf))))
 
-    # mesh-refinement study, coarse solutions prolonged as warm starts
-    residuals = {}
-    prev = None
-    for n in (32, 64, 128):
+    def problem(n):
         g = sh.CylinderGrid(0.7, 1.0, n + 1, n)
         yj = g.ys() + g.hy / 2
-        b = sh.BoundaryData(1 / 3 + 0.06 * np.sin(2 * np.pi * yj),
-                            1 / 3 - 0.04 * np.sin(2 * np.pi * yj + 0.7))
-        start = sh.prolong(prev, g) if prev is not None else None
-        tol = 1e-8 if n == 128 else 1e-9
-        prev, _ = sh.minimize_action(g, hexT, b, tol=tol, max_iter=60000,
-                                     start=start)
-        residuals[n] = float(np.max(np.abs(sh.el_residual(prev, hexT))))
+        return g, sh.BoundaryData(1 / 3 + 0.06 * np.sin(2 * np.pi * yj),
+                                  1 / 3 - 0.04 * np.sin(2 * np.pi * yj + 0.7))
+
+    residuals = el_mesh_study(hexT, problem, (32, 64, 128), tol=1e-9)
     order = math.log2(residuals[64] / residuals[128])
     checks.append(Check.ge("solver-el-order", order, 1.8,
                            residuals={str(k): v for k, v in residuals.items()}))

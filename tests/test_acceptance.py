@@ -7,12 +7,9 @@ per criterion; stated runtime budgets are asserted where given.
 
 import time
 
-import numpy as np
 import pytest
 
 from icelab.suites import SUITES, run_suite
-
-np.seterr(over="ignore", invalid="ignore")
 
 # criterion -> (suite, check-name filter, runtime budget in seconds or None)
 CRITERIA = {

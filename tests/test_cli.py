@@ -234,6 +234,7 @@ def test_config_scalar_u_for_solve(tmp_path, monkeypatch):
     (["solve"], {"svg": "yes"}),
     (["tension", "--variant", "ff"], {"u": {"value": 0.5}}),
     (["flow"], {"ny": {"n": 32}}),
+    (["flow"], {"method": "bogus"}),
 ])
 def test_config_wrongly_typed_value_is_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
@@ -352,3 +353,66 @@ def test_dimer_graph_file(tmp_path):
 
 def test_dimer_needs_input(tmp_path):
     assert run(["dimer", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("given, missing", [(["--gamma", "0.5"], "--u"),
+                                            (["--u", "0.3"], "--gamma")])
+def test_sixv_regime_without_u_or_gamma_is_config_error(tmp_path, capsys, given, missing):
+    code = run(["sixv", "--regime", "A1", *given, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and missing in err
+
+
+def test_solve_log_records_the_defaults_it_used(tmp_path):
+    assert run(["solve", "--nx", "9", "--ny", "8", "--out", str(tmp_path)]) == 0
+    resolved = json.loads((tmp_path / "solve_log.json").read_text())["resolved"]
+    assert resolved == {
+        "T": 1.0, "L": 1.0, "nx": 9, "ny": 8, "tension": "hex", "u": None,
+        "V": 0.0, "tol": 1e-9, "left_csv": None, "right_csv": None,
+        "t_left": 1.0 / 3.0, "t_right": 1.0 / 3.0, "out": str(tmp_path),
+        "mesh_study": False, "svg": False}
+    # a config value is recorded as its flag's type converts it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 1, "ny": "8", "u": "0.5"}))
+    assert run(["solve", "--config", str(cfg), "--nx", "9", "--out", str(tmp_path)]) == 0
+    resolved = json.loads((tmp_path / "solve_log.json").read_text())["resolved"]
+    assert (resolved["T"], resolved["ny"], resolved["u"]) == (1.0, 8, [0.5])
+    assert isinstance(resolved["T"], float)
+
+
+def test_solve_mesh_study_resamples_the_original_profile(tmp_path, capsys):
+    # each level resamples the 64 samples; interpolating the 32-row copy
+    # onto 64 rows put kinks in the data and read an order of 1.56
+    ys = np.arange(64) / 64
+    for name, vals in (("left", 1 / 3 + 0.06 * np.sin(2 * np.pi * ys)),
+                       ("right", 1 / 3 - 0.04 * np.sin(2 * np.pi * ys + 0.7))):
+        lines = ["y,value"] + [f"{y},{v}" for y, v in zip(ys, vals)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    code = run(["solve", "--T", "0.7", "--nx", "33", "--ny", "32", "--mesh-study",
+                "--left-csv", str(tmp_path / "left.csv"),
+                "--right-csv", str(tmp_path / "right.csv"), "--out", str(tmp_path)])
+    assert code == 0
+    study = json.loads((tmp_path / "solve_log.json").read_text())["mesh_study"]
+    assert set(study["residuals"]) == {"32", "64"}
+    assert study["order"] > 1.6
+    assert f"mesh study: order {study['order']:.3f}" in capsys.readouterr().out
+
+
+def test_solve_mesh_study_reports_no_order_for_an_exact_solution(tmp_path, capsys):
+    # affine data: both levels solve to roundoff, whose ratio is no order
+    code = run(["solve", "--nx", "9", "--ny", "8", "--mesh-study", "--out", str(tmp_path)])
+    assert code == 0
+    study = json.loads((tmp_path / "solve_log.json").read_text())["mesh_study"]
+    assert study["order"] is None
+    assert study["residuals"]["8"] <= 1e-9
+    assert "mesh study: no order" in capsys.readouterr().out
+
+
+def test_flow_ff_compare_variational(tmp_path):
+    code = run(["flow", "--variant", "ff", "--ny", "32", "--horizon", "0.15",
+                "--steps", "64", "--compare-variational", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    assert report["compare_variational"]["sup"] <= 1e-3
+    assert report["resolved"]["tbar"] == 0.5 and report["resolved"]["u"] == [1.1]

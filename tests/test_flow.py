@@ -11,8 +11,6 @@ from icelab import tension as tn
 from icelab.errors import (BranchAmbiguous, DomainBoundary, ShockDetected,
                            StepFailure)
 
-np.seterr(over="ignore", invalid="ignore")
-
 
 def sine_state(ny=128, tbar=0.6, amp=0.03, pbar=0.0, L=1.0):
     ys = np.arange(ny) / ny * L
