@@ -24,7 +24,7 @@ null when the coarse residual is already at or below ``--tol``.
 
 Boundary and initial profiles are CSV files with a header row followed by
 ``y,value`` lines; they are resampled onto the grid by periodic linear
-interpolation.
+interpolation, shifted to keep the samples' periodic trapezoid mean.
 
 Graph files for ``dimer --graph`` are plain-text adjacency listings, one
 vertex per line::
@@ -313,7 +313,9 @@ def cmd_solve(args, cfg) -> int:
         def problem(n):
             return sh.CylinderGrid(T, L, n + 1, n), sh.BoundaryData(left(n), right(n))
 
-        residuals = el_mesh_study(sigma, problem, (ny, 2 * ny), tol, V=V)
+        # level ny is the main solve's problem when nx = ny + 1
+        first = hf if log.get("converged") and nx == ny + 1 else None
+        residuals = el_mesh_study(sigma, problem, (ny, 2 * ny), tol, V=V, first=first)
         coarse = residuals[ny]
         # a coarse residual already at the solver tolerance is roundoff, and
         # the ratio of two roundoff levels is no order of accuracy
@@ -369,6 +371,8 @@ def cmd_flow(args, cfg) -> int:
             states, xs_traj = traj.states, traj.xs
             report["filter_modes"] = traj.filter_modes
             report["filter_energy_removed"] = traj.filter_energy_removed
+            report["rhs_evals"] = traj.rhs_evals
+            report["min_shock_indicator"] = traj.min_shock_indicator
         else:
             states = [state] + [fl.burgers_evolve(state, F, float(x))
                                 for x in xs_out[1:]]

@@ -7,13 +7,14 @@ transform of the surface tension; the equations of motion read
 
     dp/dx = d/dy[ d2 tau(p, t) ],    dt/dx = d/dy[ d1 tau(p, t) ].
 
-For the closed-form densities both tau-gradients assemble into a single
-complex field Phi(l) = d2 tau + i pi d1 tau, with Phi'(l) = F(e^l) the
-rational function of the spectral curve, so dl/dx = F(e^l) dl/dy.  Two
-independent integrators are provided: classical 4th-order method of lines
-with spectral y-derivatives, and the implicit complex-characteristic
-solver of the Burgers form (values transported along straight lines whose
-complex foot point is found by Newton continuation).
+Both tau-gradients assemble into one complex field Phi(l) = d2 tau + i pi
+d1 tau; for the closed-form densities Phi is one logarithm, the partials
+are read off it, and Phi'(l) = F(e^l) is the rational function of the
+spectral curve, so dl/dx = F(e^l) dl/dy.  Two independent integrators are
+provided: classical 4th-order method of lines on the Fourier coefficients
+of l, and the implicit complex-characteristic solver of the Burgers form
+(values transported along straight lines whose complex foot point is
+found by Newton continuation).
 
 Normalization notes pinned by the analytic cross-checks in the tests:
 the closed-form densities obey d^2 H / d l^2 = F(e^l) / (2 pi i), and the
@@ -27,16 +28,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import tension
 from .dimers import SpectralCurve
 from .errors import (BranchAmbiguous, DomainBoundary, OutOfRange,
                      ShockDetected, SingularBranch, StepFailure)
 from .special import dilog
-from .tension import (SurfaceTension, partial_legendre, sigma_ff, sigma_hex,
-                      _ff_dilogs)
+from .tension import SurfaceTension, partial_legendre, _ff_dilogs
 
 TWO_PI_I = 2.0j * np.pi
 SHOCK_DELTA = 1e-3
@@ -98,13 +99,11 @@ def spectral_dy(arr: np.ndarray, L: float) -> np.ndarray:
 def spectral_antideriv(arr: np.ndarray, L: float) -> np.ndarray:
     """Periodic antiderivative of (arr - mean), anchored at y = 0."""
     k = _wavenumbers(arr.size, L)
-    hat = np.fft.fft(arr)
-    hat0 = hat[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(k != 0, hat / (1j * k), 0.0)
+        anti = np.where(k != 0, np.fft.fft(arr) / (1j * k), 0.0)
     out = np.fft.ifft(anti)
     out = out.real if np.isrealobj(arr) else out
-    return out - out[0] + 0.0 * hat0.real
+    return out - out[0]
 
 
 def spectral_shift(arr: np.ndarray, delta: float, L: float) -> np.ndarray:
@@ -162,10 +161,9 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
     nearest to the probe value; evaluation is meant near the probe (track
     continuity by re-probing for excursions).
     """
-    z0, w0 = complex(probe[0]), complex(probe[1])
+    w0 = complex(probe[1])
     d = curve.as_dict()
-    j_all = sorted({j for (_, j) in d})
-    j_min = j_all[0]
+    j_min = min(j for (_, j) in d)
 
     def branch_w(z):
         coeffs = {}
@@ -204,7 +202,8 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
 
 @dataclass
 class HamiltonianDensity:
-    """tau(p, xi) with first and second partials, vectorized over arrays."""
+    """tau(p, xi) with first and second partials, vectorized over arrays;
+    ``closed_phi`` is Phi(l) = d2 tau + i pi d1 tau in closed form, if known."""
 
     tag: str
     nu_star: object
@@ -212,9 +211,17 @@ class HamiltonianDensity:
     d2: object
     sigma: SurfaceTension | None = None
     burgers: BurgersFunction | None = None
+    closed_phi: object = None
 
     def d1(self, p, t):
         return self.nu_star(p, t)
+
+    def phi(self, l):
+        """Phi at the complex samples l."""
+        if self.closed_phi is not None:
+            return self.closed_phi(l)
+        p, t = l.real, l.imag / np.pi
+        return self.d2(p, t) + 1j * np.pi * np.asarray(self.d1(p, t))
 
     def second_partials(self, p, t):
         """(d11, d12, d22) via the Legendre relations at the maximizer."""
@@ -224,50 +231,27 @@ class HamiltonianDensity:
         return 1.0 / h11, -h12 / h11, -det / h11
 
 
-def hex_density() -> HamiltonianDensity:
-    from .tension import hex_tension
+def _closed_density(tag, phi, sigma, burgers) -> HamiltonianDensity:
+    """The density whose d1 tau is Im Phi / pi and d2 tau is Re Phi."""
 
-    def nu_star(p, t):
-        p = np.asarray(p, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ep = np.exp(p)
-        return np.arctan2(ep * np.sin(np.pi * t), 1.0 - ep * np.cos(np.pi * t)) / np.pi
+    def at(p, t):
+        return phi(np.asarray(p, dtype=float) + 1j * np.pi * np.asarray(t, dtype=float))
 
     def value(p, t):
-        s = nu_star(p, t)
-        return p * s - sigma_hex(s, t)
+        s = at(p, t).imag / np.pi
+        return p * s - sigma.value(s, t)
 
-    def d2(p, t):
-        l = np.asarray(p, dtype=float) + 1j * np.pi * np.asarray(t, dtype=float)
-        return -np.log(np.abs(1.0 - np.exp(l)))
+    return HamiltonianDensity(tag, lambda p, t: at(p, t).imag / np.pi, value,
+                              lambda p, t: at(p, t).real, sigma, burgers, phi)
 
-    return HamiltonianDensity("Hex", nu_star, value, d2,
-                              sigma=hex_tension(), burgers=hex_burgers())
+
+def hex_density() -> HamiltonianDensity:
+    return _closed_density("Hex", hex_phi, tension.hex_tension(), hex_burgers())
 
 
 def ff_density(u: float) -> HamiltonianDensity:
-    from .tension import ff_tension
-
-    c2u, s2u = math.cos(2 * u), math.sin(2 * u)
-    tu = math.tan(u)
-
-    def nu_star(p, t):
-        p = np.asarray(p, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.arctan2(np.sin(np.pi * t),
-                          c2u * np.cos(np.pi * t) - s2u * np.sinh(p)) / np.pi
-
-    def value(p, t):
-        s = nu_star(p, t)
-        return p * s - sigma_ff(s, t, u)
-
-    def d2(p, t):
-        # Re ff_phi(p + i pi t), without the complex logarithms
-        z = np.exp(np.asarray(p, dtype=float) + 1j * np.pi * np.asarray(t, dtype=float))
-        return np.log(np.abs(1.0 + z / tu) / np.abs(1.0 - z * tu)) + math.log(tu)
-
-    return HamiltonianDensity(f"FF(u={u})", nu_star, value, d2,
-                              sigma=ff_tension(u), burgers=ff_burgers(u))
+    return _closed_density(f"FF(u={u})", lambda l: ff_phi(l, u), tension.ff_tension(u),
+                           ff_burgers(u))
 
 
 def density_from_tension(sigma: SurfaceTension, tag: str | None = None) -> HamiltonianDensity:
@@ -286,8 +270,7 @@ def hamiltonian(state: FlowState, dens: HamiltonianDensity, V: float = 0.0) -> f
     if dens.sigma is not None and not dens.sigma.feasible(
             dens.nu_star(state.p + V, state.t), state.t, margin=0.0):
         raise DomainBoundary("state leaves the tension domain")
-    vals = dens.value(state.p + V, state.t)
-    return float(np.mean(vals)) * state.L
+    return float(np.mean(dens.value(state.p + V, state.t))) * state.L
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +310,8 @@ class Trajectory:
     heights: list  # h(y) samples per x, anchored h(0, 0) = 0
     filter_modes: int = 0  # the mode cutoff the projection used
     filter_energy_removed: float = 0.0  # largest share of sum |l_hat|^2 cut in one step
+    rhs_evals: int = 0  # Phi evaluations
+    min_shock_indicator: float | None = None  # None without a Burgers function
 
 
 def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
@@ -335,28 +320,28 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
     """Classical 4th-order method-of-lines integration of the flow.
 
     Evolves l = p + i pi t by dl/dx = d/dy Phi with Phi = d2 tau + i pi d1
-    tau, one complex spectral derivative per stage; h rides along so
+    tau on the coefficients l_hat = fft(l): a stage is one inverse FFT,
+    one Phi and i k fft(Phi), eight FFTs a step.  h rides along so
     cross-sections integrate exactly into height fields.  The x evolution
-    of the elliptic limit-shape system amplifies Fourier mode k of
-    roundoff like exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so high modes
-    must be kept out: after every step l is projected onto |k| <=
-    filter_modes.  When the density carries its Burgers function F, the
-    default cutoff is the largest k whose growth over the span is at most
-    FILTER_GROWTH, clipped to [2, ny/4]; without F it is ny/4.  Either is
-    far above the mode content of analytic initial data on any pre-shock
-    horizon.  The trajectory records the cutoff and the largest share of
-    spectral energy one projection removed.  Raises ShockDetected once the
-    characteristic-map indicator of the initial data drops below the shock
-    threshold, StepFailure on blow-up.
+    of the elliptic limit-shape system amplifies Fourier mode k of roundoff
+    like exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so after every step
+    the coefficients with |k| > filter_modes are zeroed.  When the density
+    carries its Burgers function F, the default cutoff is the largest k
+    whose growth over the span is at most FILTER_GROWTH, clipped to [2,
+    ny/4]; without F it is ny/4.  Either is far above the mode content of
+    analytic initial data on any pre-shock horizon.  The trajectory
+    records the cutoff, the largest energy share one projection removed,
+    the Phi evaluations and the smallest shock indicator.  Raises
+    ShockDetected once the characteristic-map indicator of the initial
+    data drops below the shock threshold, StepFailure on blow-up.
     """
     x0, x1 = x_span
     if steps < 1:
         raise OutOfRange("need at least one step")
     dx = (x1 - x0) / steps
-    L = state.L
-    ny = state.ny
-    F = dens.burgers
+    L, ny, F, sigma = state.L, state.ny, dens.burgers, dens.sigma
     g0 = None if F is None else F(np.exp(state.l))
+    gprime0 = None if g0 is None else spectral_dy(g0, L)
     if filter_modes is None:
         filter_modes = max(2, ny // 4)
         if g0 is not None:
@@ -364,35 +349,28 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
             if rate * filter_modes > math.log(FILTER_GROWTH):
                 filter_modes = max(2, int(math.log(FILTER_GROWTH) / rate))
     cut = np.abs(np.fft.fftfreq(ny, d=1.0 / ny)) > filter_modes
-
-    def project(arr):
-        """arr on |k| <= filter_modes, and the share of energy removed."""
-        hat = np.fft.fft(arr)
-        power = hat.real ** 2 + hat.imag ** 2
-        total = float(np.sum(power))
-        hat[cut] = 0.0
-        return np.fft.ifft(hat), float(np.sum(power[cut])) / total if total > 0 else 0.0
-
-    l, _ = project(state.l)
-    t = l.imag / np.pi
-    h = spectral_antideriv(t, L) + np.mean(t) * state.ys
+    ik = 1j * _wavenumbers(ny, L)
 
     def rhs(l):
-        p, t = l.real, l.imag / np.pi
-        d1 = np.asarray(dens.d1(p, t))
-        phi = dens.d2(p, t) + 1j * np.pi * d1
+        """d l_hat / dx and the slope d1 tau at the samples l."""
+        phi = dens.phi(l)
         if not np.isfinite(phi).all():
             raise StepFailure("density partials blew up")
-        if dens.sigma is not None and not dens.sigma.feasible(d1, t, margin=0.0):
+        d1 = phi.imag / np.pi
+        if sigma is not None and not sigma.feasible(d1, l.imag / np.pi, margin=0.0):
             raise StepFailure("state left the tension domain")
-        return spectral_dy(phi, L), d1
+        return ik * np.fft.fft(phi), d1
 
-    gprime0 = None if g0 is None else spectral_dy(g0, L)
+    lhat = np.fft.fft(state.l)
+    lhat[cut] = 0.0
+    l = np.fft.ifft(lhat)
+    t = l.imag / np.pi
+    h = spectral_antideriv(t, L) + np.mean(t) * state.ys
 
     xs = [x0]
     states = [FlowState.from_l(L, l)]
     heights = [h.copy()]
-    removed = 0.0
+    removed, min_ind = 0.0, math.inf
     for k in range(steps):
         x = x0 + k * dx
         if gprime0 is not None:
@@ -400,20 +378,28 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
             if ind < SHOCK_DELTA:
                 raise ShockDetected("characteristic map about to fold",
                                     x=x, diagnostics={"indicator": ind})
+            min_ind = min(min_ind, ind)
         k1, s1 = rhs(l)
-        k2, s2 = rhs(l + 0.5 * dx * k1)
-        k3, s3 = rhs(l + 0.5 * dx * k2)
-        k4, s4 = rhs(l + dx * k3)
-        l, share = project(l + dx / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        k2, s2 = rhs(np.fft.ifft(lhat + 0.5 * dx * k1))
+        k3, s3 = rhs(np.fft.ifft(lhat + 0.5 * dx * k2))
+        k4, s4 = rhs(np.fft.ifft(lhat + dx * k3))
+        lhat = lhat + dx / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        total = np.vdot(lhat, lhat).real
+        high = lhat[cut]
+        share = np.vdot(high, high).real / total if total > 0 else 0.0
+        lhat[cut] = 0.0
+        l = np.fft.ifft(lhat)
         h = h + dx / 6.0 * (s1 + 2 * s2 + 2 * s3 + s4)
         if not np.isfinite(l).all():
             raise StepFailure(f"non-finite state at x={x + dx}")
-        removed = max(removed, share)
+        removed = max(removed, float(share))
         if (k + 1) % keep_every == 0 or k == steps - 1:
             xs.append(x + dx)
             states.append(FlowState.from_l(L, l))
             heights.append(h.copy())
-    return Trajectory(np.array(xs), states, heights, filter_modes, removed)
+    return Trajectory(np.array(xs), states, heights, filter_modes, removed,
+                      rhs_evals=4 * steps,  # four Phi evaluations per RK4 step
+                      min_shock_indicator=None if gprime0 is None else min_ind)
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +523,21 @@ def poisson_bracket_residual(sig_u, sig_v, p_grid, xi_grid,
     du = _as_density(sig_u)
     dv = _as_density(sig_v)
 
-    def a_fn(p, t):
-        d11u, _, _ = du.second_partials(p, t)
-        d11v, _, _ = dv.second_partials(p, t)
-        return d11u * dv.d2(p, t) - d11v * du.d2(p, t)
-
-    def b_fn(p, t):
-        _, d12u, _ = du.second_partials(p, t)
-        _, d12v, _ = dv.second_partials(p, t)
-        return d12u * dv.d2(p, t) - d12v * du.d2(p, t)
+    def combo(i):
+        """(p, t) -> d1i tau_u d2 tau_v - d1i tau_v d2 tau_u: A for i = 0, B for 1."""
+        return lambda p, t: (du.second_partials(p, t)[i] * dv.d2(p, t)
+                             - dv.second_partials(p, t)[i] * du.d2(p, t))
 
     pg = np.asarray(p_grid, dtype=float)
     xg = np.asarray(xi_grid, dtype=float)
     pm, xm = np.meshgrid(pg, xg, indexing="ij")
     h = fd_step
 
-    def d5(fn, wrt):
-        if wrt == "xi":
-            vals = [fn(pm, xm + k * h) for k in (-2, -1, 1, 2)]
-        else:
-            vals = [fn(pm + k * h, xm) for k in (-2, -1, 1, 2)]
+    def d5(fn, dp, dxi):
+        vals = [fn(pm + k * dp, xm + k * dxi) for k in (-2, -1, 1, 2)]
         return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
 
-    resid = d5(a_fn, "xi") - d5(b_fn, "p")
+    resid = d5(combo(0), 0.0, h) - d5(combo(1), h, 0.0)
     return float(np.max(np.abs(resid)))
 
 
@@ -596,13 +574,23 @@ def hamiltonian_ff(l, u: float, lbar=None):
     return (_ff_dilogs(l, u) - _ff_dilogs(lb, u)) / TWO_PI_I
 
 
+def _log(q):
+    """Principal Log q as log|q| + i arg q: np.log to a few ulp, faster near |q| = 1."""
+    q = np.asarray(q)
+    out = np.empty(q.shape, dtype=complex)
+    np.log(np.abs(q), out=out.real)
+    np.arctan2(q.imag, q.real, out=out.imag)
+    return out
+
+
 def hex_phi(l):
     """Phi(l) = d2 tau + i pi d1 tau = -Log(1 - e^l) for the hexagonal case."""
-    return -np.log(1.0 - np.exp(np.asarray(l, dtype=complex)))
+    return -_log(1.0 - np.exp(np.asarray(l, dtype=complex)))
 
 
 def ff_phi(l, u: float):
-    """The free-fermion Phi, normalized so Im Phi / pi is the slope."""
+    """The free-fermion Phi = Log((1 + z / tan u) / (1 - z tan u)) + log tan u,
+    z = e^l, as one logarithm (Im z > 0 keeps the quotient off the cut)."""
     z = np.exp(np.asarray(l, dtype=complex))
     tu = math.tan(u)
-    return -np.log(1.0 - z * tu) + np.log(1.0 + z / tu) + math.log(tu)
+    return _log((z + tu) / (1.0 - z * tu))

@@ -291,11 +291,10 @@ class TransferOperator:
 
     def sector_indices(self) -> list[np.ndarray]:
         """Basis indices grouped by occupation number 0..N."""
-        n = self.n_rows
-        groups: list[list[int]] = [[] for _ in range(n + 1)]
-        for i in range(self.dim):
-            groups[bin(i).count("1")].append(i)
-        return [np.array(g, dtype=int) for g in groups]
+        counts = np.bitwise_count(np.arange(self.dim))
+        order = np.argsort(counts, kind="stable")
+        sizes = np.bincount(counts, minlength=self.n_rows + 1)
+        return np.split(order, np.cumsum(sizes)[:-1])
 
 
 def _fold_row(t: np.ndarray, cur: list, pairs) -> np.ndarray:

@@ -323,20 +323,22 @@ def flow_variational_gap(state: fl.FlowState, dens: fl.HamiltonianDensity,
     return float(np.max(np.abs(diff - diff[0, 0])))
 
 
-def el_mesh_study(sigma, problem, levels, tol: float, V: float = 0.0) -> dict:
+def el_mesh_study(sigma, problem, levels, tol: float, V: float = 0.0,
+                  first: sh.HeightField | None = None) -> dict:
     """Criterion 10's refinement loop: max |EL residual| on each level.
 
     ``problem(n)`` gives level n's (grid, boundary data).  Each level starts
     from the previous level's solution, prolonged, and every level is
-    solved to ``tol``.
+    solved to ``tol``.  ``first`` is the first level's solution when the
+    caller already has it from the same cold solve; it is not solved again.
     """
-    residuals = {}
-    prev = None
-    for n in levels:
+    residuals, prev = {}, first
+    for k, n in enumerate(levels):
         grid, bd = problem(n)
-        start = sh.prolong(prev, grid) if prev is not None else None
-        prev, _ = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000,
-                                     start=start)
+        if k or first is None:
+            start = sh.prolong(prev, grid) if k else None
+            prev, _ = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000,
+                                         start=start)
         residuals[n] = float(np.max(np.abs(sh.el_residual(prev, sigma))))
     return residuals
 

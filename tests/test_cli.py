@@ -7,7 +7,9 @@ import pytest
 from icelab import cli
 from icelab import flow as fl
 from icelab import shapes as sh
+from icelab import tension as tn
 from icelab.errors import NonConvergence, ShockDetected
+from icelab.suites import el_mesh_study
 
 
 def run(argv):
@@ -290,6 +292,18 @@ def test_flow_fine_grid_hamilton(tmp_path):
     assert 0.0 <= report["filter_energy_removed"] < 1e-20
 
 
+def test_flow_reports_rhs_evals_and_min_shock_indicator(tmp_path):
+    code = run(["flow", "--ny", "32", "--horizon", "0.15", "--steps", "32",
+                "--method", "hamilton", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    ys = np.arange(32) / 32
+    traj = fl.hamilton_evolve(fl.FlowState(1.0, np.zeros(32), 0.6 + 0.03 * np.sin(2 * np.pi * ys)),
+                              fl.hex_density(), (0.0, 0.15), 32)
+    assert report["rhs_evals"] == traj.rhs_evals == 128
+    assert report["min_shock_indicator"] == traj.min_shock_indicator > fl.SHOCK_DELTA
+
+
 def test_flow_honours_tol(tmp_path, capsys):
     args = ["flow", "--variant", "hex", "--ny", "32", "--horizon", "0.15",
             "--steps", "32", "--out", str(tmp_path)]
@@ -397,6 +411,51 @@ def test_solve_mesh_study_resamples_the_original_profile(tmp_path, capsys):
     assert set(study["residuals"]) == {"32", "64"}
     assert study["order"] > 1.6
     assert f"mesh study: order {study['order']:.3f}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ny", [8, 12, 16])
+def test_solve_accepts_ends_sampled_off_the_grid(tmp_path, capsys, ny):
+    # two mean-1/3 profiles of 97 samples: plain linear resampling gave
+    # monodromies 0.33333333 and 0.33333039, and solve exited 1
+    ys = np.arange(97) / 97
+    for name, vals in (("left", 1 / 3 + 0.06 * np.sin(2 * np.pi * ys)),
+                       ("right", 1 / 3 - 0.04 * np.sin(2 * np.pi * ys + 0.7))):
+        lines = ["y,value"] + [f"{y},{v}" for y, v in zip(ys, vals)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    code = run(["solve", "--nx", str(ny + 1), "--ny", str(ny),
+                "--left-csv", str(tmp_path / "left.csv"),
+                "--right-csv", str(tmp_path / "right.csv"), "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_solve_mesh_study_reuses_the_main_solve(tmp_path, monkeypatch):
+    # level ny of the study is the main solve's (ny + 1) x ny problem
+    ys = np.arange(64) / 64
+    left = 1 / 3 + 0.06 * np.sin(2 * np.pi * ys)
+    right = 1 / 3 - 0.04 * np.sin(2 * np.pi * ys + 0.7)
+    for name, vals in (("left", left), ("right", right)):
+        lines = ["y,value"] + [f"{y},{v}" for y, v in zip(ys, vals)]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    calls = []
+    solve = sh.minimize_action
+    monkeypatch.setattr(sh, "minimize_action",
+                        lambda *a, **k: calls.append(a[0].ny) or solve(*a, **k))
+    code = run(["solve", "--T", "0.7", "--nx", "33", "--ny", "32", "--mesh-study",
+                "--left-csv", str(tmp_path / "left.csv"),
+                "--right-csv", str(tmp_path / "right.csv"), "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == [32, 64]
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["mesh_study"]["residuals"]["32"] == log["max_el_residual"]
+    # the same numbers as a study that solves every level itself
+    monkeypatch.setattr(sh, "minimize_action", solve)
+
+    def problem(n):
+        return sh.CylinderGrid(0.7, 1.0, n + 1, n), sh.BoundaryData(
+            sh.resample_profile(ys, left, n, 1.0), sh.resample_profile(ys, right, n, 1.0))
+
+    fresh = el_mesh_study(tn.hex_tension(), problem, (32, 64), 1e-9)
+    assert log["mesh_study"]["residuals"] == {str(k): v for k, v in fresh.items()}
 
 
 def test_solve_mesh_study_reports_no_order_for_an_exact_solution(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from icelab import dimers as dm
 from icelab import flow as fl
@@ -43,12 +45,29 @@ def test_ff_density_matches_phi():
 
 
 def test_generic_density_matches_closed_form():
-    dens_closed = fl.hex_density()
-    dens_generic = fl.density_from_tension(tn.hex_tension())
-    for p, t in [(0.2, 0.3), (-0.4, 0.55)]:
-        assert abs(float(dens_generic.d1(p, t)) - float(dens_closed.d1(p, t))) < 1e-9
-        assert abs(float(dens_generic.d2(p, t)) - float(dens_closed.d2(p, t))) < 1e-9
-        assert abs(float(dens_generic.value(p, t)) - float(dens_closed.value(p, t))) < 1e-9
+    # the closed forms read d1 and d2 off Phi, so the Legendre transform of
+    # the tension is the independent check on Phi itself
+    for dens_closed, sigma in ((fl.hex_density(), tn.hex_tension()),
+                               (fl.ff_density(0.7), tn.ff_tension(0.7))):
+        dens_generic = fl.density_from_tension(sigma)
+        for p, t in [(0.2, 0.3), (-0.4, 0.55)]:
+            assert abs(float(dens_generic.d1(p, t)) - float(dens_closed.d1(p, t))) < 1e-9
+            assert abs(float(dens_generic.d2(p, t)) - float(dens_closed.d2(p, t))) < 1e-9
+            assert abs(float(dens_generic.value(p, t))
+                       - float(dens_closed.value(p, t))) < 1e-9
+            l = np.array([p + 1j * np.pi * t])
+            assert abs(dens_generic.phi(l)[0] - dens_closed.phi(l)[0]) < 1e-9
+
+
+def test_ff_phi_is_the_two_logarithm_form():
+    rng = np.random.default_rng(2)
+    p = rng.uniform(-1.0, 1.0, 200)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 196), [1e-9, 0.5, 0.999, 1 - 1e-9]])
+    l = p + 1j * np.pi * t
+    for u in (0.3, 0.7, 1.1, 1.4):
+        z, tu = np.exp(l), math.tan(u)
+        two_logs = -np.log(1.0 - z * tu) + np.log(1.0 + z / tu) + math.log(tu)
+        assert np.max(np.abs(fl.ff_phi(l, u) - two_logs)) < 1e-13
 
 
 def test_hamiltonian_constant_state():
@@ -241,6 +260,72 @@ def test_filter_energy_removed_is_recorded():
     coarse = fl.hamilton_evolve(sine_state(32, amp=0.1), fl.hex_density(),
                                 (0.0, 0.05), 4, filter_modes=1)
     assert 1e-7 < coarse.filter_energy_removed < 1e-6
+
+
+# final l of the parent integrator (physical-space RK4 with an fft/ifft
+# projection per step) at y = k / 8, and its largest removed energy share
+PINNED = {
+    "hex": (5.521040471052672e-29, [
+        -0.04509384178221615 + 1.8074976634389885j,
+        -0.05639495770442945 + 1.8886592753229792j,
+        -0.035869909751742916 + 1.9625333386141046j,
+        2.4588303551523176e-13 + 1.9916745533500666j,
+        0.0358699097517812 + 1.962533338614249j,
+        0.0563949577035899 + 1.888659275323139j,
+        0.04509384178195395 + 1.807497663439672j,
+        8.249723865892752e-13 + 1.7705892746458674j]),
+    "ff": (1.625776998640563e-28, [
+        -0.06750763235217119 + 1.5060320154192899j,
+        -0.07659504452571518 + 1.5990376953364087j,
+        -0.04174084930103347 + 1.674901456803952j,
+        0.017792474059790207 + 1.690872792266583j,
+        0.06750763235217119 + 1.6355606381705032j,
+        0.07659504452571515 + 1.5425549582533846j,
+        0.0417408493010335 + 1.4666911967858411j,
+        -0.017792474059790193 + 1.45071986132321j]),
+}
+
+
+@pytest.mark.parametrize("name, st, dens, T, steps", [
+    ("hex", sine_state(128), fl.hex_density(), 0.25, 254),
+    ("ff", sine_state(128, tbar=0.5), fl.ff_density(1.1), 0.15, 192)])
+def test_hamilton_pinned_to_the_physical_space_integrator(name, st, dens, T, steps):
+    traj = fl.hamilton_evolve(st, dens, (0.0, T), steps, keep_every=steps)
+    removed, ls = PINNED[name]
+    assert np.max(np.abs(traj.states[-1].l[::16] - np.array(ls))) <= 1e-12
+    assert abs(traj.filter_energy_removed - removed) <= 1e-12
+
+
+def test_hamilton_counters():
+    st = sine_state(64)
+    F = fl.hex_burgers()
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 40)
+    assert traj.rhs_evals == 160
+    expect = min(fl.shock_indicator(st, F, float(x)) for x in traj.xs[1:])
+    assert abs(traj.min_shock_indicator - expect) <= 1e-12
+    generic = dataclasses.replace(fl.hex_density(), burgers=None)
+    traj = fl.hamilton_evolve(st, generic, (0.0, 0.25), 8)
+    assert traj.rhs_evals == 32 and traj.min_shock_indicator is None
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(variant=hst.sampled_from(["hex", "ff"]), u=hst.floats(1.1, 1.25),
+       dt=hst.floats(-0.05, 0.05), amp=hst.floats(0.01, 0.03),
+       phase=hst.floats(0.0, 2 * math.pi), mode=hst.sampled_from([1, 2]))
+def test_hamilton_conserves_moments_property(variant, u, dt, amp, phase, mode):
+    ny = 64
+    ys = np.arange(ny) / ny
+    if variant == "hex":
+        dens, tbar, T = fl.hex_density(), 0.6, 0.25 / mode
+    else:
+        dens, tbar, T = fl.ff_density(u), 0.5, 0.15 / mode
+    st = fl.FlowState(1.0, np.zeros(ny),
+                      tbar + dt + amp * np.sin(2 * np.pi * mode * ys + phase))
+    end = fl.hamilton_evolve(st, dens, (0.0, T), 2 * (ny - 1),
+                             keep_every=2 * (ny - 1)).states[-1]
+    for n in range(1, 5):
+        i0 = fl.conserved_In(st, n)
+        assert abs(fl.conserved_In(end, n) - i0) <= 1e-6 * abs(i0)
 
 
 def test_hamilton_leaves_domain_raises():

@@ -92,6 +92,25 @@ def test_resample_profile_periodic():
     assert abs(out[1] - 0.5) < 1e-14
 
 
+def test_resample_profile_keeps_the_trapezoid_mean():
+    rng = np.random.default_rng(3)
+    ys = np.sort(rng.uniform(0.0, 2.0, 41))
+    vals = 0.4 + 0.1 * np.sin(np.pi * ys) + 0.02 * rng.standard_normal(41)
+    ys_ext = np.append(ys, ys[0] + 2.0)
+    vals_ext = np.append(vals, vals[0])
+    mean = np.sum((vals_ext[1:] + vals_ext[:-1]) * np.diff(ys_ext)) / 4.0
+    for ny in (8, 12, 16, 97):
+        assert abs(np.mean(sh.resample_profile(ys, vals, ny, 2.0)) - mean) < 1e-15
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_resample_profile_picks_samples_bit_for_bit(m):
+    ys = np.arange(m) / m
+    vals = 1 / 3 - 0.04 * np.sin(2 * np.pi * ys + 0.7)
+    for ny in (8, 16, 32, 64):
+        assert np.array_equal(sh.resample_profile(ys, vals, ny, 1.0), vals[::m // ny])
+
+
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------

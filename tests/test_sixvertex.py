@@ -206,6 +206,18 @@ def test_transfer_sector_conservation():
                 assert t[i, j] == 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sector_indices_match_the_popcount_loop(n):
+    groups = [[] for _ in range(n + 1)]
+    for i in range(1 << n):
+        groups[bin(i).count("1")].append(i)
+    got = sv.TransferOperator(n, ff_weights(0.4)).sector_indices()
+    assert len(got) == n + 1
+    for g, ref in zip(got, groups):
+        assert g.dtype == np.array(ref, dtype=int).dtype
+        assert np.array_equal(g, np.array(ref, dtype=int))
+
+
 def test_transfer_field_factorization_ctm():
     w0 = sv.VertexWeights(1.1, 0.8, 1.3, 0.0, 0.4)
     wH = sv.VertexWeights(1.1, 0.8, 1.3, 0.6, 0.4)
