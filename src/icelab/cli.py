@@ -213,18 +213,10 @@ def cmd_verify(args, cfg) -> int:
             status = "pass" if c.passed else "FAIL"
             print(f"[{status}] {c.name}: value={c.value:.6g} tol={c.tol:.3g}")
     passed = all(c.passed for c in all_checks)
-    report = {
-        "version": __version__,
-        "command": "verify",
-        "seed": opts["seed"],
-        "suites": names,
-        "checks": [
-            {"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed,
-             "inputs": c.info}
-            for c in all_checks
-        ],
-        "passed": passed,
-    }
+    report = {"version": __version__, "command": "verify", "seed": opts["seed"],
+              "suites": names, "passed": passed,
+              "checks": [{"name": c.name, "value": c.value, "tol": c.tol, "pass": c.passed,
+                          "inputs": c.info} for c in all_checks]}
     _write_json(os.path.join(opts["out"], "verify_report.json"), report)
     print(f"verify: {'PASS' if passed else 'FAIL'} "
           f"({sum(c.passed for c in all_checks)}/{len(all_checks)} checks)")
@@ -279,7 +271,8 @@ def cmd_solve(args, cfg) -> int:
     try:
         hf, info = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000)
         log.update(converged=True, iterations=info.iterations, grad_norm=info.grad_norm,
-                   evals=info.evals, backtracks=info.backtracks)
+                   evals=info.evals, backtracks=info.backtracks,
+                   start_checks=info.start_checks, phase_s=info.phase_s)
     except NonConvergence as err:
         hf = err.best
         log["converged"] = False
@@ -528,6 +521,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        help="seed for randomized test-point selection")
 
+    def typed(p, kind, *names):   # plain --name flags of one type
+        for name in names:
+            p.add_argument(f"--{name}", type=kind)
+
     p = sub.add_parser("verify", help="run verification suites")
     common(p)
     p.add_argument("--suite", help=f"suite name or 'all' ({', '.join(SUITES)})")
@@ -539,23 +536,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["hex", "ff", "numeric"])
     p.add_argument("--u", type=float, action="append",
                    help="spectral parameter (repeatable for ff)")
-    p.add_argument("--lo", type=float)
-    p.add_argument("--hi", type=float)
-    p.add_argument("--n", type=int)
+    typed(p, float, "lo", "hi")
+    typed(p, int, "n")
 
     p = sub.add_parser("solve", help="variational limit-shape solve")
     common(p)
-    p.add_argument("--T", type=float)
-    p.add_argument("--L", type=float)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
+    typed(p, float, "T", "L", "V", "t-left", "t-right")
+    typed(p, int, "nx", "ny")
+    typed(p, None, "left-csv", "right-csv")
     p.add_argument("--tension", choices=["hex", "ff"])
     p.add_argument("--u", type=float, action="append")
-    p.add_argument("--V", type=float)
-    p.add_argument("--left-csv", dest="left_csv")
-    p.add_argument("--right-csv", dest="right_csv")
-    p.add_argument("--t-left", dest="t_left", type=float)
-    p.add_argument("--t-right", dest="t_right", type=float)
     p.add_argument("--mesh-study", dest="mesh_study", action="store_const", const=True)
     p.add_argument("--svg", action="store_const", const=True)
 
@@ -563,16 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variant", choices=["hex", "ff"])
     p.add_argument("--u", type=float, action="append")
-    p.add_argument("--L", type=float)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--t0-csv", dest="t0_csv")
-    p.add_argument("--p0-csv", dest="p0_csv")
-    p.add_argument("--tbar", type=float)
-    p.add_argument("--pbar", type=float)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--mode", type=int)
+    typed(p, float, "L", "horizon", "tbar", "pbar", "amp")
+    typed(p, int, "ny", "steps", "mode")
+    typed(p, None, "t0-csv", "p0-csv")
     p.add_argument("--method", choices=["hamilton", "burgers", "both"])
     p.add_argument("--compare-variational", dest="compare_variational",
                    action="store_const", const=True)
@@ -589,12 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--regime", choices=list(sv.REGIMES))
     p.add_argument("--u", type=float, action="append")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--H", type=float)
-    p.add_argument("--V", type=float)
-    p.add_argument("--ybe-v", dest="ybe_v", type=float)
-    p.add_argument("--transfer", type=int)
+    typed(p, float, "gamma", "r", "H", "V", "ybe-v")
+    typed(p, int, "transfer")
     p.add_argument("--torus", help="M,N")
     p.add_argument("--cylinder", help="M,N")
     p.add_argument("--eta1", help="bit string, row 0 first")
@@ -604,14 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "tension": cmd_tension,
-    "solve": cmd_solve,
-    "flow": cmd_flow,
-    "dimer": cmd_dimer,
-    "sixv": cmd_sixv,
-}
+_COMMANDS = {"verify": cmd_verify, "tension": cmd_tension, "solve": cmd_solve,
+             "flow": cmd_flow, "dimer": cmd_dimer, "sixv": cmd_sixv}
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,8 @@ blow-up of the tension at the domain boundary act as a natural barrier.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,20 +83,17 @@ class HeightField:
         """Values extended by one periodic row: h(x, L) = h(x, 0) + kappa."""
         return np.concatenate([self.values, self.values[:, :1] + self.kappa], axis=1)
 
-    def edge_slopes(self):
+    def edge_slopes(self) -> np.ndarray:
         """Forward differences on the four edges of each (nx-1, ny) cell.
 
-        Returns (bottom-x, top-x, left-y, right-y) difference fields; the
-        slope box constrains them directly and no checkerboard mode can
-        hide from them.
+        Returns the bottom-x, top-x, left-y and right-y difference fields
+        stacked in one (4, nx-1, ny) array; the slope box constrains them
+        directly and no checkerboard mode can hide from them.
         """
         h = self.wrapped()
         g = self.grid
-        dxb = (h[1:, :-1] - h[:-1, :-1]) / g.hx
-        dxt = (h[1:, 1:] - h[:-1, 1:]) / g.hx
-        dyl = (h[:-1, 1:] - h[:-1, :-1]) / g.hy
-        dyr = (h[1:, 1:] - h[1:, :-1]) / g.hy
-        return dxb, dxt, dyl, dyr
+        return np.stack([(h[1:, :-1] - h[:-1, :-1]) / g.hx, (h[1:, 1:] - h[:-1, 1:]) / g.hx,
+                         (h[:-1, 1:] - h[:-1, :-1]) / g.hy, (h[1:, 1:] - h[1:, :-1]) / g.hy])
 
     def _y_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
         """Node values at y + hy and y - hy, across the monodromy."""
@@ -138,8 +137,7 @@ class BoundaryData:
             raise Inconsistent("boundary profiles must be equal-length vectors")
 
     def monodromy(self, hy: float) -> float:
-        k1 = float(np.sum(self.t_left)) * hy
-        k2 = float(np.sum(self.t_right)) * hy
+        k1, k2 = (float(np.sum(t)) * hy for t in (self.t_left, self.t_right))
         if abs(k1 - k2) > 1e-9 * max(1.0, abs(k1)):
             raise Inconsistent(
                 f"boundary profiles carry different monodromies ({k1} vs {k2})")
@@ -156,15 +154,14 @@ def prolong(hf: HeightField, grid: CylinderGrid) -> np.ndarray:
     """Interpolate a field onto a finer grid (linear in x, periodic in y)."""
     src = hf.grid
     h = hf.wrapped()   # (nx, ny + 1) with the monodromy applied
-    xs_src = src.xs()
     ys_src = np.arange(src.ny + 1) * src.hy
-    out = np.empty((grid.nx, grid.ny))
     ramp = hf.kappa / src.L
-    for j, y in enumerate(np.arange(grid.ny) * grid.hy):
-        yy = y % src.L
-        col = np.array([np.interp(yy, ys_src, h[i, :] - ramp * ys_src)
-                        for i in range(src.nx)]) + ramp * yy
-        out[:, j] = np.interp(np.linspace(0, src.T, grid.nx), xs_src, col)
+    yy = (np.arange(grid.ny) * grid.hy) % src.L
+    rows = np.array([np.interp(yy, ys_src, row - ramp * ys_src) for row in h]) + ramp * yy
+    xs, xs_src = np.linspace(0, src.T, grid.nx), src.xs()
+    out = np.empty((grid.nx, grid.ny))
+    for j, col in enumerate(rows.T):
+        out[:, j] = np.interp(xs, xs_src, col)
     return out
 
 
@@ -196,26 +193,24 @@ _EDGE_STENCILS = np.array([[-1, 1, 0, 0], [0, 0, -1, 1], [-1, 0, 1, 0], [0, -1, 
                           dtype=float)
 
 
-def _feasible_slopes(slope_fields, sigma: SurfaceTension, lo, hi) -> bool:
-    for s in slope_fields:
-        if np.min(s) <= lo or np.max(s) >= hi:
-            return False
-    dxb, dxt, dyl, dyr = slope_fields
-    xs = (dxb, dxt)
-    ys = (dyl, dyr)
-    return all(sigma.feasible(xs[a], ys[b], margin=0.0) for a, b in _CELL_COMBOS)
+def _pairings(edges):
+    """The _CELL_COMBOS pairings of edge_slopes as one x-slope and one y-slope
+    (4, nx-1, ny) array, pairing k in row k: one tension call covers all."""
+    return edges[[a for a, _ in _CELL_COMBOS]], edges[[2 + b for _, b in _CELL_COMBOS]]
+
+
+def _feasible_slopes(edges, sigma: SurfaceTension, lo, hi) -> bool:
+    if np.min(edges) <= lo or np.max(edges) >= hi:
+        return False
+    return sigma.feasible(*_pairings(edges), margin=0.0)
 
 
 def _raw_action(hf: HeightField, sigma: SurfaceTension, V: float) -> float:
-    dxb, dxt, dyl, dyr = hf.edge_slopes()
+    xs, ys = _pairings(hf.edge_slopes())
     g = hf.grid
     quarter = 0.25 * g.hx * g.hy
-    xs = (dxb, dxt)
-    ys = (dyl, dyr)
-    total = 0.0
-    for a, b in _CELL_COMBOS:
-        total += float(np.sum(sigma.value(xs[a], ys[b]) + V * xs[a]))
-    return total * quarter
+    cells = sigma.value(xs, ys) + V * xs
+    return sum(float(np.sum(c)) for c in cells) * quarter   # per pairing: fixed rounding
 
 
 def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
@@ -227,9 +222,8 @@ def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
     the four forward edge differences.  Convex in the node values, exact
     on affine fields, and symmetric under both grid reflections.
     """
-    slopes = hf.edge_slopes()
     lo, hi = sigma.inset_box(eps)
-    if not _feasible_slopes(slopes, sigma, lo - eps / 2, hi + eps / 2):
+    if not _feasible_slopes(hf.edge_slopes(), sigma, lo - eps / 2, hi + eps / 2):
         raise SlopeOutOfDomain("cell edge slopes leave the admissible box")
     return _raw_action(hf, sigma, V)
 
@@ -237,12 +231,12 @@ def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
 def action_gradient(hf: HeightField, sigma: SurfaceTension, V: float = 0.0) -> np.ndarray:
     """d action / d h at every node (monodromy held fixed)."""
     g = hf.grid
-    slopes = hf.edge_slopes()
-    cell = np.zeros(slopes[0].shape + (4,))    # per cell, on its four nodes
-    for a, b in _CELL_COMBOS:
-        ga, gb = sigma.grad(slopes[a], slopes[2 + b])
-        cell += ((np.asarray(ga) + V)[..., None] * (_EDGE_STENCILS[a] / g.hx)
-                 + np.asarray(gb)[..., None] * (_EDGE_STENCILS[2 + b] / g.hy))
+    xs, ys = _pairings(hf.edge_slopes())
+    ga, gb = (np.asarray(d) for d in sigma.grad(xs, ys))
+    cell = np.zeros(xs.shape[1:] + (4,))    # per cell, on its four nodes
+    for k, (a, b) in enumerate(_CELL_COMBOS):
+        cell += ((ga[k] + V)[..., None] * (_EDGE_STENCILS[a] / g.hx)
+                 + gb[k][..., None] * (_EDGE_STENCILS[2 + b] / g.hy))
     cell *= 0.25 * g.hx * g.hy
     out = np.zeros((g.nx, g.ny))
     out[:-1] += cell[..., 0] + np.roll(cell[..., 2], 1, axis=1)
@@ -288,11 +282,8 @@ def ff_el_residual(hf: HeightField, u: float) -> np.ndarray:
 def facet_mask(hf: HeightField, eps: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
     """Cells whose slopes sit on the inset box after convergence."""
     lo, hi = hf.lo + eps, hf.hi - eps
-    fields = hf.edge_slopes()
-    on = np.zeros(fields[0].shape, dtype=bool)
-    for s in fields:
-        on |= (np.abs(s - lo) <= tol) | (np.abs(s - hi) <= tol)
-    return on
+    edges = hf.edge_slopes()
+    return np.any((np.abs(edges - lo) <= tol) | (np.abs(edges - hi) <= tol), axis=0)
 
 
 @dataclass
@@ -303,6 +294,8 @@ class SolveInfo:
     converged: bool = True
     evals: int = 0         # objective (action plus gradient) evaluations
     backtracks: int = 0    # line-search trials rejected
+    start_checks: int = 0  # feasibility checks choosing the default start
+    phase_s: dict = field(default_factory=dict)   # seconds per solver phase
 
 
 def _hessian_blocks(hf: HeightField, sigma: SurfaceTension):
@@ -314,11 +307,11 @@ def _hessian_blocks(hf: HeightField, sigma: SurfaceTension):
     q [x_a; y_b]^T [[h11, h12], [h12, h22]] [x_a; y_b].
     """
     g = hf.grid
-    slopes = hf.edge_slopes()
-    cell = np.zeros(slopes[0].shape + (4, 4))
-    for a, b in _CELL_COMBOS:
-        h11, h12, h22 = (np.asarray(h)[..., None, None]
-                         for h in sigma.hess(slopes[a], slopes[2 + b]))
+    xs, ys = _pairings(hf.edge_slopes())
+    hess = [np.asarray(h)[..., None, None] for h in sigma.hess(xs, ys)]
+    cell = np.zeros(xs.shape[1:] + (4, 4))
+    for k, (a, b) in enumerate(_CELL_COMBOS):
+        h11, h12, h22 = (h[k] for h in hess)
         x, y = _EDGE_STENCILS[a] / g.hx, _EDGE_STENCILS[2 + b] / g.hy
         xy = np.outer(x, y)
         cell += h11 * np.outer(x, x) + h12 * (xy + xy.T) + h22 * np.outer(y, y)
@@ -357,6 +350,41 @@ def _block_tridiag_solve(diag, upper, rhs):
     for k in range(len(diag) - 2, -1, -1):
         rp[k] -= cp[k] @ rp[k + 1]
     return rp
+
+
+def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
+    """Affine interpolation of the end columns at the median feasible one of
+    63 constant x-slopes s, and the feasibility checks spent finding it.
+
+    The x-edge slopes are s plus a constant, the y-edge slopes do not depend
+    on s and the domain is convex, so the feasible s form an interval: one
+    member is found coarse to fine (middle, quarter points, eighth points,
+    ...), then both ends by bisection."""
+    frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
+    slopes = np.linspace(box_lo, box_hi, 65)[1:-1]
+    checks = 0
+
+    def candidate(k):
+        return (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * slopes[k])
+
+    def ok(k):
+        nonlocal checks
+        checks += 1
+        return feasible(candidate(k))
+
+    def end(bad, good):   # bisect between an index outside and one inside
+        while abs(good - bad) > 1:
+            mid = (bad + good) // 2
+            bad, good = (bad, mid) if ok(mid) else (mid, good)
+        return good
+
+    n = len(slopes)
+    coarse_to_fine = sorted(range(n), key=lambda k: -((k + 1) & -(k + 1)))
+    inside = next((k for k in coarse_to_fine if ok(k)), None)
+    if inside is None:
+        raise SlopeOutOfDomain("no constant x-slope gives a feasible starting field")
+    first, last = end(-1, inside), end(n, inside)
+    return candidate(first + (last - first + 1) // 2), checks
 
 
 def _newton_direction(hf: HeightField, sigma: SurfaceTension, gvec):
@@ -404,24 +432,28 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     def feasible(h):
         return _feasible_slopes(field_of(h).edge_slopes(), sigma, box_lo, box_hi)
 
-    if start is None:
-        # affine interpolation of the end columns at the median feasible
-        # one of 63 constant x-slopes; the feasible slopes form an interval
-        frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
-        fields = ((1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * s)
-                  for s in np.linspace(box_lo, box_hi, 65)[1:-1])
-        ok = [h for h in fields if feasible(h)]
-        if not ok:
-            raise SlopeOutOfDomain("no constant x-slope gives a feasible starting field")
-        h0 = ok[len(ok) // 2]
-    else:
-        h0 = np.asarray(start, dtype=float).copy()
-        if h0.shape != (grid.nx, grid.ny):
-            raise Inconsistent("start field has the wrong shape")
-        # project the start onto the boundary constraints
-        h0 = h0 - h0[0, 0]
-        h0[0, :] = x1
-        h0[-1, :] = x2 + (np.mean(h0[-1, :]) - np.mean(x2))
+    phase_s = dict.fromkeys(("start", "objective", "newton_direction"), 0.0)
+
+    @contextmanager
+    def timed(phase):
+        tic = time.perf_counter()
+        try:
+            yield
+        finally:
+            phase_s[phase] += time.perf_counter() - tic
+
+    checks = 0
+    with timed("start"):
+        if start is None:
+            h0, checks = _default_start(grid, x1, x2, feasible, box_lo, box_hi)
+        else:
+            h0 = np.asarray(start, dtype=float).copy()
+            if h0.shape != (grid.nx, grid.ny):
+                raise Inconsistent("start field has the wrong shape")
+            # project the start onto the boundary constraints
+            h0 = h0 - h0[0, 0]
+            h0[0, :] = x1
+            h0[-1, :] = x2 + (np.mean(h0[-1, :]) - np.mean(x2))
 
     def unpack(vec):
         h = np.empty((grid.nx, grid.ny))
@@ -433,13 +465,14 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     def objective(vec):
         nonlocal evals
         evals += 1
-        h = unpack(vec)
-        if not feasible(h):
-            return np.inf, None
-        hf = field_of(h)
-        gfull = action_gradient(hf, sigma, V)
-        gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
-        return _raw_action(hf, sigma, V), gvec
+        with timed("objective"):
+            h = unpack(vec)
+            if not feasible(h):
+                return np.inf, None
+            hf = field_of(h)
+            gfull = action_gradient(hf, sigma, V)
+            gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
+            return _raw_action(hf, sigma, V), gvec
 
     v = np.concatenate([h0[1:-1, :].ravel(), [h0[-1, 0] - x2[0]]])
     f, gvec = objective(v)
@@ -453,7 +486,8 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     n_iter = backtracks = 0
     while gnorm > tol and n_iter < max_iter:
         try:
-            d = _newton_direction(field_of(unpack(v)), sigma, gvec)
+            with timed("newton_direction"):
+                d = _newton_direction(field_of(unpack(v)), sigma, gvec)
             slope = float(gvec @ d)
         except np.linalg.LinAlgError:
             slope = np.nan
@@ -480,7 +514,8 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
 
     hf = field_of(unpack(v))
     info = SolveInfo(iterations=n_iter, grad_norm=gnorm, actions=actions,
-                     converged=gnorm <= tol, evals=evals, backtracks=backtracks)
+                     converged=gnorm <= tol, evals=evals, backtracks=backtracks,
+                     start_checks=checks, phase_s=phase_s)
     if not info.converged:
         raise NonConvergence("projected gradient criterion not met", best=hf,
                              diagnostics={"grad_norm": gnorm, "iterations": n_iter,

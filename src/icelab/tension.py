@@ -358,7 +358,8 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
     whose Jacobian is the exact Hessian of f from the located crossings
     (`grad_free_energy` with ``hessian=True``); an accepted line-search
-    trial hands its Hessian on to the next step.  Returns (sigma, (H, V)).
+    trial hands its Hessian on to the next step, and the Newton step off the
+    last residual is taken before returning.  Returns (sigma, (H, V)).
     A free energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
     if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
@@ -373,6 +374,11 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
     prev = None
     for _ in range(max_iter):
         if np.max(np.abs(r)) <= tol:
+            # the residual bounds (H, V)'s error only by |Hess sigma| tol;
+            # one last Newton step on the Hessian in hand removes it
+            if abs(np.linalg.det(jac)) >= 1e-14:
+                delta = np.linalg.solve(jac, -r)
+                H, V = H + delta[0], V + delta[1]
             return s * H + t * V - fef.value(H, V), (H, V)
         if abs(np.linalg.det(jac)) < 1e-14:
             # stepped onto a facet of the gradient map; back toward the
@@ -419,9 +425,9 @@ def _check_hex_domain(s, t):
 
 def sigma_hex(s, t):
     """-(1/pi) (L(pi s) + L(pi t) + L(pi (1 - s - t)))."""
-    s, t = _check_hex_domain(s, t)
-    return -(lobachevsky_fast(np.pi * s) + lobachevsky_fast(np.pi * t)
-             + lobachevsky_fast(np.pi * (1.0 - s - t))) / np.pi
+    s, t = np.broadcast_arrays(*_check_hex_domain(s, t))
+    lob = lobachevsky_fast(np.pi * np.stack([s, t, 1.0 - s - t]))
+    return -(lob[0] + lob[1] + lob[2]) / np.pi
 
 
 def grad_sigma_hex(s, t):

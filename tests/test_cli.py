@@ -139,6 +139,15 @@ def test_solve_log_reports_evals_and_backtracks(tmp_path):
     assert log["evals"] >= log["iterations"] >= 1
 
 
+def test_solve_log_reports_start_checks_and_phase_seconds(tmp_path):
+    code = run(["solve", "--nx", "17", "--ny", "16", "--out", str(tmp_path)])
+    assert code == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert 1 <= log["start_checks"] <= 16
+    assert set(log["phase_s"]) == {"start", "objective", "newton_direction"}
+    assert all(v >= 0.0 for v in log["phase_s"].values())
+
+
 def test_solve_free_fermion_takes_few_newton_steps(tmp_path):
     # the tension value agrees with its exact gradient, so the line search
     # takes full Newton steps

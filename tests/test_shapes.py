@@ -65,6 +65,72 @@ def test_action_gradient_matches_finite_differences():
         assert abs(fd - g[i, j]) < 1e-9
 
 
+def test_sigma_hex_stacked_equals_three_lobachevsky_calls():
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.01, 0.6, (4, 8, 8))
+    t = rng.uniform(0.01, 0.39, (4, 8, 8))
+    for a, b in ((s, t), (0.3, t), (s[0, 0, 0], t[0, 0, 0])):
+        three = -(tn.lobachevsky_fast(np.pi * np.asarray(a))
+                  + tn.lobachevsky_fast(np.pi * np.asarray(b))
+                  + tn.lobachevsky_fast(np.pi * (1.0 - np.asarray(a) - np.asarray(b)))) / np.pi
+        stacked = tn.sigma_hex(a, b)
+        assert stacked.shape == three.shape and np.array_equal(stacked, three)
+
+
+def _per_pairing(hf, sigma, V):
+    """Action, gradient and Hessian blocks with one tension call per
+    (x-edge, y-edge) pairing of the cell."""
+    g = hf.grid
+    slopes = hf.edge_slopes()
+    total = 0.0
+    grad_cell = np.zeros(slopes[0].shape + (4,))
+    hess_cell = np.zeros(slopes[0].shape + (4, 4))
+    for a, b in sh._CELL_COMBOS:
+        sx, sy = slopes[a], slopes[2 + b]
+        total += float(np.sum(sigma.value(sx, sy) + V * sx))
+        ga, gb = sigma.grad(sx, sy)
+        x, y = sh._EDGE_STENCILS[a] / g.hx, sh._EDGE_STENCILS[2 + b] / g.hy
+        grad_cell += ((np.asarray(ga) + V)[..., None] * x + np.asarray(gb)[..., None] * y)
+        h11, h12, h22 = (np.asarray(h)[..., None, None] for h in sigma.hess(sx, sy))
+        xy = np.outer(x, y)
+        hess_cell += h11 * np.outer(x, x) + h12 * (xy + xy.T) + h22 * np.outer(y, y)
+    quarter = 0.25 * g.hx * g.hy
+    grad_cell *= quarter
+    hess_cell *= quarter
+    grad = np.zeros((g.nx, g.ny))
+    grad[:-1] += grad_cell[..., 0] + np.roll(grad_cell[..., 2], 1, axis=1)
+    grad[1:] += grad_cell[..., 1] + np.roll(grad_cell[..., 3], 1, axis=1)
+    j = np.arange(g.ny)
+    pairs = (j, (j + 1) % g.ny)
+
+    def scatter(block, rows, cols):
+        for r, jr in zip(rows, pairs):
+            for c, jc in zip(cols, pairs):
+                block[:, jr, jc] += hess_cell[:, :, r, c]
+
+    diag = np.zeros((g.nx, g.ny, g.ny))
+    upper = np.zeros((g.nx - 1, g.ny, g.ny))
+    scatter(diag[:-1], (0, 2), (0, 2))
+    scatter(diag[1:], (1, 3), (1, 3))
+    scatter(upper, (0, 2), (1, 3))
+    return total * quarter, grad, diag, upper
+
+
+@pytest.mark.parametrize("sigma", [HEX, tn.ff_tension(1.0), tn.quadratic_tension(1.0, 0.3, 2.0)],
+                         ids=["hex", "ff", "quadratic"])
+def test_stacked_pairings_equal_the_per_pairing_loop(sigma):
+    grid = sh.CylinderGrid(1.0, 1.0, 9, 8)
+    rng = np.random.default_rng(12)
+    base = affine_field(grid, 0.3, 0.35).values + 0.004 * rng.standard_normal((9, 8))
+    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35)
+    V = 0.4
+    total, grad, diag, upper = _per_pairing(hf, sigma, V)
+    assert sh.action(hf, sigma, V) == total
+    assert np.array_equal(sh.action_gradient(hf, sigma, V), grad)
+    blocks = sh._hessian_blocks(hf, sigma)
+    assert np.array_equal(blocks[0], diag) and np.array_equal(blocks[1], upper)
+
+
 def test_action_slope_out_of_domain():
     grid = sh.CylinderGrid(1.0, 1.0, 5, 4)
     hf = affine_field(grid, 0.9, 0.3)   # s + t > 1 leaves the hex triangle
@@ -191,6 +257,61 @@ def test_default_start_feasible_for_steep_end_slopes():
         assert info.evals >= info.iterations
 
 
+def _median_scan_start(grid, sigma, bd, eps=1e-6):
+    """The default start as a scan of all 63 constant x-slopes, taking the
+    median feasible one; None when none is feasible."""
+    box_lo, box_hi = sigma.lo + eps, sigma.hi - eps
+    x1, x2 = bd.profiles(grid.hy)
+    kappa = bd.monodromy(grid.hy)
+    frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
+    ok = []
+    for s in np.linspace(box_lo, box_hi, 65)[1:-1]:
+        h = (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * s)
+        slopes = sh.HeightField(grid, h, sigma.lo, sigma.hi, kappa).edge_slopes()
+        if all(np.min(e) > box_lo and np.max(e) < box_hi for e in slopes) and all(
+                sigma.feasible(slopes[a], slopes[2 + b]) for a, b in sh._CELL_COMBOS):
+            ok.append(h)
+    return ok[len(ok) // 2] if ok else None
+
+
+@pytest.mark.parametrize("sigma", [HEX, tn.ff_tension(1.0),
+                                   tn.quadratic_tension(1.0, 0.3, 2.0, box=1.0)],
+                         ids=["hex", "ff", "quadratic"])
+def test_default_start_is_the_median_of_the_full_scan(sigma, monkeypatch):
+    grid = sh.CylinderGrid(1.0, 1.0, 17, 16)
+    y = grid.ys() + grid.hy / 2
+    real = sh._default_start
+    seen = []
+    monkeypatch.setattr(sh, "_default_start", lambda *args: seen.append(real(*args)) or seen[-1])
+    for t in (1e-7, 0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.98, 0.9999999):
+        for amp in (0.0, 0.015):
+            bd = sh.BoundaryData(t + amp * np.sin(2 * np.pi * y), t - amp * np.cos(2 * np.pi * y))
+            ref = _median_scan_start(grid, sigma, bd)
+            seen.clear()
+            if ref is None:
+                with pytest.raises(SlopeOutOfDomain):
+                    sh.minimize_action(grid, sigma, bd, tol=np.inf)
+                continue
+            _, info = sh.minimize_action(grid, sigma, bd, tol=np.inf)
+            (h0, checks), = seen
+            assert np.array_equal(h0, ref)
+            assert checks == info.start_checks
+            if t <= 0.9:   # the interval then holds at least 5 candidates
+                assert checks <= 16
+
+
+def test_solve_info_reports_start_checks_and_phase_seconds():
+    grid = sh.CylinderGrid(1.0, 1.0, 17, 16)
+    bd = sh.BoundaryData(np.full(16, 0.35), np.full(16, 0.35))
+    hf, info = sh.minimize_action(grid, HEX, bd, tol=1e-10)
+    assert 1 <= info.start_checks <= 16
+    assert set(info.phase_s) == {"start", "objective", "newton_direction"}
+    assert all(v >= 0.0 for v in info.phase_s.values())
+    assert info.phase_s["objective"] > 0.0 and info.phase_s["newton_direction"] > 0.0
+    _, warm = sh.minimize_action(grid, HEX, bd, tol=1e-10, start=hf.values)
+    assert warm.start_checks == 0
+
+
 def test_hessian_blocks_match_gradient_differences():
     grid = sh.CylinderGrid(1.0, 1.0, 5, 4)
     rng = np.random.default_rng(7)
@@ -304,3 +425,29 @@ def test_prolong_preserves_affine():
     out = sh.prolong(hf, fine)
     xs, ys = np.meshgrid(fine.xs(), fine.ys(), indexing="ij")
     assert np.max(np.abs(out - (0.25 * xs + 0.4 * ys))) < 1e-12
+
+
+def _prolong_loop(hf, grid):
+    """prolong as one np.interp per (fine y, source x) pair."""
+    src = hf.grid
+    h = hf.wrapped()
+    xs_src = src.xs()
+    ys_src = np.arange(src.ny + 1) * src.hy
+    out = np.empty((grid.nx, grid.ny))
+    ramp = hf.kappa / src.L
+    for j, y in enumerate(np.arange(grid.ny) * grid.hy):
+        yy = y % src.L
+        col = np.array([np.interp(yy, ys_src, h[i, :] - ramp * ys_src)
+                        for i in range(src.nx)]) + ramp * yy
+        out[:, j] = np.interp(np.linspace(0, src.T, grid.nx), xs_src, col)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_prolong_equals_the_pointwise_loop(n):
+    coarse = sh.CylinderGrid(0.7, 1.3, n + 1, n)
+    fine = sh.CylinderGrid(0.7, 1.3, 2 * n + 1, 2 * n)
+    rng = np.random.default_rng(n)
+    base = affine_field(coarse, 0.3, 0.4).values + 0.01 * rng.standard_normal((n + 1, n))
+    hf = sh.HeightField(coarse, base, 0.0, 1.0, kappa=0.4 * coarse.L)
+    assert np.array_equal(sh.prolong(hf, fine), _prolong_loop(hf, fine))

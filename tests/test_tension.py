@@ -468,12 +468,11 @@ def test_legendre_involution_on_the_hex_triangle(s, frac):
     with pytest.MonkeyPatch.context() as mp_:
         mp_.setattr(tn, "grad_free_energy",
                     lambda *args, **kw: calls.append(args) or real(*args, **kw))
-        # (H, V) is off by up to |Hess sigma| * tol, and |Hess sigma| reaches
-        # 40 at this margin, so the residual is asked to 1e-10
-        sig, (H, V) = tn.legendre_sigma(tn.FreeEnergyField(tn.hex_curve()), s, t,
-                                        tol=1e-10)
+        # the residual at the default tol alone leaves (H, V) off by up to
+        # |Hess sigma| * tol, and |Hess sigma| reaches 40 at this margin
+        sig, (H, V) = tn.legendre_sigma(tn.FreeEnergyField(tn.hex_curve()), s, t)
     gs, gt = tn.grad_sigma_hex(s, t)
-    assert max(abs(H - gs), abs(V - gt)) <= 1e-8
+    assert max(abs(H - gs), abs(V - gt)) <= 1e-10
     assert abs(sig - tn.sigma_hex(s, t)) <= 1e-9
     assert len(calls) <= 16
 
