@@ -484,8 +484,8 @@ def cmd_sixv(args, cfg) -> int:
             print(f"Yang-Baxter residual: {res:.3e}")
     else:
         w = sv.VertexWeights(1.0, 1.0, 1.0, H, V)
-    if opts["transfer"]:
-        op = sv.transfer(opts["transfer"], w)
+    if opts["transfer"] is not None:      # 0 and N > DENSE_CAP are errors
+        op = sv.transfer(opts["transfer"], w, dense=True)
         _write_csv(os.path.join(out, "transfer.csv"),
                    [f"c{k}" for k in range(op.dim)], op.matrix)
         payload["transfer_rows"] = op.dim

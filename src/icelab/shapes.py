@@ -205,10 +205,9 @@ def _feasible_slopes(edges, sigma: SurfaceTension, lo, hi) -> bool:
     return sigma.feasible(*_pairings(edges), margin=0.0)
 
 
-def _raw_action(hf: HeightField, sigma: SurfaceTension, V: float) -> float:
-    xs, ys = _pairings(hf.edge_slopes())
-    g = hf.grid
-    quarter = 0.25 * g.hx * g.hy
+def _raw_action(grid: CylinderGrid, edges, sigma: SurfaceTension, V: float) -> float:
+    xs, ys = _pairings(edges)
+    quarter = 0.25 * grid.hx * grid.hy
     cells = sigma.value(xs, ys) + V * xs
     return sum(float(np.sum(c)) for c in cells) * quarter   # per pairing: fixed rounding
 
@@ -223,15 +222,17 @@ def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
     on affine fields, and symmetric under both grid reflections.
     """
     lo, hi = sigma.inset_box(eps)
-    if not _feasible_slopes(hf.edge_slopes(), sigma, lo - eps / 2, hi + eps / 2):
+    edges = hf.edge_slopes()
+    if not _feasible_slopes(edges, sigma, lo - eps / 2, hi + eps / 2):
         raise SlopeOutOfDomain("cell edge slopes leave the admissible box")
-    return _raw_action(hf, sigma, V)
+    return _raw_action(hf.grid, edges, sigma, V)
 
 
-def action_gradient(hf: HeightField, sigma: SurfaceTension, V: float = 0.0) -> np.ndarray:
-    """d action / d h at every node (monodromy held fixed)."""
+def action_gradient(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
+                    edges=None) -> np.ndarray:
+    """d action / d h at every node (monodromy held fixed), from hf's edge slopes."""
     g = hf.grid
-    xs, ys = _pairings(hf.edge_slopes())
+    xs, ys = _pairings(hf.edge_slopes() if edges is None else edges)
     ga, gb = (np.asarray(d) for d in sigma.grad(xs, ys))
     cell = np.zeros(xs.shape[1:] + (4,))    # per cell, on its four nodes
     for k, (a, b) in enumerate(_CELL_COMBOS):
@@ -298,7 +299,7 @@ class SolveInfo:
     phase_s: dict = field(default_factory=dict)   # seconds per solver phase
 
 
-def _hessian_blocks(hf: HeightField, sigma: SurfaceTension):
+def _hessian_blocks(g: CylinderGrid, edges, sigma: SurfaceTension):
     """Hessian of the action in the node values, as x-column blocks.
 
     Returns (diag, upper): diag[i] couples column i with itself and
@@ -306,8 +307,7 @@ def _hessian_blocks(hf: HeightField, sigma: SurfaceTension):
     (ny, ny) blocks, periodic in y.  Each cell adds, per combo,
     q [x_a; y_b]^T [[h11, h12], [h12, h22]] [x_a; y_b].
     """
-    g = hf.grid
-    xs, ys = _pairings(hf.edge_slopes())
+    xs, ys = _pairings(edges)
     hess = [np.asarray(h)[..., None, None] for h in sigma.hess(xs, ys)]
     cell = np.zeros(xs.shape[1:] + (4, 4))
     for k, (a, b) in enumerate(_CELL_COMBOS):
@@ -387,15 +387,15 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
     return candidate(first + (last - first + 1) // 2), checks
 
 
-def _newton_direction(hf: HeightField, sigma: SurfaceTension, gvec):
+def _newton_direction(grid: CylinderGrid, edges, sigma: SurfaceTension, gvec):
     """Solve H d = -g over the free variables (interior nodes, then c_t).
 
     c_t moves the whole right column, so its Hessian row is the column sum
     of that column's couplings: it borders the last interior block and is
     eliminated by a Schur step on a second right-hand side.
     """
-    diag, upper = _hessian_blocks(hf, sigma)
-    m, ny = hf.grid.nx - 2, hf.grid.ny
+    diag, upper = _hessian_blocks(grid, edges, sigma)
+    m, ny = grid.nx - 2, grid.ny
     border = np.zeros((m, ny))
     border[-1:] = np.sum(upper[-1], axis=1)
     rhs = np.stack([-gvec[:-1].reshape(m, ny), border], axis=2)
@@ -462,20 +462,20 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
 
     evals = 0
 
-    def objective(vec):
+    def objective(vec):   # its edge slopes are built once and kept for the Newton step
         nonlocal evals
         evals += 1
         with timed("objective"):
-            h = unpack(vec)
-            if not feasible(h):
-                return np.inf, None
-            hf = field_of(h)
-            gfull = action_gradient(hf, sigma, V)
+            hf = field_of(unpack(vec))
+            edges = hf.edge_slopes()
+            if not _feasible_slopes(edges, sigma, box_lo, box_hi):
+                return np.inf, None, None
+            gfull = action_gradient(hf, sigma, V, edges)
             gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
-            return _raw_action(hf, sigma, V), gvec
+            return _raw_action(grid, edges, sigma, V), gvec, edges
 
     v = np.concatenate([h0[1:-1, :].ravel(), [h0[-1, 0] - x2[0]]])
-    f, gvec = objective(v)
+    f, gvec, edges = objective(v)
     if not np.isfinite(f):
         raise SlopeOutOfDomain("starting field is infeasible")
     gnorm = float(np.max(np.abs(gvec)))
@@ -487,7 +487,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     while gnorm > tol and n_iter < max_iter:
         try:
             with timed("newton_direction"):
-                d = _newton_direction(field_of(unpack(v)), sigma, gvec)
+                d = _newton_direction(grid, edges, sigma, gvec)
             slope = float(gvec @ d)
         except np.linalg.LinAlgError:
             slope = np.nan
@@ -497,7 +497,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
         step = 1.0
         for _ in range(50):
             cand = v + step * d
-            fc, gc = objective(cand)
+            fc, gc, ec = objective(cand)
             if np.isfinite(fc):
                 gnc = float(np.max(np.abs(gc)))
                 # once action changes sit at roundoff, Armijo cannot see
@@ -508,7 +508,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
             step *= 0.5
         else:
             break                   # no acceptable step: stalled
-        v, f, gvec, gnorm = cand, fc, gc, gnc
+        v, f, gvec, gnorm, edges = cand, fc, gc, gnc, ec
         actions.append(f)
         n_iter += 1
 

@@ -58,6 +58,17 @@ def test_sixv_weights_and_partitions(tmp_path):
     assert abs(data["torus_partition"] - 2.0) < 1e-12   # 2a + 2b
 
 
+def test_sixv_transfer_rows_out_of_range(tmp_path, capsys):
+    assert run(["sixv", "--transfer", "2", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "transfer.csv").read_text().splitlines()) == 5
+    for rows, message in (("13", "capped at N = 12"), ("0", "at least one row")):
+        capsys.readouterr()
+        assert run(["sixv", "--transfer", rows, "--out", str(tmp_path / rows)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / rows).exists()
+
+
 def test_tension_csv_hex(tmp_path):
     code = run(["tension", "--variant", "hex", "--lo", "0.3333333333333333",
                 "--hi", "0.3333333333333333", "--n", "1", "--out", str(tmp_path)])

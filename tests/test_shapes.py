@@ -127,7 +127,7 @@ def test_stacked_pairings_equal_the_per_pairing_loop(sigma):
     total, grad, diag, upper = _per_pairing(hf, sigma, V)
     assert sh.action(hf, sigma, V) == total
     assert np.array_equal(sh.action_gradient(hf, sigma, V), grad)
-    blocks = sh._hessian_blocks(hf, sigma)
+    blocks = sh._hessian_blocks(grid, hf.edge_slopes(), sigma)
     assert np.array_equal(blocks[0], diag) and np.array_equal(blocks[1], upper)
 
 
@@ -321,7 +321,7 @@ def test_hessian_blocks_match_gradient_differences():
     def field(vals):
         return sh.HeightField(grid, vals, 0, 1, kappa=0.35)
 
-    diag, upper = sh._hessian_blocks(field(base), HEX)
+    diag, upper = sh._hessian_blocks(grid, field(base).edge_slopes(), HEX)
     dense = np.zeros((20, 20))
     for i in range(5):
         dense[4 * i:4 * i + 4, 4 * i:4 * i + 4] = diag[i]
@@ -342,7 +342,7 @@ def test_hessian_blocks_match_gradient_differences():
     proj[16:, 12] = 1.0
     g = sh.action_gradient(field(base), HEX)
     gvec = np.append(g[1:-1].ravel(), g[-1].sum())
-    newton = sh._newton_direction(field(base), HEX, gvec)
+    newton = sh._newton_direction(grid, field(base).edge_slopes(), HEX, gvec)
     assert np.max(np.abs(newton - np.linalg.solve(proj.T @ dense @ proj, -gvec))) < 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,31 @@ def test_transfer_dense_cap_and_matrix_free():
     free = sv.transfer(5, w, dense=False)
     v = rng.standard_normal(32)
     assert np.max(np.abs(dense.apply(v) - free.apply(v))) < 1e-12
+    # the tensordot contraction is not bit for bit the sector-block apply
+    for n in (8, 11):
+        for w in (ff_weights(0.7), sv.VertexWeights(1.1, 0.8, 1.3, 0.35, -0.6)):
+            v = rng.standard_normal(1 << n)
+            ref = sv.transfer(n, w).apply(v)
+            err = np.max(np.abs(sv.transfer(n, w, dense=False).apply(v) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (n, w)
+
+
+def test_sector_blocks_bound_memory_and_keep_sectors_apart():
+    w = sv.VertexWeights(1.1, 0.8, 1.3, 0.35, -0.6)
+    tracemalloc.start()
+    try:
+        sv.transfer(12, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6   # the dense 4096 x 4096 result alone is 128 MiB
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        a, b, c = rng.uniform(0.3, 2.0, 3)
+        H, V = rng.uniform(-0.7, 0.7, 2)
+        t = sv.transfer(n, sv.VertexWeights(a, b, c, H, V)).matrix
+        k = np.bitwise_count(np.arange(1 << n))
+        assert np.all(t[k[:, None] != k[None, :]] == 0.0), n
 
 
 # ---------------------------------------------------------------------------
