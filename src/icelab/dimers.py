@@ -231,6 +231,37 @@ def enumerate_matchings(g: BipartiteGraph) -> list[frozenset]:
 # relative height functions
 # ---------------------------------------------------------------------------
 
+def _face_walk(g: BipartiteGraph, step, ref_face: int | None, ref_value,
+               what: str) -> dict:
+    """Face values from ref_value at ref_face (default: the last face).
+
+    Crossing edge eid from its left to its right face, as `edge_sides` gives
+    them, adds step(eid); the other way subtracts it.  A face reached twice
+    with values 1e-9 apart raises Inconsistent("<what> do not close up").
+    """
+    sides = g.edge_sides()
+    nf = len(g.faces())
+    if ref_face is None:
+        ref_face = nf - 1
+    vals = {ref_face: ref_value}
+    queue = [ref_face]
+    while queue:
+        f = queue.pop()
+        for eid, (lw, rw) in sides.items():
+            if f not in (lw, rw):
+                continue
+            other, delta = (rw, step(eid)) if f == lw else (lw, -step(eid))
+            if other in vals:
+                if abs(vals[other] - (vals[f] + delta)) > 1e-9:
+                    raise Inconsistent(f"{what} do not close up")
+            else:
+                vals[other] = vals[f] + delta
+                queue.append(other)
+    if len(vals) != nf:
+        raise Inconsistent("graph not connected through faces")
+    return vals
+
+
 def relative_height(g: BipartiteGraph, d: frozenset, d0: frozenset,
                     ref_face: int | None = None, ref_value: int = 0) -> dict:
     """Integer face function of the composition cycles of (d, d0).
@@ -239,31 +270,9 @@ def relative_height(g: BipartiteGraph, d: frozenset, d0: frozenset,
     edge (left/right along black -> white) is +1 for edges of ``d`` and
     -1 for edges of ``d0``.
     """
-    sides = g.edge_sides()
-    nf = len(g.faces())
-    if ref_face is None:
-        ref_face = nf - 1
-    vals = {ref_face: ref_value}
-    # adjacency: crossing from R_wb -> L_wb is the white->black left step;
-    # black->white left = white->black right
-    queue = [ref_face]
-    while queue:
-        f = queue.pop()
-        for eid, (lw, rw) in sides.items():
-            if f not in (lw, rw):
-                continue
-            step = (1 if eid in d else 0) - (1 if eid in d0 else 0)
-            # step is theta(L_bw) - theta(R_bw) = theta(rw) - theta(lw)
-            other, delta = (rw, step) if f == lw else (lw, -step)
-            if other in vals:
-                if vals[other] != vals[f] + delta:
-                    raise Inconsistent("composition cycles do not close up")
-            else:
-                vals[other] = vals[f] + delta
-                queue.append(other)
-    if len(vals) != nf:
-        raise Inconsistent("graph not connected through faces")
-    return vals
+    # theta(L_bw) - theta(R_bw) = theta(rw) - theta(lw)
+    return _face_walk(g, lambda eid: (1 if eid in d else 0) - (1 if eid in d0 else 0),
+                      ref_face, ref_value, "composition cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -508,28 +517,9 @@ def trivalent_height(g: BipartiteGraph, d: frozenset,
     for v in g.internal_vertices():
         if len(g.incident[v]) != 3:
             raise NotTrivalent(f"vertex {v} has valence {len(g.incident[v])}")
-    sides = g.edge_sides()
-    nf = len(g.faces())
-    if ref_face is None:
-        ref_face = nf - 1
-    vals = {ref_face: ref_value}
-    queue = [ref_face]
-    while queue:
-        f = queue.pop()
-        for eid, (lw, rw) in sides.items():
-            if f not in (lw, rw):
-                continue
-            step = 1.0 if eid in d else -0.5    # theta(L) - theta(R)
-            other, delta = (rw, -step) if f == lw else (lw, step)
-            if other in vals:
-                if abs(vals[other] - (vals[f] + delta)) > 1e-9:
-                    raise Inconsistent("height steps do not close up")
-            else:
-                vals[other] = vals[f] + delta
-                queue.append(other)
-    if len(vals) != nf:
-        raise Inconsistent("graph not connected through faces")
-    return vals
+    # theta(rw) - theta(lw) = -(theta(L) - theta(R)) = -(1 or -1/2)
+    return _face_walk(g, lambda eid: -1.0 if eid in d else 0.5,
+                      ref_face, ref_value, "height steps")
 
 
 def weight_from_height(theta: dict, g: BipartiteGraph) -> float:

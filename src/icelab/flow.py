@@ -8,13 +8,14 @@ transform of the surface tension; the equations of motion read
     dp/dx = d/dy[ d2 tau(p, t) ],    dt/dx = d/dy[ d1 tau(p, t) ].
 
 Both tau-gradients assemble into one complex field Phi(l) = d2 tau + i pi
-d1 tau; for the closed-form densities Phi is one logarithm, the partials
-are read off it, and Phi'(l) = F(e^l) is the rational function of the
-spectral curve, so dl/dx = F(e^l) dl/dy.  Two independent integrators are
-provided: classical 4th-order method of lines on the Fourier coefficients
-of l, and the implicit complex-characteristic solver of the Burgers form
-(values transported along straight lines whose complex foot point is
-found by Newton continuation).
+d1 tau, and every density reads its partials off Phi.  For the closed-form
+densities Phi is one logarithm and Phi'(l) = F(e^l) is the rational
+function of the spectral curve, so dl/dx = F(e^l) dl/dy; for a generic
+tension Phi takes one partial Legendre transform per sample.  Two
+independent integrators are provided: classical 4th-order method of lines
+on the Fourier coefficients of l, and the implicit complex-characteristic
+solver of the Burgers form (values transported along straight lines whose
+complex foot point is found by Newton continuation).
 
 Normalization notes pinned by the analytic cross-checks in the tests:
 the closed-form densities obey d^2 H / d l^2 = F(e^l) / (2 pi i), and the
@@ -203,29 +204,20 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
 @dataclass
 class HamiltonianDensity:
     """tau(p, xi) with first and second partials, vectorized over arrays;
-    ``closed_phi`` is Phi(l) = d2 tau + i pi d1 tau in closed form, if known."""
+    ``phi`` is Phi(l) = d2 tau + i pi d1 tau at complex samples l, and the
+    partials are read off it.  d1 tau is the maximizer nu*."""
 
     tag: str
-    nu_star: object
+    d1: object
     value: object
     d2: object
-    sigma: SurfaceTension | None = None
+    phi: object
+    sigma: SurfaceTension
     burgers: BurgersFunction | None = None
-    closed_phi: object = None
-
-    def d1(self, p, t):
-        return self.nu_star(p, t)
-
-    def phi(self, l):
-        """Phi at the complex samples l."""
-        if self.closed_phi is not None:
-            return self.closed_phi(l)
-        p, t = l.real, l.imag / np.pi
-        return self.d2(p, t) + 1j * np.pi * np.asarray(self.d1(p, t))
 
     def second_partials(self, p, t):
         """(d11, d12, d22) via the Legendre relations at the maximizer."""
-        nu = self.nu_star(p, t)
+        nu = self.d1(p, t)
         h11, h12, h22 = self.sigma.hess(nu, t)
         det = h11 * h22 - h12 * h12
         return 1.0 / h11, -h12 / h11, -det / h11
@@ -242,7 +234,7 @@ def _closed_density(tag, phi, sigma, burgers) -> HamiltonianDensity:
         return p * s - sigma.value(s, t)
 
     return HamiltonianDensity(tag, lambda p, t: at(p, t).imag / np.pi, value,
-                              lambda p, t: at(p, t).real, sigma, burgers, phi)
+                              lambda p, t: at(p, t).real, phi, sigma, burgers)
 
 
 def hex_density() -> HamiltonianDensity:
@@ -255,20 +247,21 @@ def ff_density(u: float) -> HamiltonianDensity:
 
 
 def density_from_tension(sigma: SurfaceTension, tag: str | None = None) -> HamiltonianDensity:
-    """Generic density via pointwise partial Legendre transforms."""
+    """Generic density: Phi = d2 tau + i pi nu* from one partial Legendre
+    transform per sample."""
 
-    def lifted(field):
-        return np.vectorize(lambda p, t: getattr(partial_legendre(sigma, p, t), field),
-                            otypes=[float])
+    def phi_at(l):
+        pl = partial_legendre(sigma, l.real, l.imag / np.pi)
+        return pl.d2 + 1j * np.pi * pl.nu_star
 
-    return HamiltonianDensity(tag or f"Legendre[{sigma.variant}]", lifted("nu_star"),
-                              lifted("tau"), lifted("d2"), sigma=sigma)
+    return _closed_density(tag or f"Legendre[{sigma.variant}]",
+                           np.vectorize(phi_at, otypes=[complex]), sigma, None)
 
 
 def hamiltonian(state: FlowState, dens: HamiltonianDensity, V: float = 0.0) -> float:
     """Periodic-trapezoid value of int tau(p + V, dh/dy) dy."""
-    if dens.sigma is not None and not dens.sigma.feasible(
-            dens.nu_star(state.p + V, state.t), state.t, margin=0.0):
+    if not dens.sigma.feasible(
+            dens.d1(state.p + V, state.t), state.t, margin=0.0):
         raise DomainBoundary("state leaves the tension domain")
     return float(np.mean(dens.value(state.p + V, state.t))) * state.L
 
@@ -357,7 +350,7 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
         if not np.isfinite(phi).all():
             raise StepFailure("density partials blew up")
         d1 = phi.imag / np.pi
-        if sigma is not None and not sigma.feasible(d1, l.imag / np.pi, margin=0.0):
+        if not sigma.feasible(d1, l.imag / np.pi, margin=0.0):
             raise StepFailure("state left the tension domain")
         return ik * np.fft.fft(phi), d1
 
@@ -409,17 +402,17 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
 class _TrigInterp:
     """Entire trigonometric interpolant of periodic complex samples.
 
-    Modes below the relative threshold are dropped: their coefficients
+    Modes below 1e-13 of the largest are dropped: their coefficients
     carry only roundoff, which the factor exp(2 pi |k| Im zeta) of the
     analytic continuation would amplify catastrophically off the axis.
     """
 
-    def __init__(self, samples: np.ndarray, L: float, rel_tol: float = 1e-13):
+    def __init__(self, samples: np.ndarray, L: float):
         n = samples.size
         self.L = L
         c = np.fft.fft(samples) / n
         k = np.fft.fftfreq(n, d=1.0 / n) * (2 * np.pi / L)
-        keep = np.abs(c) > rel_tol * max(float(np.max(np.abs(c))), 1e-300)
+        keep = np.abs(c) > 1e-13 * max(float(np.max(np.abs(c))), 1e-300)
         self.c = c[keep]
         self.k = k[keep]
         self.dc = 1j * self.k * self.c
@@ -431,24 +424,23 @@ class _TrigInterp:
 
 
 def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
-                   sign: int = +1, substeps: int | None = None,
-                   newton_tol: float = 1e-13) -> FlowState:
+                   sign: int = +1) -> FlowState:
     """Transport l along straight characteristics to axis position x.
 
     The value at (x, y) is l0(zeta) with the complex foot point solving
     zeta = y + sign * x F(e^(l0(zeta))).  The foot-point field is tracked
     along its branch by integrating d zeta / dx = F / (1 - x dG/dzeta)
-    (G = F o exp o l0) with classical 4th-order steps, then polished by
-    Newton to the requested tolerance.  The default sign is the one under
-    which the reconstructed height satisfies the elliptic limit-shape
-    equation.  Raises ShockDetected when the characteristic Jacobian
-    degenerates or the foot points stop increasing across the period.
+    (G = F o exp o l0) with classical 4th-order steps, at least 16 and at
+    most 0.005 in x each, then polished by Newton to 1e-13.  The default
+    sign is the one under which the reconstructed height satisfies the
+    elliptic limit-shape equation.  Raises ShockDetected when the
+    characteristic Jacobian degenerates or the foot points stop increasing
+    across the period.
     """
     interp = _TrigInterp(state.l, state.L)
     ys = state.ys.astype(complex)
     zeta = ys.copy()
-    if substeps is None:
-        substeps = max(16, int(math.ceil(abs(x) / 0.005)))
+    substeps = max(16, int(math.ceil(abs(x) / 0.005)))
     hy = state.L / state.ny
     dx = x / substeps
 
@@ -485,7 +477,7 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
     for _ in range(30):
         lz, ez, gprime = foot(zeta)
         g = zeta - sign * x * F(ez) - ys
-        if np.max(np.abs(g)) < newton_tol:
+        if np.max(np.abs(g)) < 1e-13:
             break
         jac = 1.0 - sign * x * gprime
         if np.min(np.abs(jac)) < SHOCK_DELTA:
@@ -512,13 +504,12 @@ def _as_density(obj) -> HamiltonianDensity:
     raise OutOfRange("expected a SurfaceTension or HamiltonianDensity")
 
 
-def poisson_bracket_residual(sig_u, sig_v, p_grid, xi_grid,
-                             fd_step: float = 2e-3) -> float:
+def poisson_bracket_residual(sig_u, sig_v, p_grid, xi_grid) -> float:
     """sup |d2 A - d1 B| over the (p, xi) grid by five-point differences.
 
-    A = d11 tau_u d2 tau_v - d11 tau_v d2 tau_u and B the mixed-partial
-    analogue; the sup vanishing is the closing step of the commuting-
-    Hamiltonian argument.
+    The step is 2e-3.  A = d11 tau_u d2 tau_v - d11 tau_v d2 tau_u and B
+    the mixed-partial analogue; the sup vanishing is the closing step of
+    the commuting-Hamiltonian argument.
     """
     du = _as_density(sig_u)
     dv = _as_density(sig_v)
@@ -531,7 +522,7 @@ def poisson_bracket_residual(sig_u, sig_v, p_grid, xi_grid,
     pg = np.asarray(p_grid, dtype=float)
     xg = np.asarray(xi_grid, dtype=float)
     pm, xm = np.meshgrid(pg, xg, indexing="ij")
-    h = fd_step
+    h = 2e-3
 
     def d5(fn, dp, dxi):
         vals = [fn(pm + k * dp, xm + k * dxi) for k in (-2, -1, 1, 2)]

@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Inconsistent, NonConvergence, SlopeOutOfDomain
-from .tension import SurfaceTension
+from .tension import SurfaceTension, coarse_to_fine
+
+BOX_INSET = 1e-6   # how far inside the tension's slope box the solver stays
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,7 @@ def _raw_action(grid: CylinderGrid, edges, sigma: SurfaceTension, V: float) -> f
     return sum(float(np.sum(c)) for c in cells) * quarter   # per pairing: fixed rounding
 
 
-def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
-           eps: float = 1e-6) -> float:
+def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0) -> float:
     """Symmetrized triangle-split discretization of the action.
 
     Each cell is split along both diagonals and the two splits averaged:
@@ -221,9 +222,9 @@ def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
     the four forward edge differences.  Convex in the node values, exact
     on affine fields, and symmetric under both grid reflections.
     """
-    lo, hi = sigma.inset_box(eps)
+    lo, hi = sigma.lo + BOX_INSET, sigma.hi - BOX_INSET
     edges = hf.edge_slopes()
-    if not _feasible_slopes(edges, sigma, lo - eps / 2, hi + eps / 2):
+    if not _feasible_slopes(edges, sigma, lo - BOX_INSET / 2, hi + BOX_INSET / 2):
         raise SlopeOutOfDomain("cell edge slopes leave the admissible box")
     return _raw_action(hf.grid, edges, sigma, V)
 
@@ -280,7 +281,7 @@ def ff_el_residual(hf: HeightField, u: float) -> np.ndarray:
     return hxx * st / ss - 2.0 * hxy * mid + hyy * ss / st
 
 
-def facet_mask(hf: HeightField, eps: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
+def facet_mask(hf: HeightField, eps: float = BOX_INSET, tol: float = 1e-9) -> np.ndarray:
     """Cells whose slopes sit on the inset box after convergence."""
     lo, hi = hf.lo + eps, hf.hi - eps
     edges = hf.edge_slopes()
@@ -361,7 +362,7 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
     member is found coarse to fine (middle, quarter points, eighth points,
     ...), then both ends by bisection."""
     frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
-    slopes = np.linspace(box_lo, box_hi, 65)[1:-1]
+    slopes = np.linspace(box_lo, box_hi, 65)
     checks = 0
 
     def candidate(k):
@@ -378,12 +379,10 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
             bad, good = (bad, mid) if ok(mid) else (mid, good)
         return good
 
-    n = len(slopes)
-    coarse_to_fine = sorted(range(n), key=lambda k: -((k + 1) & -(k + 1)))
-    inside = next((k for k in coarse_to_fine if ok(k)), None)
+    inside = next((k for k in coarse_to_fine(65) if ok(k)), None)
     if inside is None:
         raise SlopeOutOfDomain("no constant x-slope gives a feasible starting field")
-    first, last = end(-1, inside), end(n, inside)
+    first, last = end(0, inside), end(64, inside)
     return candidate(first + (last - first + 1) // 2), checks
 
 
@@ -408,26 +407,24 @@ def _newton_direction(grid: CylinderGrid, edges, sigma: SurfaceTension, gvec):
 def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
                     boundary: BoundaryData, V: float = 0.0,
                     tol: float = 1e-9, max_iter: int = 20000,
-                    eps: float = 1e-6, start: np.ndarray | None = None,
-                    lo: float | None = None, hi: float | None = None):
+                    start: np.ndarray | None = None):
     """Constrained minimizer of the discrete action.
 
     Returns (HeightField, SolveInfo).  Boundary tangential derivatives are
     matched exactly by construction; the interior nodes and the offset of
     the right end column are the free variables.  At most max_iter Newton
-    steps are taken.  Raises NonConvergence (carrying the best iterate) if
-    the gradient criterion is not met.
+    steps are taken, and every edge slope stays BOX_INSET inside the
+    tension's slope box.  Raises NonConvergence (carrying the best iterate)
+    if the gradient criterion is not met.
     """
     if boundary.t_left.size != grid.ny:
         raise Inconsistent("boundary profiles must match the grid")
-    lo = sigma.lo if lo is None else lo
-    hi = sigma.hi if hi is None else hi
-    box_lo, box_hi = lo + eps, hi - eps
+    box_lo, box_hi = sigma.lo + BOX_INSET, sigma.hi - BOX_INSET
     kappa = boundary.monodromy(grid.hy)
     x1, x2 = boundary.profiles(grid.hy)
 
     def field_of(h):
-        return HeightField(grid, h, lo, hi, kappa)
+        return HeightField(grid, h, sigma.lo, sigma.hi, kappa)
 
     def feasible(h):
         return _feasible_slopes(field_of(h).edge_slopes(), sigma, box_lo, box_hi)

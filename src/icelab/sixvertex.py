@@ -181,25 +181,12 @@ def _middle_r(regime: str, u_plus_v: float, gamma: float) -> np.ndarray:
 
 def _embed_three(r4: np.ndarray, pos: tuple[int, int]) -> np.ndarray:
     """Embed a two-site operator into C2 x C2 x C2 at the given slots."""
-    t = r4.reshape(2, 2, 2, 2)
-    out = np.zeros((2, 2, 2, 2, 2, 2))
-    idx_out = [None, None, None]
     i, j = pos
     k = ({0, 1, 2} - {i, j}).pop()
-    for oi in range(2):
-        for oj in range(2):
-            for ii in range(2):
-                for jj in range(2):
-                    val = t[oi, oj, ii, jj]
-                    if val == 0.0:
-                        continue
-                    for kk in range(2):
-                        o = [0, 0, 0]
-                        n = [0, 0, 0]
-                        o[i], o[j], o[k] = oi, oj, kk
-                        n[i], n[j], n[k] = ii, jj, kk
-                        out[o[0], o[1], o[2], n[0], n[1], n[2]] += val
-    return out.reshape(8, 8)
+    # axes (out i, out j, out k, in i, in j, in k), identity on slot k
+    full = np.einsum("abcd,ef->abecdf", r4.reshape(2, 2, 2, 2), np.eye(2))
+    slots = np.argsort((i, j, k))
+    return full.transpose(*slots, *(slots + 3)).reshape(8, 8)
 
 
 def yang_baxter_residual(u: float, v: float, regime: str, gamma: float,

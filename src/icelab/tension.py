@@ -318,7 +318,7 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
 
 @dataclass
 class FreeEnergyField:
-    """A curve's free energy at a quadrature tolerance, with a warm start.
+    """A curve's free energy at a quadrature tolerance.
 
     The Legendre solve takes gradients and Hessians from the module's
     `grad_free_energy`, looked up at call time.
@@ -326,7 +326,6 @@ class FreeEnergyField:
 
     curve: SpectralCurve
     tol: float = 1e-8
-    warm_start: object = None   # optional callable (s, t) -> (H, V)
 
     def value(self, H: float, V: float) -> float:
         """`free_energy` at tol; a miss raises NonConvergence with (H, V) as best."""
@@ -351,20 +350,20 @@ def _newton_polygon_contains(curve: SpectralCurve, s: float, t: float,
     return True
 
 
-def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
-                   tol: float = 1e-9, max_iter: int = 60):
+def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
     """sigma(s, t) = max over (H, V) of sH + tV - f(H, V).
 
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
     whose Jacobian is the exact Hessian of f from the located crossings
     (`grad_free_energy` with ``hessian=True``); an accepted line-search
     trial hands its Hessian on to the next step, and the Newton step off the
-    last residual is taken before returning.  Returns (sigma, (H, V)).
+    last residual is taken before returning.  It starts from (0, 0) and
+    takes at most 60 steps.  Returns (sigma, (H, V)).
     A free energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
     if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
         raise DomainBoundary(f"slope ({s}, {t}) not strictly inside the Newton polygon")
-    H, V = fef.warm_start(s, t) if fef.warm_start is not None else (0.0, 0.0)
+    H, V = 0.0, 0.0
 
     def residual(H, V):
         (gh, gv), hess = grad_free_energy(fef.curve, H, V, hessian=True)
@@ -372,7 +371,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float,
 
     r, jac = residual(H, V)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(60):
         if np.max(np.abs(r)) <= tol:
             # the residual bounds (H, V)'s error only by |Hess sigma| tol;
             # one last Newton step on the Hessian in hand removes it
@@ -506,14 +505,15 @@ def hess_sigma_ff(s, t, u):
     return h11, h12, h22
 
 
-def grad_free_energy_ff(H, V, u, clamp_tol: float = 1e-12):
-    """Closed-form (df/dH, df/dV) of the free-fermion free energy."""
+def grad_free_energy_ff(H, V, u):
+    """Closed-form (df/dH, df/dV) of the free-fermion free energy; an arccos
+    argument more than 1e-12 past +-1 raises OutOfRange."""
     if not 0.0 < u < np.pi / 2:
         raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
     tu, cu = math.tan(u), 1.0 / math.tan(u)
 
     def clamped_acos(x):
-        if abs(x) > 1.0 + clamp_tol:
+        if abs(x) > 1.0 + 1e-12:
             raise OutOfRange(f"arccos argument {x} out of range")
         return math.acos(min(1.0, max(-1.0, x)))
 
@@ -533,9 +533,6 @@ class SurfaceTension:
     grad: object
     hess: object
     feasible: object
-
-    def inset_box(self, eps: float = 1e-6) -> tuple[float, float]:
-        return self.lo + eps, self.hi - eps
 
 
 def hex_tension() -> SurfaceTension:
@@ -585,10 +582,9 @@ def quadratic_tension(qa: float, qb: float, qc: float,
                           grad, hess, lambda s, t, margin=0.0: True)
 
 
-def numeric_tension(curve: SpectralCurve, warm_start=None,
-                    tol: float = 1e-9) -> SurfaceTension:
+def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
     """Quadrature plus Legendre tension for an arbitrary curve."""
-    fef = FreeEnergyField(curve, warm_start=warm_start)
+    fef = FreeEnergyField(curve)
 
     def value(s, t):
         return legendre_sigma(fef, float(s), float(t), tol=tol)[0]
@@ -619,69 +615,56 @@ class PartialLegendre:
 
     tau: float
     nu_star: float
-    d1: float      # = nu_star
     d2: float      # = -d2 sigma at (nu_star, xi)
     d11: float     # = 1 / d11 sigma
-    d12: float     # = -d12 sigma / d11 sigma
     d22: float     # = (d12 sigma)^2/d11 sigma - d22 sigma = -det/d11
 
 
-def partial_legendre(sigma: SurfaceTension, p: float, xi: float,
-                     eps: float = 1e-9, tol: float = 1e-12) -> PartialLegendre:
-    """Legendre transform of sigma in its first slot at fixed xi."""
-    lo, hi = sigma.lo + eps, sigma.hi - eps
+def coarse_to_fine(n: int) -> list:
+    """Interior indices of an n = 2^m + 1 point grid: the middle, then the
+    quarter points, then the eighths, and so on."""
+    return sorted(range(1, n - 1), key=lambda k: -(k & -k))
 
-    def g(nu):
-        if not sigma.feasible(nu, xi, margin=0.0):
-            return None
-        return float(sigma.grad(nu, xi)[0]) - p
 
-    # bracket the root of d1 sigma = p on the feasible slice
-    grid = np.linspace(lo, hi, 65)
-    vals = []
-    for nu in grid:
-        try:
-            vals.append(g(nu))
-        except DomainBoundary:
-            vals.append(None)
-    pts = [(nu, v) for nu, v in zip(grid, vals) if v is not None]
-    if len(pts) < 2:
+def partial_legendre(sigma: SurfaceTension, p: float, xi: float) -> PartialLegendre:
+    """Legendre transform of sigma in its first slot at fixed xi.
+
+    Solves g(nu) = d1 sigma(nu, xi) - p = 0 by Newton on g' = d11 sigma from
+    the first feasible point of a 65-point grid, searched coarse to fine.
+    Every evaluated point tightens a bracket of the root; a step that leaves
+    it is bisected, and an infeasible trial point becomes the bracket end on
+    its side (the feasible slice is an interval).  Raises DomainBoundary if
+    no grid point is feasible, Unbounded if the bracket closes on an end of
+    the slice without a change of sign.
+    """
+    grid = np.linspace(sigma.lo + 1e-9, sigma.hi - 1e-9, 65)
+    nu = next((float(grid[k]) for k in coarse_to_fine(65) + [0, 64]
+               if sigma.feasible(grid[k], xi, margin=0.0)), None)
+    if nu is None:
         raise DomainBoundary(f"xi={xi} leaves no feasible slice")
-    bracket = None
-    for (n0, v0), (n1, v1) in zip(pts, pts[1:]):
-        if v0 == 0.0:
-            bracket = (n0, n0)
-            break
-        if v0 * v1 < 0:
-            bracket = (n0, n1)
-            break
-    if bracket is None:
-        if all(v < 0 for _, v in pts) or all(v > 0 for _, v in pts):
-            raise Unbounded(f"p={p} outside the closure of the gradient range")
-        raise NonConvergence("no bracket found for the partial transform")
-    a, b = bracket
+    a, b, evaluated = float(grid[0]), float(grid[-1]), set()
     for _ in range(200):
-        if b - a < tol:
+        d1s, d2s = (float(x) for x in sigma.grad(nu, xi))
+        h11, h12, h22 = (float(x) for x in sigma.hess(nu, xi))
+        if h11 <= 0:
+            raise NonConvergence("second derivative not positive at the maximizer")
+        evaluated.add(nu)
+        a, b = (nu, b) if d1s < p else (a, nu)
+        step, ulps = (p - d1s) / h11, 4 * np.spacing(max(1.0, abs(nu)))
+        if abs(step) <= ulps or b - a <= ulps and {a, b} <= evaluated:
             break
-        mid = 0.5 * (a + b)
-        vm = g(mid)
-        va = g(a)
-        if va == 0:
-            b = a
-            break
-        if (va < 0) == (vm < 0):
-            a = mid
-        else:
-            b = mid
-    nu = 0.5 * (a + b)
-    h11, h12, h22 = (float(x) for x in sigma.hess(nu, xi))
-    if h11 <= 0:
-        raise NonConvergence("second derivative not positive at the maximizer")
+        if b - a <= ulps:
+            raise Unbounded(f"p={p} outside the closure of the gradient range")
+        nu_new = nu + step if a < nu + step < b else 0.5 * (a + b)
+        while not sigma.feasible(nu_new, xi, margin=0.0):
+            a, b = (nu_new, b) if nu_new < nu else (a, nu_new)
+            nu_new = 0.5 * (a + b)
+        nu = nu_new
+    else:
+        raise NonConvergence("partial Legendre solve did not converge")
     tau = p * nu - float(sigma.value(nu, xi))
-    d2 = -float(sigma.grad(nu, xi)[1])
     det = h11 * h22 - h12 * h12
-    return PartialLegendre(tau=tau, nu_star=nu, d1=nu, d2=d2,
-                           d11=1.0 / h11, d12=-h12 / h11, d22=-det / h11)
+    return PartialLegendre(tau=tau, nu_star=nu, d2=-d2s, d11=1.0 / h11, d22=-det / h11)
 
 
 def hess_spectral_independence(s: float, t: float, u_list) -> float:

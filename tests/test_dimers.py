@@ -246,6 +246,17 @@ def test_all_unit_weights_give_unit_weight():
         assert abs(dm.weight_from_height(theta, g) - 1.0) < 1e-12
 
 
+def test_face_walks_reject_non_matchings():
+    # around a vertex the steps of a matching cancel; an empty set leaves -1
+    # per matched vertex (relative) and -3/2 per vertex (trivalent)
+    g = dm.cube_graph()
+    d0 = dm.enumerate_matchings(g)[0]
+    with pytest.raises(Inconsistent, match="composition cycles do not close up"):
+        dm.relative_height(g, frozenset(), d0)
+    with pytest.raises(Inconsistent, match="height steps do not close up"):
+        dm.trivalent_height(g, frozenset())
+
+
 def test_single_edge_height_step():
     g = dm.single_edge_graph()
     theta = dm.trivalent_height(g, frozenset({0}), ref_face=1, ref_value=0.0)

@@ -65,6 +65,26 @@ def test_action_gradient_matches_finite_differences():
         assert abs(fd - g[i, j]) < 1e-9
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["hex", "ff", "quad"]), s0=st.floats(0.2, 0.35),
+       t0=st.floats(0.2, 0.35), V=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_action_midpoint_convexity_property(variant, s0, t0, V, seed):
+    # two random feasible fields with one monodromy: node noise of 0.01 moves
+    # each edge slope by at most 0.1 on the 0.2 grid, so s, t > 0, s + t < 1
+    sigma = {"hex": HEX, "ff": tn.ff_tension(0.9),
+             "quad": tn.quadratic_tension(1.7, 0.4, 2.2)}[variant]
+    grid = sh.CylinderGrid(1.0, 1.0, 6, 5)
+    base = affine_field(grid, s0, t0).values
+    rng = np.random.default_rng(seed)
+    h1, h2 = (base + 0.01 * rng.uniform(-1.0, 1.0, base.shape) for _ in range(2))
+
+    def act(vals):
+        return sh.action(sh.HeightField(grid, vals, sigma.lo, sigma.hi, kappa=t0), sigma, V)
+
+    mean = 0.5 * (act(h1) + act(h2))
+    assert act(0.5 * (h1 + h2)) <= mean + 1e-13 * max(1.0, abs(mean))
+
+
 def test_sigma_hex_stacked_equals_three_lobachevsky_calls():
     rng = np.random.default_rng(11)
     s = rng.uniform(0.01, 0.6, (4, 8, 8))

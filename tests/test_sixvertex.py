@@ -1,8 +1,11 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icelab import sixvertex as sv
 from icelab.errors import DimensionMismatch, Inconsistent, OutOfRange, TooLarge
@@ -148,6 +151,28 @@ def test_ybe_swap_point_exact():
 def test_ybe_mismatched_gamma_control():
     res = sv.yang_baxter_residual(0.3, 0.4, "B2", 0.5, gamma_mid=0.9)
     assert res > 1e-3
+
+
+def _embed_three_by_loops(r4, pos):
+    """Entry-by-entry reference for sv._embed_three."""
+    t = r4.reshape(2, 2, 2, 2)
+    out = np.zeros((2,) * 6)
+    i, j = pos
+    k = ({0, 1, 2} - {i, j}).pop()
+    for oi, oj, ii, jj, kk in np.ndindex(2, 2, 2, 2, 2):
+        o, n = [0, 0, 0], [0, 0, 0]
+        o[i], o[j], o[k] = oi, oj, kk
+        n[i], n[j], n[k] = ii, jj, kk
+        out[(*o, *n)] = t[oi, oj, ii, jj]
+    return out.reshape(8, 8)
+
+
+def test_embed_three_matches_the_loops():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        r4 = rng.standard_normal((4, 4)) * (rng.random((4, 4)) < 0.7)
+        for pos in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
+            assert np.array_equal(sv._embed_three(r4, pos), _embed_three_by_loops(r4, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +428,38 @@ def test_height_round_trip(kind, m, n):
     for state in sv.enumerate_states(spec):
         h = sv.state_to_height(spec, state)
         assert sv.height_to_state(h) == state
+
+
+def _random_plane_state(spec, rng):
+    """An ice state drawn vertex by vertex.  The west and south edges are
+    known (or a random stub); the ice rule asks west + north = south + east,
+    which leaves a free choice only when west and south agree."""
+    occupied = set()
+
+    def bit(edge, on):
+        if on:
+            occupied.add(edge)
+        return on
+
+    for x, y in spec.vertices():
+        west, south, north, east = spec.vertex_edges(x, y)
+        w = bit(west, rng.random() < 0.5) if x == 0 else west in occupied
+        s = bit(south, rng.random() < 0.5) if y == 0 else south in occupied
+        up = bit(north, rng.random() < 0.5 if w == s else s)
+        bit(east, up + w - s == 1)
+    return frozenset(occupied)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       ref=st.tuples(st.integers(0, 6), st.integers(0, 6)), ref_value=st.floats(-3.0, 3.0))
+def test_height_round_trip_property(m, n, seed, ref, ref_value):
+    spec = sv.LatticeSpec("plane", m, n)
+    state = _random_plane_state(spec, random.Random(seed))
+    assert sv.state_weight(spec, state, sv.VertexWeights(1.0, 1.0, 1.0)) == 1.0  # ice rule
+    ref_face = (min(ref[0], m), min(ref[1], n))
+    h = sv.state_to_height(spec, state, ref_face=ref_face, ref_value=ref_value)
+    assert sv.height_to_state(h) == state
 
 
 def test_cylinder_monodromy_is_column_independent():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -557,8 +558,121 @@ def test_partial_legendre_maximizer_equation():
     hx = tn.hex_tension()
     pl = tn.partial_legendre(hx, 0.17, 0.4)
     # p = d1 sigma at the maximizer
-    assert abs(float(hx.grad(pl.nu_star, 0.4)[0]) - 0.17) < 1e-9
+    assert abs(float(hx.grad(pl.nu_star, 0.4)[0]) - 0.17) < 1e-13
     assert abs(pl.d2 + float(hx.grad(pl.nu_star, 0.4)[1])) < 1e-12
+
+
+def test_partial_legendre_root_past_the_last_feasible_grid_point():
+    # the slice at xi = 0.4 is (0, 0.6); the root sits above 0.59375, the last
+    # feasible point of the 65-point grid, where a scan finds no sign change
+    hx = tn.hex_tension()
+    pl = tn.partial_legendre(hx, 4.0, 0.4)
+    assert 0.59375 < pl.nu_star < 0.6
+    assert abs(float(hx.grad(pl.nu_star, 0.4)[0]) - 4.0) < 1e-12
+
+
+def test_partial_legendre_no_feasible_slice():
+    with pytest.raises(DomainBoundary):
+        tn.partial_legendre(tn.hex_tension(), 0.0, 1.0 - 1e-12)
+
+
+_PL_TENSIONS = {"hex": tn.hex_tension(), "ff": tn.ff_tension(0.9),
+                "quad": tn.quadratic_tension(1.7, 0.4, 2.2)}
+
+# (tension, p, xi, sigma.grad calls, tau, nu*, d2, d11, d22) recorded from the
+# 65-point scan and bisection that the bracketed Newton solve replaced; its
+# own root residual was about 1e-12, so 1e-10 relative covers its error
+_PL_RECORDED = [
+    ("hex", -1.5, 0.1, 127, 0.02464955891053168, 0.027789111205404636,
+     0.2347072751623441, 0.035095781491719796, -0.34638147947034975),
+    ("hex", -1.5, 0.4, 108, 0.06960039043506891, 0.07133222771985892,
+     0.046120671737103054, 0.07407550765455087, -0.7310959563602838),
+    ("hex", -1.5, 0.75, 85, 0.04653381260445849, 0.043112330529044465,
+     -0.15570202182720272, 0.03678344056320532, -0.36303800686982124),
+    ("hex", -0.4, 0.1, 127, 0.10230640073228699, 0.16525227139447274,
+     0.8734758448421616, 0.37827372629689937, -3.7334120338763475),
+    ("hex", -0.4, 0.4, 108, 0.21466748714687417, 0.21556449721081694,
+     -0.01722409074756963, 0.1960550371727755, -1.9349856577361626),
+    ("hex", -0.4, 0.75, 85, 0.12199244318445682, 0.09903415398205945,
+     -0.4371725248677059, 0.06293527095947633, -0.6211462272453973),
+    ("hex", 0.17, 0.1, 127, 0.3063010295860553, 0.6064650638458087,
+     0.9473488429287584, 0.7753884064098572, -7.652776828456393),
+    ("hex", 0.17, 0.4, 108, 0.37162229451406775, 0.33698311296482464,
+     -0.2571265432756628, 0.21456023539989638, -2.117624643601587),
+    ("hex", 0.17, 0.75, 85, 0.18896042373908503, 0.1361755963003437,
+     -0.7031982005772459, 0.06536947469397467, -0.645170855136552),
+    ("hex", 1.3, 0.1, 127, 1.200988030750308, 0.8639683494512838,
+     -1.0064051510287595, 0.04822396445911183, -0.47595145186362986),
+    ("hex", 1.3, 0.4, 108, 0.8654564195012537, 0.5122052768125835,
+     -1.2505535217573445, 0.09107984684876146, -0.8989220573090797),
+    ("hex", 1.3, 0.75, 85, 0.3809265182374227, 0.1990105096286997,
+     -1.4891126368861847, 0.042023396767882346, -0.414754301689016),
+    ("ff", -1.2, 0.15, 134, -0.3429712260666318, 0.10947628062446776,
+     0.8082600607807173, 0.14056529075122884, -1.3873238122387324),
+    ("ff", -1.2, 0.5, 134, -0.16524193598323164, 0.19014792831319205,
+     0.191723144887554, 0.17757104029845827, -1.7525559208356791),
+    ("ff", -1.2, 0.85, 134, -0.1929727965176114, 0.0843740703844297,
+     -0.2983622791907523, 0.08485015414356689, -0.8374374547684585),
+    ("ff", -0.3, 0.15, 134, -0.13703818578277582, 0.4349321641253353,
+     1.4528616319483818, 0.6843464442170747, -6.7542286777146945),
+    ("ff", -0.3, 0.5, 134, 0.09562718431360988, 0.4082330070535116,
+     0.06628373875125822, 0.2978453880316954, -2.9396161525617894),
+    ("ff", -0.3, 0.85, 134, -0.06419543908439924, 0.23497908258494782,
+     -1.0054741646211274, 0.3232472748259101, -3.190322726261944),
+    ("ff", 0.25, 0.15, 134, 0.19797102549482493, 0.7480438050888971,
+     1.0599152666534493, 0.3564530398655524, -3.518050491038738),
+    ("ff", 0.25, 0.5, 134, 0.3664127166933909, 0.5767814367760875,
+     -0.05570357570098716, 0.3014778207627891, -2.975466826631253),
+    ("ff", 0.25, 0.85, 134, 0.13557096802006352, 0.5304534628599251,
+     -1.4562585695086776, 0.6978237602997015, -6.887244455838658),
+    ("ff", 0.9, 0.15, 134, 0.736646762282448, 0.8850576533584438,
+     0.47562779985407805, 0.12214264293840763, -1.2054995663055934),
+    ("ff", 0.9, 0.5, 134, 0.8004527126055891, 0.749947610525723,
+     -0.16420445174936876, 0.22219099217043708, -2.192937194207757),
+    ("ff", 0.9, 0.85, 134, 0.5974307557545584, 0.8352238613627694,
+     -1.015979750919892, 0.2396126683701112, -2.364882246302415),
+    ("quad", -3.0, -1.5, 144, -0.7808823529411759, -1.4117647058822849,
+     3.864705882352914, 0.5882352941176471, -2.1058823529411765),
+    ("quad", -3.0, 0.8, 144, 2.537882352941177, -1.9529411764704805,
+     -0.978823529411808, 0.5882352941176471, -2.1058823529411765),
+    ("quad", 0.3, -1.5, 144, -2.236764705882353, 0.5294117647056089,
+     3.088235294117757, 0.5882352941176471, -2.1058823529411765),
+    ("quad", 0.3, 0.8, 144, -0.7038823529411766, -0.011764705882586868,
+     -1.7552941176469654, 0.5882352941176471, -2.1058823529411765),
+    ("quad", 2.5, -1.5, 144, 0.3514705882352942, 1.823529411764583,
+     2.570588235294167, 0.5882352941176471, -2.1058823529411765),
+    ("quad", 2.5, 0.8, 144, 0.6937647058823528, 1.282352941176387,
+     -2.272941176470555, 0.5882352941176471, -2.1058823529411765),
+]
+
+
+def _grad_calls(name, p, xi):
+    """sigma.grad calls one partial_legendre solve makes."""
+    sigma = _PL_TENSIONS[name]
+    calls = []
+
+    def grad(s, t):
+        calls.append((s, t))
+        return sigma.grad(s, t)
+
+    tn.partial_legendre(dataclasses.replace(sigma, grad=grad), p, xi)
+    return len(calls)
+
+
+def test_partial_legendre_matches_recorded_values():
+    for name, p, xi, _, *ref in _PL_RECORDED:
+        pl = tn.partial_legendre(_PL_TENSIONS[name], p, xi)
+        for got, want in zip((pl.tau, pl.nu_star, pl.d2, pl.d11, pl.d22), ref):
+            assert abs(got - want) <= 1e-10 * abs(want), (name, p, xi)
+
+
+def test_partial_legendre_grad_calls():
+    counts = []
+    for name, p, xi, recorded_calls, *_ in _PL_RECORDED:
+        calls = _grad_calls(name, p, xi)
+        assert calls <= recorded_calls, (name, p, xi)
+        counts.append(calls)
+    assert np.mean(counts) <= 12
 
 
 def test_numeric_tension_hessian_is_the_closed_form():
