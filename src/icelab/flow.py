@@ -215,12 +215,14 @@ class HamiltonianDensity:
     sigma: SurfaceTension
     burgers: BurgersFunction | None = None
 
-    def second_partials(self, p, t):
-        """(d11, d12, d22) via the Legendre relations at the maximizer."""
-        nu = self.d1(p, t)
+    def partials(self, p, t):
+        """(d2, d11, d12, d22) off one Phi evaluation; the second partials
+        via the Legendre relations at the maximizer d1 = nu* = Im Phi / pi."""
+        phi = self.phi(np.asarray(p, dtype=float) + 1j * np.pi * np.asarray(t, dtype=float))
+        nu = phi.imag / np.pi
         h11, h12, h22 = self.sigma.hess(nu, t)
         det = h11 * h22 - h12 * h12
-        return 1.0 / h11, -h12 / h11, -det / h11
+        return phi.real, 1.0 / h11, -h12 / h11, -det / h11
 
 
 def _closed_density(tag, phi, sigma, burgers) -> HamiltonianDensity:
@@ -515,9 +517,12 @@ def poisson_bracket_residual(sig_u, sig_v, p_grid, xi_grid) -> float:
     dv = _as_density(sig_v)
 
     def combo(i):
-        """(p, t) -> d1i tau_u d2 tau_v - d1i tau_v d2 tau_u: A for i = 0, B for 1."""
-        return lambda p, t: (du.second_partials(p, t)[i] * dv.d2(p, t)
-                             - dv.second_partials(p, t)[i] * du.d2(p, t))
+        """(p, t) -> d1i tau_u d2 tau_v - d1i tau_v d2 tau_u: A for i = 0, B for 1;
+        one Phi evaluation per density."""
+        def at(p, t):
+            (d2u, *su), (d2v, *sv) = du.partials(p, t), dv.partials(p, t)
+            return su[i] * d2v - sv[i] * d2u
+        return at
 
     pg = np.asarray(p_grid, dtype=float)
     xg = np.asarray(xi_grid, dtype=float)
@@ -538,8 +543,8 @@ def factored_poisson_residual(sig_u, sig_v, p_grid, xi_grid) -> float:
     dv = _as_density(sig_v)
     pg, xg = np.meshgrid(np.asarray(p_grid, float), np.asarray(xi_grid, float),
                          indexing="ij")
-    d11u, _, d22u = du.second_partials(pg, xg)
-    d11v, _, d22v = dv.second_partials(pg, xg)
+    _, d11u, _, d22u = du.partials(pg, xg)
+    _, d11v, _, d22v = dv.partials(pg, xg)
     det_u = -d22u / d11u
     det_v = -d22v / d11v
     return float(np.max(np.abs(d11u * d11v * (det_v - det_u))))

@@ -95,11 +95,15 @@ def _fiber_layout(curve: SpectralCurve):
 
 
 def _fiber_coeffs(layout, w: np.ndarray) -> np.ndarray:
-    """Coefficients of P(., w) as a z-polynomial for each w on the fiber."""
+    """Coefficients of P(., w) as a z-polynomial for each w on the fiber.
+
+    Terms in w^0 and w^1 add c and c w, which is what c w^j gives there
+    bit for bit, without forming the power.
+    """
     _, deg, terms = layout
     coeffs = np.zeros((deg + 1, w.size), dtype=complex)
     for row, j, c in terms:
-        coeffs[row] += c * w ** j
+        coeffs[row] += c if j == 0 else c * w if j == 1 else c * w ** j
     return coeffs
 
 
@@ -216,40 +220,62 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _node_grid(n: int):
+    """The n nodes 2 pi k / n of the outer circle, built on first use.
+
+    Returns read-only (psi_k, psi_k + 2 pi / n, e^(i psi_k)): the node
+    angles, the right ends of the intervals they start, and the unit roots.
+    """
+    psi = np.arange(n) * (_TWO_PI / n)
+    grid = psi, psi + _TWO_PI / n, np.exp(1j * psi)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def _crossings(layout, H: float, V: float, n: int = 2048):
     """Where fiber roots cross |z| = e^H as w goes round |w| = e^V.
 
     Returns the root counts at the nodes 2 pi k / n, the indices k of the
     intervals whose end counts differ, and the crossing angle in each, all
-    solved together.  An odd jump is found to a few ulp by secant steps on
-    q = prod tanh(log|z_k| - H), continuous (escaped roots give +1) with
-    sign (-1)^count, taking the midpoint for a step that leaves the bracket;
-    an even jump is bisected on the count.  Two jumps inside one interval
-    cancel and are not seen.
+    solved together.  The node fiber is e^V times the cached unit roots
+    (`_node_grid`), and the counts come from the root moduli.  An odd jump
+    is found to a few ulp by secant steps on q = prod tanh(log|z_k| - H),
+    continuous (escaped roots give +1) with sign (-1)^count, taking the
+    midpoint for a step that leaves the bracket; an even jump is bisected
+    on the count.  Of the nodes, q is formed only at the two ends of each
+    jump interval.  Two jumps inside one interval cancel and are not seen.
     """
-    step, ulps = _TWO_PI / n, 4.0 * np.spacing(_TWO_PI)
+    psi, psi_next, unit = _node_grid(n)
+    radius, ulps = math.exp(H), 4.0 * np.spacing(_TWO_PI)
 
-    def probe(psis):
-        mod = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psis)))[0])
-        return (mod < math.exp(H)).sum(axis=1), np.prod(np.tanh(np.log(mod) - H), axis=1)
+    def moduli(w):
+        return np.abs(_fiber_roots(_fiber_coeffs(layout, w))[0])
+
+    def tanh_product(mod):
+        return np.prod(np.tanh(np.log(mod) - H), axis=-1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        count, q_nodes = probe(np.arange(n) * step)
-        jump = np.nonzero(count != np.roll(count, -1))[0]
+        mod = moduli(math.exp(V) * unit)
+        count = (mod < radius).sum(axis=1)
+        jump = np.flatnonzero(count != np.append(count[1:], count[0]))
         cross, idx, left = np.empty(jump.size), np.arange(jump.size), count[jump]
-        x0, q0 = jump * step, q_nodes[jump]
-        x1, q1 = x0 + step, q_nodes[(jump + 1) % n]
+        x0, x1 = psi[jump], psi_next[jump]
+        q0, q1 = tanh_product(mod[np.stack((jump, (jump + 1) % n))])
         secant, blo, bhi = q0 * q1 < 0, x0, x1
         for _ in range(64):
             x = x1 - q1 * (x1 - x0) / (q1 - q0)
             done = (bhi - blo <= ulps) | secant & ((np.abs(x - x1) <= ulps) | (q1 == 0))
-            cross[idx[done]] = x1[done]
-            idx, x0, q0, x1, q1, blo, bhi, x, left, secant = (
-                v[~done] for v in (idx, x0, q0, x1, q1, blo, bhi, x, left, secant))
+            if done.any():
+                cross[idx[done]] = x1[done]
+                idx, x0, q0, x1, q1, blo, bhi, x, left, secant = (
+                    v[~done] for v in (idx, x0, q0, x1, q1, blo, bhi, x, left, secant))
             if not idx.size:
                 break
             x = np.where(secant & (x > blo) & (x < bhi), x, 0.5 * (blo + bhi))
-            cx, qx = probe(x)
+            mod = moduli(np.exp(V + 1j * x))
+            cx, qx = (mod < radius).sum(axis=1), tanh_product(mod)
             blo, bhi = np.where(cx == left, x, blo), np.where(cx == left, bhi, x)
             x0, q0, x1, q1 = x1, q1, x, qx
         cross[idx] = x1
@@ -291,21 +317,21 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float,
     from the first direction only, so the matrix is exactly symmetric; with
     no crossing it is zero.
     """
+    a, b, _ = _node_grid(n)
 
     def one_direction(cv, hh, vv):
         layout = _fiber_layout(cv)
         count, jump, cross = _crossings(layout, hh, vv, n)
-        a = np.arange(n) * (_TWO_PI / n)
-        b = a + _TWO_PI / n
-        # count[k] holds on [a, x] and count[k + 1] on [x, b]; x = b without a jump
-        x = b.copy()
-        x[jump] = cross
-        parts = count * (x - a) + np.roll(count, -1) * (b - x)
+        after = count[(jump + 1) % n]
+        # count[k] holds on [a, cross] and count[k + 1] on [cross, b]; without a
+        # jump count[k] holds on all of [a, b]
+        parts = count * (b - a)
+        parts[jump] = count[jump] * (cross - a[jump]) + after * (b[jump] - cross)
         # summed in node order, as a scalar loop would add them
         grad = layout[0] + float(np.add.accumulate(parts)[-1]) / _TWO_PI
         if not hessian:
             return grad, None
-        delta = count[jump] - count[(jump + 1) % n]
+        delta = count[jump] - after
         rate_h, rate_v = _crossing_rates(layout, hh, vv, cross)
         return grad, (float(delta @ rate_h) / _TWO_PI, float(delta @ rate_v) / _TWO_PI)
 
@@ -583,7 +609,12 @@ def quadratic_tension(qa: float, qb: float, qc: float,
 
 
 def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
-    """Quadrature plus Legendre tension for an arbitrary curve."""
+    """Quadrature plus Legendre tension for an arbitrary curve.
+
+    One `legendre_sigma` solve per point, lifted to arrays by np.vectorize;
+    ``feasible`` is True when every point is strictly inside the Newton
+    polygon.
+    """
     fef = FreeEnergyField(curve)
 
     def value(s, t):
@@ -598,11 +629,15 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
         (h11, h12), (_, h22) = np.linalg.inv(grad_free_energy(curve, H, V, hessian=True)[1])
         return h11, h12, h22
 
-    def feasible(s, t, margin=0.0):
-        return _newton_polygon_contains(curve, float(s), float(t),
-                                        margin=max(margin, 1e-9))
+    inside = np.vectorize(functools.partial(_newton_polygon_contains, curve), otypes=[bool])
 
-    return SurfaceTension("NumericLegendre", 0.0, 1.0, value, grad, hess, feasible)
+    def feasible(s, t, margin=0.0):
+        return bool(inside(s, t, max(margin, 1e-9)).all())
+
+    return SurfaceTension("NumericLegendre", 0.0, 1.0,
+                          np.vectorize(value, otypes=[float]),
+                          np.vectorize(grad, otypes=[float, float]),
+                          np.vectorize(hess, otypes=[float, float, float]), feasible)
 
 
 # ---------------------------------------------------------------------------

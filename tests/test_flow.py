@@ -365,6 +365,23 @@ def test_poisson_residual_quadratic_control():
     assert fl.poisson_bracket_residual(qu, qv, grid, grid) >= 0.1
 
 
+def test_poisson_residual_solves_each_generic_sample_once(monkeypatch):
+    # 5 x 5 points, four offsets in each of two directions, two densities:
+    # 400 distinct (density, point) samples, one partial Legendre solve each
+    real, calls = fl.partial_legendre, []
+
+    def counted(sigma, p, xi):
+        calls.append((sigma.variant, p, xi))
+        return real(sigma, p, xi)
+
+    monkeypatch.setattr(fl, "partial_legendre", counted)
+    grid = np.linspace(-1.0, 1.0, 5)
+    r = fl.poisson_bracket_residual(tn.quadratic_tension(1.0, 0.0, 1.0),
+                                    tn.quadratic_tension(1.0, 0.0, 2.0), grid, grid)
+    assert len(calls) == len(set(calls)) == 400
+    assert r == 1.0000000000000193          # as it read with two solves per sample
+
+
 def test_poisson_residual_factorization():
     qu = tn.quadratic_tension(2.0, 0.3, 1.5)
     qv = tn.quadratic_tension(1.0, -0.2, 2.0)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -241,6 +244,93 @@ def test_closed_form_degree_one_roots_match_eigvals(curve, monkeypatch):
     closed = [tn.free_energy(curve, H, V, return_info=True) for H, V in points]
     monkeypatch.setattr(tn, "_fiber_roots", _eigvals_fiber_roots)
     assert closed == [tn.free_energy(curve, H, V, return_info=True) for H, V in points]
+
+
+# the crossing search as it was before the node probe was trimmed: the node
+# fiber from np.exp, every power of w formed, q at all n nodes, np.roll
+
+def _reference_fiber_coeffs(layout, w):
+    _, deg, terms = layout
+    coeffs = np.zeros((deg + 1, w.size), dtype=complex)
+    for row, j, c in terms:
+        coeffs[row] += c * w ** j
+    return coeffs
+
+
+def _reference_crossings(layout, H, V, n=2048):
+    step, ulps = 2 * np.pi / n, 4.0 * np.spacing(2 * np.pi)
+
+    def probe(psis):
+        w = np.exp(V + 1j * psis)
+        mod = np.abs(tn._fiber_roots(_reference_fiber_coeffs(layout, w))[0])
+        return (mod < math.exp(H)).sum(axis=1), np.prod(np.tanh(np.log(mod) - H), axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count, q_nodes = probe(np.arange(n) * step)
+        jump = np.nonzero(count != np.roll(count, -1))[0]
+        cross, idx, left = np.empty(jump.size), np.arange(jump.size), count[jump]
+        x0, q0 = jump * step, q_nodes[jump]
+        x1, q1 = x0 + step, q_nodes[(jump + 1) % n]
+        secant, blo, bhi = q0 * q1 < 0, x0, x1
+        for _ in range(64):
+            x = x1 - q1 * (x1 - x0) / (q1 - q0)
+            done = (bhi - blo <= ulps) | secant & ((np.abs(x - x1) <= ulps) | (q1 == 0))
+            cross[idx[done]] = x1[done]
+            idx, x0, q0, x1, q1, blo, bhi, x, left, secant = (
+                v[~done] for v in (idx, x0, q0, x1, q1, blo, bhi, x, left, secant))
+            if not idx.size:
+                break
+            x = np.where(secant & (x > blo) & (x < bhi), x, 0.5 * (blo + bhi))
+            cx, qx = probe(x)
+            blo, bhi = np.where(cx == left, x, blo), np.where(cx == left, bhi, x)
+            x0, q0, x1, q1 = x1, q1, x, qx
+        cross[idx] = x1
+    return count, jump, cross
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["hex", "ff", "degree2"]), u=st.floats(0.3, 1.3),
+       H=st.floats(-0.7, 0.7), V=st.floats(-0.7, 0.7),
+       node=st.one_of(st.none(), st.integers(0, 2047)))
+def test_crossing_search_matches_the_reference_property(kind, u, H, V, node):
+    curve = {"hex": tn.hex_curve(), "ff": tn.ff_curve(u), "degree2": _DEGREE_TWO}[kind]
+    layout = tn._fiber_layout(curve)
+    if node is not None:
+        # put a root on |z| = e^H exactly at a node, where q vanishes
+        w = np.exp(V + 1j * np.array([node * (2 * np.pi / 2048)]))
+        H = float(np.log(np.abs(tn._fiber_roots(_reference_fiber_coeffs(layout, w))[0][0, 0])))
+    got, want = tn._crossings(layout, H, V), _reference_crossings(layout, H, V)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("curve", [tn.hex_curve(), _DEGREE_TWO], ids=["hex", "degree2"])
+def test_crossing_search_solves_n_columns_once(curve, monkeypatch):
+    # one fiber solve over the n nodes; every secant probe solves at most
+    # one column per jump interval
+    real, columns = tn._fiber_roots, []
+
+    def counted(coeffs):
+        columns.append(coeffs.shape[1])
+        return real(coeffs)
+
+    monkeypatch.setattr(tn, "_fiber_roots", counted)
+    layout = tn._fiber_layout(curve)
+    for H, V in np.random.default_rng(41).uniform(-0.5, 0.5, (6, 2)):
+        columns.clear()
+        jump = tn._crossings(layout, H, V)[1]
+        assert jump.size and columns[0] == 2048
+        assert all(c <= jump.size for c in columns[1:]), columns
+    for a in tn._node_grid(2048):
+        assert not a.flags.writeable
+
+
+def test_node_grid_is_not_built_at_import():
+    code = "import icelab; print(icelab.tension._node_grid.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def _matrix(h11, h12, h22):
@@ -694,3 +784,19 @@ def test_numeric_tension_matches_hex():
     ge = tn.grad_sigma_hex(0.3, 0.4)
     assert abs(float(gs) - float(ge[0])) < 1e-4
     assert abs(float(gt) - float(ge[1])) < 1e-4
+
+
+def test_numeric_tension_on_arrays():
+    num = tn.numeric_tension(tn.hex_curve())
+    s, t = np.array([0.3, 0.2]), np.array([0.4, 0.5])
+    scalar = [(float(num.value(a, b)), *(float(x) for x in num.grad(a, b)),
+               *(float(x) for x in num.hess(a, b))) for a, b in zip(s, t)]
+    arrays = np.column_stack([num.value(s, t), *num.grad(s, t), *num.hess(s, t)])
+    assert np.array_equal(arrays, np.array(scalar))
+    assert num.feasible(s, t) and not num.feasible(np.array([0.3, 0.7]), t)
+    # the generic density built on it, against the closed-form hex density
+    dens = fl.density_from_tension(num)
+    p, xi = np.array([0.1, 0.2]), np.array([0.3, 0.3])
+    values = dens.value(p, xi)
+    assert np.array_equal(values, [float(dens.value(a, b)) for a, b in zip(p, xi)])
+    assert np.max(np.abs(values - fl.hex_density().value(p, xi))) <= 1e-8
