@@ -346,7 +346,7 @@ def cmd_flow(args, cfg) -> int:
     else:
         raise ValueError(f"unknown flow variant {variant!r}")
 
-    ys = np.arange(ny) * (L / ny)
+    ys = fl.sample_points(L, ny)
     t0 = (_read_profile(opts["t0_csv"], L)(ny) if opts["t0_csv"]
           else opts["tbar"] + opts["amp"] * np.sin(2 * np.pi * opts["mode"] * ys / L))
     p0 = (_read_profile(opts["p0_csv"], L)(ny) if opts["p0_csv"]

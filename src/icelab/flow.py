@@ -49,6 +49,13 @@ FILTER_GROWTH = 1e4  # largest roundoff growth the default mode filter lets thro
 # state
 # ---------------------------------------------------------------------------
 
+def sample_points(L: float, ny: int) -> np.ndarray:
+    """The ny periodic sample points k L / ny of [0, L); ny < 1 raises OutOfRange."""
+    if ny < 1:
+        raise OutOfRange("a flow state needs at least one sample")
+    return np.arange(ny) * (L / ny)
+
+
 @dataclass
 class FlowState:
     """Periodic samples of momentum and slope on [0, L)."""
@@ -62,6 +69,8 @@ class FlowState:
         self.t = np.asarray(self.t, dtype=float)
         if self.p.shape != self.t.shape or self.p.ndim != 1:
             raise OutOfRange("p and t must be equal-length vectors")
+        if self.p.size == 0:
+            raise OutOfRange("a flow state needs at least one sample")
         if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.t))):
             raise StepFailure("non-finite state")
 
@@ -71,7 +80,7 @@ class FlowState:
 
     @property
     def ys(self) -> np.ndarray:
-        return np.arange(self.ny) * (self.L / self.ny)
+        return sample_points(self.L, self.ny)
 
     @property
     def l(self) -> np.ndarray:
@@ -136,6 +145,7 @@ def hex_burgers() -> BurgersFunction:
 
 
 def ff_burgers(u: float) -> BurgersFunction:
+    tension.check_spectral_parameter(u)
     cu, su = math.cos(u), math.sin(u)
 
     def den(z):
@@ -563,8 +573,7 @@ def hamiltonian_hex(l, lbar=None):
 
 def hamiltonian_ff(l, u: float, lbar=None):
     """Four-dilogarithm free-fermion density; lbar defaults to conj(l)."""
-    if not 0.0 < u < np.pi / 2:
-        raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
+    tension.check_spectral_parameter(u)
     l = np.asarray(l, dtype=complex)
     lb = np.conj(l) if lbar is None else np.asarray(lbar, dtype=complex)
     return (_ff_dilogs(l, u) - _ff_dilogs(lb, u)) / TWO_PI_I

@@ -13,14 +13,24 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import BranchCut
 
 PI2_6 = np.pi ** 2 / 6.0
 
-# Bernoulli numbers B_0..B_48; odd ones beyond B_1 vanish.
-_BERN = bernoulli(48)
+# Bernoulli numbers B_0..B_48 as scipy.special.bernoulli(48) rounds them, so
+# that dilog keeps its values without importing scipy; these differ from the
+# exact rationals (B_4 by 1.7e-12 relative).  Odd ones beyond B_1 vanish.
+_BERN = np.zeros(49)
+_BERN[:2] = 1.0, -0.5
+_BERN[2::2] = (
+    0.16666666666666666, -0.033333333333275914, 0.02380952380952236,
+    -0.03333333333333301, 0.07575757575757562, -0.253113553113553, 1.1666666666666672,
+    -7.092156862745103, 54.97117794486221, -529.124242424243, 6192.123188405805,
+    -86580.25311355322, 1425517.1666666688, -27298231.067816135, 601580873.9006432,
+    -15116315767.092178, 429614643061.1673, -13711655205088.354, 488332318973593.94,
+    -1.92965793419401e+16, 8.416930475736838e+17, -4.033807185405952e+19,
+    2.115074863808203e+21, -1.208662652229655e+23)
 _FACT = np.array([float(math.factorial(k + 1)) for k in range(49)])
 _SQUARES = np.arange(1, 40, dtype=float) ** 2
 

@@ -64,19 +64,51 @@ def _build_lob_cheb():
 
 
 _LOB_CHEB = _build_lob_cheb()
+_LOB_OFF, _LOB_SCL = _LOB_CHEB.mapparms()
 
 
 def lobachevsky_fast(x):
-    """Vectorized L(x); agrees with the dilogarithm route to ~1e-13."""
+    """Vectorized L(x); agrees with the dilogarithm route to ~1e-13.
+
+    The range reduction and the Clenshaw recurrence of ``_LOB_CHEB(r)`` run
+    in place on five buffers, with that call's operations in their order, so
+    the values are bit for bit the Chebyshev call's while a call allocates
+    five float arrays, not one per step of the recurrence.
+    """
     x = np.asarray(x, dtype=float)
-    r = x - np.pi * np.floor(x / np.pi)
+    r, w, c0, c1, tmp = (np.empty(x.shape) for _ in range(5))
+    # r = x - pi floor(x / pi), reflected into [0, pi/2] (L is pi-periodic, odd)
+    np.divide(x, np.pi, out=r)
+    np.floor(r, out=r)
+    np.multiply(np.pi, r, out=r)
+    np.subtract(x, r, out=r)
     flip = r > np.pi / 2
-    r = np.where(flip, np.pi - r, r)
-    r_safe = np.where(r > 0, r, 1.0)
-    smooth = _LOB_CHEB(r)
-    core = smooth + r - r * np.log(2.0 * r_safe)
-    core = np.where(r > 0, core, 0.0)
-    return np.where(flip, -core, core)
+    np.subtract(np.pi, r, out=r, where=flip)
+    # Clenshaw on w = 2 (off + scl r), twice the fit's window variable
+    np.multiply(_LOB_SCL, r, out=w)
+    np.add(_LOB_OFF, w, out=w)
+    np.multiply(2.0, w, out=w)
+    coef = _LOB_CHEB.coef
+    c0.fill(coef[-2])
+    c1.fill(coef[-1])
+    for c in coef[-3::-1]:
+        np.subtract(c, c1, out=tmp)
+        np.multiply(c1, w, out=c1)
+        np.add(c0, c1, out=c1)
+        c0, tmp = tmp, c0
+    np.multiply(0.5, w, out=w)
+    np.multiply(c1, w, out=c1)
+    np.add(c0, c1, out=c0)
+    # core = smooth + r - r log(2 r), and 0 where r <= 0
+    low = np.logical_not(r > 0)
+    np.multiply(2.0, r, out=tmp)
+    np.copyto(tmp, 2.0, where=low)
+    np.log(tmp, out=tmp)
+    np.multiply(r, tmp, out=tmp)
+    np.add(c0, r, out=c0)
+    np.subtract(c0, tmp, out=c0)
+    np.copyto(c0, 0.0, where=low)
+    return np.negative(c0, out=c0, where=flip)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +503,16 @@ def hess_sigma_hex(s, t):
     return h11, h12, h22
 
 
+def check_spectral_parameter(u: float) -> None:
+    """Raise OutOfRange unless the free-fermion u lies in (0, pi/2)."""
+    if not 0.0 < u < np.pi / 2:
+        raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
+
+
 def _check_ff_domain(s, t, u):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if not 0.0 < u < np.pi / 2:
-        raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
+    check_spectral_parameter(u)
     if np.any(s <= 0) or np.any(s >= 1) or np.any(t <= 0) or np.any(t >= 1):
         raise DomainBoundary("free-fermion tension needs s, t in (0, 1)")
     return s, t
@@ -534,8 +571,7 @@ def hess_sigma_ff(s, t, u):
 def grad_free_energy_ff(H, V, u):
     """Closed-form (df/dH, df/dV) of the free-fermion free energy; an arccos
     argument more than 1e-12 past +-1 raises OutOfRange."""
-    if not 0.0 < u < np.pi / 2:
-        raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
+    check_spectral_parameter(u)
     tu, cu = math.tan(u), 1.0 / math.tan(u)
 
     def clamped_acos(x):

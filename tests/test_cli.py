@@ -339,6 +339,18 @@ def test_flow_honours_tol(tmp_path, capsys):
     assert report["drift_tol"] == 1e-30
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--ny", "0"], "at least one sample"),
+    (["--variant", "ff", "--u", "0"], "spectral parameter u"),
+    (["--variant", "ff", "--u", "-0.5"], "spectral parameter u"),
+    (["--variant", "ff", "--u", "1.6"], "spectral parameter u")])
+def test_flow_bad_sample_count_or_u_is_config_error(tmp_path, capsys, args, message):
+    assert run(["flow", *args, "--steps", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+    assert not (tmp_path / "conservation.json").exists()
+
+
 def test_flow_shock_exit_code(tmp_path, monkeypatch):
     def fake_evolve(*a, **kw):
         raise ShockDetected("stub shock", x=0.1)

@@ -10,8 +10,8 @@ from icelab import dimers as dm
 from icelab import flow as fl
 from icelab import shapes as sh
 from icelab import tension as tn
-from icelab.errors import (BranchAmbiguous, DomainBoundary, ShockDetected,
-                           StepFailure)
+from icelab.errors import (BranchAmbiguous, DomainBoundary, OutOfRange,
+                           ShockDetected, StepFailure)
 
 
 def sine_state(ny=128, tbar=0.6, amp=0.03, pbar=0.0, L=1.0):
@@ -19,9 +19,21 @@ def sine_state(ny=128, tbar=0.6, amp=0.03, pbar=0.0, L=1.0):
     return fl.FlowState(L, np.full(ny, pbar), tbar + amp * np.sin(2 * np.pi * ys / L))
 
 
+def test_flow_state_refuses_empty_samples():
+    with pytest.raises(OutOfRange, match="at least one sample"):
+        fl.FlowState(1.0, [], [])
+
+
 # ---------------------------------------------------------------------------
 # densities and Hamiltonian values
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("u", [0.0, -0.5, 1.6, math.pi / 2, math.nan])
+def test_ff_density_and_burgers_refuse_u_outside_the_open_interval(u):
+    for build in (fl.ff_density, fl.ff_burgers):
+        with pytest.raises(OutOfRange, match=r"spectral parameter u must lie in \(0, pi/2\)"):
+            build(u)
+
 
 def test_hex_density_matches_phi():
     dens = fl.hex_density()

@@ -4,10 +4,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import bernoulli
 
 from icelab.errors import BranchCut
+from icelab import special
 from icelab.special import dilog, lobachevsky
-from icelab.tension import lobachevsky_fast
+from icelab.tension import _LOB_CHEB, lobachevsky_fast
+
+
+def test_bernoulli_table_is_scipys():
+    # the table replaces scipy.special.bernoulli(48), rounding included
+    assert np.array_equal(special._BERN, bernoulli(48))
 
 
 def test_dilog_trivials():
@@ -85,3 +92,30 @@ def test_lobachevsky_fast_matches_reference():
     xs = np.linspace(-2.0, 5.0, 211)
     ref = np.array([lobachevsky(x) for x in xs])
     assert np.max(np.abs(lobachevsky_fast(xs) - ref)) < 1e-12
+
+
+def _lobachevsky_fast_by_temporaries(x):
+    """lobachevsky_fast as written with one temporary per step: the reference
+    its in-place evaluation must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    r = x - np.pi * np.floor(x / np.pi)
+    flip = r > np.pi / 2
+    r = np.where(flip, np.pi - r, r)
+    r_safe = np.where(r > 0, r, 1.0)
+    smooth = _LOB_CHEB(r)
+    core = smooth + r - r * np.log(2.0 * r_safe)
+    core = np.where(r > 0, core, 0.0)
+    return np.where(flip, -core, core)
+
+
+def test_lobachevsky_fast_equals_the_temporaries_version_bit_for_bit():
+    rng = np.random.default_rng(29)
+    k = np.arange(-12, 13)
+    inputs = [rng.uniform(0.0, np.pi, 400), rng.uniform(-30.0, 30.0, (3, 7, 9)),
+              -rng.uniform(0.0, 1e3, 50), k * np.pi, k * np.pi / 2,
+              np.array([0.0, -0.0, 5e-324, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0)]),
+              np.array(0.0), np.array(-1.2), 0.0, 2.5, -7.0, np.float64(1.1), [0.3, -0.4]]
+    for x in inputs:
+        got, want = lobachevsky_fast(x), _lobachevsky_fast_by_temporaries(x)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -333,6 +333,15 @@ def test_node_grid_is_not_built_at_import():
     assert out.stdout.strip() == "0"
 
 
+def test_import_loads_no_scipy():
+    code = ("import sys, icelab, icelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _matrix(h11, h12, h22):
     return np.array([[h11, h12], [h12, h22]], dtype=float)
 
