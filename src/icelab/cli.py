@@ -54,7 +54,7 @@ from . import flow as fl
 from . import shapes as sh
 from . import sixvertex as sv
 from . import tension as tn
-from .errors import IceLabError, NonConvergence, ShockDetected
+from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected
 from .suites import (FLOW_VARIATIONAL_TOL, SUITES, el_mesh_study,
                      flow_variational_gap, run_suite)
 
@@ -337,6 +337,8 @@ def cmd_flow(args, cfg) -> int:
         "out": ".", "tol": 1e-6})
     variant, L, ny, horizon, steps, method, out, drift_tol = (opts[k] for k in (
         "variant", "L", "ny", "horizon", "steps", "method", "out", "tol"))
+    if not math.isfinite(horizon):
+        raise OutOfRange(f"horizon must be finite, got {horizon}")
     if opts["tbar"] is None:
         opts["tbar"] = 0.6 if variant == "hex" else 0.5
     if variant == "hex":

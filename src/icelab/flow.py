@@ -13,7 +13,8 @@ densities Phi is one logarithm and Phi'(l) = F(e^l) is the rational
 function of the spectral curve, so dl/dx = F(e^l) dl/dy; for a generic
 tension Phi takes one partial Legendre transform per sample.  Two
 independent integrators are provided: classical 4th-order method of lines
-on the Fourier coefficients of l, and the implicit complex-characteristic
+on the periodic samples of l, projected onto its low Fourier modes after
+every step, and the implicit complex-characteristic
 solver of the Burgers form (values transported along straight lines whose
 complex foot point is found by Newton continuation).
 
@@ -43,14 +44,22 @@ from .tension import SurfaceTension, partial_legendre, _ff_dilogs
 TWO_PI_I = 2.0j * np.pi
 SHOCK_DELTA = 1e-3
 FILTER_GROWTH = 1e4  # largest roundoff growth the default mode filter lets through
+DY_MATRIX_MAX = 256  # largest sample count whose d/dy is a dense matrix product
 
 
 # ---------------------------------------------------------------------------
 # state
 # ---------------------------------------------------------------------------
 
+def _check_period(L: float) -> None:
+    if not (math.isfinite(L) and L > 0):
+        raise OutOfRange(f"period L must be finite and positive, got {L}")
+
+
 def sample_points(L: float, ny: int) -> np.ndarray:
-    """The ny periodic sample points k L / ny of [0, L); ny < 1 raises OutOfRange."""
+    """The ny periodic sample points k L / ny of [0, L); ny < 1 or a period
+    L that is not finite and positive raises OutOfRange."""
+    _check_period(L)
     if ny < 1:
         raise OutOfRange("a flow state needs at least one sample")
     return np.arange(ny) * (L / ny)
@@ -65,6 +74,7 @@ class FlowState:
     t: np.ndarray
 
     def __post_init__(self):
+        _check_period(self.L)
         self.p = np.asarray(self.p, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
         if self.p.shape != self.t.shape or self.p.ndim != 1:
@@ -100,9 +110,27 @@ def _wavenumbers(n: int, L: float) -> np.ndarray:
     return k
 
 
+@functools.lru_cache(maxsize=16)
+def _dy_operator(n: int, L: float):
+    """The spectral d/dy, ifft(i k fft(v)), on n periodic samples v of [0, L).
+
+    Up to DY_MATRIX_MAX samples it is one product with the read-only dense
+    matrix ifft diag(i k) fft, which at those sizes costs less than the
+    call overhead of an FFT pair; above, it is the FFT pair, which needs
+    no n x n storage and from about 384 samples on is also the faster.
+    """
+    ik = 1j * _wavenumbers(n, L)
+    if n > DY_MATRIX_MAX:
+        return lambda v: np.fft.ifft(ik * np.fft.fft(v))
+    # row j of the transpose is the derivative of the j-th unit sample
+    dy = np.ascontiguousarray(np.fft.ifft(ik * np.fft.fft(np.eye(n))).T)
+    dy.flags.writeable = False
+    return dy.dot
+
+
 def spectral_dy(arr: np.ndarray, L: float) -> np.ndarray:
-    """Spectral periodic derivative."""
-    out = np.fft.ifft(1j * _wavenumbers(arr.shape[-1], L) * np.fft.fft(arr))
+    """Spectral periodic derivative of the samples arr."""
+    out = _dy_operator(arr.size, L)(arr)
     return out.real if np.isrealobj(arr) else out
 
 
@@ -325,24 +353,33 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
     """Classical 4th-order method-of-lines integration of the flow.
 
     Evolves l = p + i pi t by dl/dx = d/dy Phi with Phi = d2 tau + i pi d1
-    tau on the coefficients l_hat = fft(l): a stage is one inverse FFT,
-    one Phi and i k fft(Phi), eight FFTs a step.  h rides along so
-    cross-sections integrate exactly into height fields.  The x evolution
-    of the elliptic limit-shape system amplifies Fourier mode k of roundoff
-    like exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so after every step
-    the coefficients with |k| > filter_modes are zeroed.  When the density
+    tau.  The samples l stay in physical space through a step: each stage
+    evaluates Phi once, at l + c dx Dy(Phi of the previous stage), where Dy
+    is the spectral d/dy (a dense matrix product up to DY_MATRIX_MAX
+    samples, an FFT pair above).  The step then takes one forward FFT of
+    Phi1 + 2 Phi2 + 2 Phi3 + Phi4 into the coefficients l_hat and one
+    inverse FFT back, two FFTs a step.  h rides along so cross-sections
+    integrate exactly into height fields.  The x evolution of the elliptic
+    limit-shape system amplifies Fourier mode k of roundoff like
+    exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so after every step the
+    coefficients with |k| > filter_modes are zeroed.  When the density
     carries its Burgers function F, the default cutoff is the largest k
     whose growth over the span is at most FILTER_GROWTH, clipped to [2,
     ny/4]; without F it is ny/4.  Either is far above the mode content of
     analytic initial data on any pre-shock horizon.  The trajectory
     records the cutoff, the largest energy share one projection removed,
     the Phi evaluations and the smallest shock indicator.  Raises
+    OutOfRange for a non-finite x span, steps < 1 or keep_every < 1,
     ShockDetected once the characteristic-map indicator of the initial
     data drops below the shock threshold, StepFailure on blow-up.
     """
     x0, x1 = x_span
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise OutOfRange(f"x span must be finite, got {tuple(x_span)}")
     if steps < 1:
         raise OutOfRange("need at least one step")
+    if keep_every < 1:
+        raise OutOfRange("keep_every must be at least 1")
     dx = (x1 - x0) / steps
     L, ny, F, sigma = state.L, state.ny, dens.burgers, dens.sigma
     g0 = None if F is None else F(np.exp(state.l))
@@ -354,17 +391,17 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
             if rate * filter_modes > math.log(FILTER_GROWTH):
                 filter_modes = max(2, int(math.log(FILTER_GROWTH) / rate))
     cut = np.abs(np.fft.fftfreq(ny, d=1.0 / ny)) > filter_modes
-    ik = 1j * _wavenumbers(ny, L)
+    dy = _dy_operator(ny, L)
+    step_ik = dx / 6.0 * 1j * _wavenumbers(ny, L)
 
-    def rhs(l):
-        """d l_hat / dx and the slope d1 tau at the samples l."""
+    def stage(l):
+        """Phi at the samples l, checked finite and inside the tension domain."""
         phi = dens.phi(l)
         if not np.isfinite(phi).all():
             raise StepFailure("density partials blew up")
-        d1 = phi.imag / np.pi
-        if not sigma.feasible(d1, l.imag / np.pi, margin=0.0):
+        if not sigma.feasible(phi.imag / np.pi, l.imag / np.pi, margin=0.0):
             raise StepFailure("state left the tension domain")
-        return ik * np.fft.fft(phi), d1
+        return phi
 
     lhat = np.fft.fft(state.l)
     lhat[cut] = 0.0
@@ -384,17 +421,18 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
                 raise ShockDetected("characteristic map about to fold",
                                     x=x, diagnostics={"indicator": ind})
             min_ind = min(min_ind, ind)
-        k1, s1 = rhs(l)
-        k2, s2 = rhs(np.fft.ifft(lhat + 0.5 * dx * k1))
-        k3, s3 = rhs(np.fft.ifft(lhat + 0.5 * dx * k2))
-        k4, s4 = rhs(np.fft.ifft(lhat + dx * k3))
-        lhat = lhat + dx / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        phi1 = stage(l)
+        phi2 = stage(l + 0.5 * dx * dy(phi1))
+        phi3 = stage(l + 0.5 * dx * dy(phi2))
+        phi4 = stage(l + dx * dy(phi3))
+        acc = phi1 + 2 * phi2 + 2 * phi3 + phi4
+        lhat = lhat + step_ik * np.fft.fft(acc)
         total = np.vdot(lhat, lhat).real
         high = lhat[cut]
         share = np.vdot(high, high).real / total if total > 0 else 0.0
         lhat[cut] = 0.0
         l = np.fft.ifft(lhat)
-        h = h + dx / 6.0 * (s1 + 2 * s2 + 2 * s3 + s4)
+        h = h + dx / (6.0 * np.pi) * acc.imag  # the slope d1 tau is Im Phi / pi
         if not np.isfinite(l).all():
             raise StepFailure(f"non-finite state at x={x + dx}")
         removed = max(removed, float(share))
@@ -445,10 +483,12 @@ def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
     (G = F o exp o l0) with classical 4th-order steps, at least 16 and at
     most 0.005 in x each, then polished by Newton to 1e-13.  The default
     sign is the one under which the reconstructed height satisfies the
-    elliptic limit-shape equation.  Raises ShockDetected when the
-    characteristic Jacobian degenerates or the foot points stop increasing
-    across the period.
+    elliptic limit-shape equation.  Raises OutOfRange for a non-finite x,
+    ShockDetected when the characteristic Jacobian degenerates or the foot
+    points stop increasing across the period.
     """
+    if not math.isfinite(x):
+        raise OutOfRange(f"x must be finite, got {x}")
     interp = _TrigInterp(state.l, state.L)
     ys = state.ys.astype(complex)
     zeta = ys.copy()

@@ -351,6 +351,20 @@ def test_flow_bad_sample_count_or_u_is_config_error(tmp_path, capsys, args, mess
     assert not (tmp_path / "conservation.json").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--L", "0"], "period L must be finite and positive"),
+    (["--L", "-1"], "period L must be finite and positive"),
+    (["--L", "nan"], "period L must be finite and positive"),
+    (["--horizon", "nan", "--method", "hamilton"], "horizon must be finite"),
+    (["--horizon", "nan", "--method", "burgers"], "horizon must be finite"),
+    (["--horizon", "inf"], "horizon must be finite")])
+def test_flow_bad_period_or_horizon_is_config_error(tmp_path, capsys, args, message):
+    assert run(["flow", *args, "--steps", "8", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+    assert not (tmp_path / "conservation.json").exists()
+
+
 def test_flow_shock_exit_code(tmp_path, monkeypatch):
     def fake_evolve(*a, **kw):
         raise ShockDetected("stub shock", x=0.1)

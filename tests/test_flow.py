@@ -24,6 +24,14 @@ def test_flow_state_refuses_empty_samples():
         fl.FlowState(1.0, [], [])
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_flow_state_and_sample_points_refuse_a_bad_period(L):
+    with pytest.raises(OutOfRange, match="period L must be finite and positive"):
+        fl.FlowState(L, np.zeros(4), np.full(4, 0.5))
+    with pytest.raises(OutOfRange, match="period L must be finite and positive"):
+        fl.sample_points(L, 4)
+
+
 # ---------------------------------------------------------------------------
 # densities and Hamiltonian values
 # ---------------------------------------------------------------------------
@@ -228,6 +236,24 @@ def test_burgers_reconstruction_satisfies_hex_pde():
     assert np.max(np.abs(sh.hex_el_residual(hf_bad))) > 10 * res
 
 
+@pytest.mark.parametrize("n", [8, 31, 128, 256, 257, 512])
+def test_spectral_dy_is_the_fft_pair(n):
+    # both sides of DY_MATRIX_MAX, odd n, and the Nyquist mode of even n
+    L = 1.7
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n, d=L / n) * np.fft.fft(v))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(fl.spectral_dy(v, L) - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(fl.spectral_dy(v.real, L) - np.fft.ifft(
+        2j * np.pi * np.fft.fftfreq(n, d=L / n) * np.fft.fft(v.real)).real)) <= 1e-13 * scale
+    matrix = getattr(fl._dy_operator(n, L), "__self__", None)
+    if n <= fl.DY_MATRIX_MAX:
+        assert matrix.shape == (n, n) and not matrix.flags.writeable
+    else:
+        assert matrix is None
+
+
 def test_shock_detected_synthetic():
     # real transport velocity: a textbook breaking wave
     F = fl.BurgersFunction(lambda z: np.log(z), lambda z: 1.0 / z, "log")
@@ -306,6 +332,108 @@ def test_hamilton_pinned_to_the_physical_space_integrator(name, st, dens, T, ste
     removed, ls = PINNED[name]
     assert np.max(np.abs(traj.states[-1].l[::16] - np.array(ls))) <= 1e-12
     assert abs(traj.filter_energy_removed - removed) <= 1e-12
+
+
+# parent values (RK4 stages through ifft(l_hat + c dx i k fft(Phi)), eight
+# FFTs a step) at y = k L / 8: the largest removed energy share, the
+# smallest shock indicator, and the final l and h
+PINNED_STEP = {
+    ("hex", 128): (5.433734387066957e-29, 0.9999999999999999, [
+        -0.045093841782275684 + 1.8074976634386892j,
+        -0.0563949577041847 + 1.8886592753230305j,
+        -0.035869909751779505 + 1.9625333386142145j,
+        7.384459221634756e-14 + 1.9916745533501234j,
+        0.03586990975177996 + 1.9625333386140413j,
+        0.05639495770369598 + 1.888659275323152j,
+        0.045093841782062605 + 1.8074976634397564j,
+        6.287545194266607e-13 + 1.7705892746460004j], [
+        0.050730576087508604, 0.12420519350707232, 0.20092114630307253,
+        0.2797746482927535, 0.3586281502824307, 0.435344103078427,
+        0.5088187204980136, 0.5797746482927777]),
+    ("ff", 128): (1.6258465630656742e-28, 0.9967709153497277, [
+        -0.06750763235212097 + 1.506032015419261j,
+        -0.07659504452578651 + 1.5990376953363152j,
+        -0.04174084930116935 + 1.6749014568040064j,
+        0.017792474059782938 + 1.6908727922666462j,
+        0.067507632352121 + 1.6355606381705323j,
+        0.07659504452578643 + 1.5425549582534779j,
+        0.04174084930116935 + 1.4666911967857867j,
+        -0.017792474059782917 + 1.450719861323147j], [
+        0.07447450800669654, 0.13621401007829823, 0.20148792841453683,
+        0.26869094457128423, 0.3350747885788171, 0.39833528650721534,
+        0.45806136817097703, 0.5158583520142297]),
+    ("hex", 384): (5.420104758870329e-29, 1.0, [
+        -0.0450938417822728 + 1.8074976634386601j,
+        -0.0563949577041796 + 1.8886592753230431j,
+        -0.03586990975178538 + 1.9625333386142103j,
+        8.089362513175047e-14 + 1.991674553350118j,
+        0.03586990975177822 + 1.962533338614054j,
+        0.05639495770368058 + 1.888659275323144j,
+        0.0450938417820797 + 1.8074976634397417j,
+        6.175661833770125e-13 + 1.7705892746460372j], [
+        0.05073057608750864, 0.12420519350707236, 0.20092114630307248,
+        0.27977464829275345, 0.35862815028243067, 0.4353441030784269,
+        0.5088187204980135, 0.5797746482927773]),
+    ("ff", 384): (1.6240324943094005e-28, 0.9967709153497318, [
+        -0.06750763235218654 + 1.5060320154192532j,
+        -0.07659504452574412 + 1.5990376953363619j,
+        -0.04174084930115876 + 1.674901456803939j,
+        0.017792474059732256 + 1.6908727922666806j,
+        0.0675076323521786 + 1.6355606381705405j,
+        0.07659504452574631 + 1.542554958253435j,
+        0.041740849301164645 + 1.466691196785848j,
+        -0.017792474059737023 + 1.450719861323103j], [
+        0.07447450800669625, 0.13621401007829836, 0.20148792841453686,
+        0.268690944571284, 0.3350747885788174, 0.3983352865072153,
+        0.4580613681709769, 0.5158583520142298]),
+}
+
+
+@pytest.mark.parametrize("name, ny", list(PINNED_STEP))
+def test_hamilton_step_pinned_to_the_spectral_stage_integrator(name, ny):
+    # ny = 128 takes the dense d/dy matrix, ny = 384 the FFT pair
+    if name == "hex":
+        st, dens, T, steps = sine_state(ny), fl.hex_density(), 0.25, 254
+    else:
+        st, dens, T, steps = sine_state(ny, tbar=0.5), fl.ff_density(1.1), 0.15, 192
+    traj = fl.hamilton_evolve(st, dens, (0.0, T), steps, keep_every=steps)
+    removed, min_ind, ls, hs = PINNED_STEP[name, ny]
+    assert np.max(np.abs(traj.states[-1].l[::ny // 8] - np.array(ls))) <= 1e-13
+    assert np.max(np.abs(traj.heights[-1][::ny // 8] - np.array(hs))) <= 1e-13
+    assert abs(traj.filter_energy_removed - removed) <= 1e-13
+    assert abs(traj.min_shock_indicator - min_ind) <= 1e-13
+
+
+@pytest.mark.parametrize("ny", [128, 384])
+def test_hamilton_fold_raises_at_the_parent_step(ny):
+    # Phi = (l - i pi/2)^2 / 2 + i pi/2 at t = 1/2 is real inviscid Burgers
+    # for p, G = F(e^l) = p folds at x = 1 / (0.6 pi) = 0.5305
+    F = fl.BurgersFunction(lambda z: np.log(z) - 0.5j * np.pi, lambda z: 1.0 / z, "real")
+    dens = dataclasses.replace(fl.ff_density(1.1), burgers=F,
+                               phi=lambda l: (l - 0.5j * np.pi) ** 2 / 2 + 0.5j * np.pi)
+    ys = np.arange(ny) / ny
+    st = fl.FlowState(1.0, 0.3 * np.sin(2 * np.pi * ys), np.full(ny, 0.5))
+    with pytest.raises(ShockDetected) as err:
+        fl.hamilton_evolve(st, dens, (0.0, 1.0), 200)
+    assert err.value.x == 0.525
+    assert abs(err.value.diagnostics["indicator"] - 0.0009735361584435331) <= 1e-13
+
+
+@pytest.mark.parametrize("keep_every", [0, -1])
+def test_hamilton_refuses_keep_every_below_one(keep_every):
+    with pytest.raises(OutOfRange, match="keep_every"):
+        fl.hamilton_evolve(sine_state(16), fl.hex_density(), (0.0, 0.1), 4,
+                           keep_every=keep_every)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolvers_refuse_a_non_finite_x(bad):
+    st = sine_state(16)
+    for span in ((0.0, bad), (bad, 0.1)):
+        with pytest.raises(OutOfRange, match="x span must be finite"):
+            fl.hamilton_evolve(st, fl.hex_density(), span, 4)
+    with pytest.raises(OutOfRange, match="x must be finite"):
+        fl.burgers_evolve(st, fl.hex_burgers(), bad)
 
 
 def test_hamilton_counters():
