@@ -16,7 +16,9 @@ default; a config value is converted as the flag's text would be.  The
 every parameter took.  Exit codes: 0 pass, 1 configuration error,
 2 verification failure, 3 solver non-convergence, 4 shock before the
 requested horizon.  ``flow`` also exits 1 when the worst drift of
-I_1..I_4 exceeds ``--tol`` (default 1e-6).
+I_1..I_4 exceeds ``--tol`` (default 1e-6).  A ``--tol`` that a command
+reads must be finite and positive, and ``flow --mode m`` needs
+2|m| < ny; otherwise the command exits 1.
 
 ``flow --compare-variational`` and ``solve --mesh-study`` call the
 criterion-9 and criterion-10 helpers of ``suites``; a mesh-study order is
@@ -179,6 +181,11 @@ def _resolve(args: argparse.Namespace, cfg: dict, defaults: dict) -> dict:
     return resolved
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise OutOfRange(f"tolerance --tol must be finite and positive, got {tol}")
+
+
 def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
     if variant == "numeric":
         return tn.numeric_tension(tn.hex_curve(), **({} if tol is None else {"tol": tol}))
@@ -229,6 +236,8 @@ def cmd_tension(args, cfg) -> int:
     variant = opts["variant"]
     if variant != "numeric" and args.tol is not None:
         raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
+    if variant == "numeric" and opts["tol"] is not None:
+        _check_tol(opts["tol"])
     grid = np.linspace(opts["lo"], opts["hi"], opts["n"])
     for u in opts["u"] if variant == "ff" and opts["u"] else [None]:
         sigma = _tension_bundle(variant, u, opts["tol"])
@@ -255,6 +264,7 @@ def cmd_solve(args, cfg) -> int:
         "t_left": 1.0 / 3.0, "t_right": 1.0 / 3.0, "out": ".", "mesh_study": False,
         "svg": False})
     T, L, nx, ny, V, tol, out = (opts[k] for k in ("T", "L", "nx", "ny", "V", "tol", "out"))
+    _check_tol(tol)
     sigma = _tension_bundle(opts["tension"], opts["u"][0] if opts["u"] else None)
     grid = sh.CylinderGrid(T, L, nx, ny)
 
@@ -339,6 +349,7 @@ def cmd_flow(args, cfg) -> int:
         "variant", "L", "ny", "horizon", "steps", "method", "out", "tol"))
     if not math.isfinite(horizon):
         raise OutOfRange(f"horizon must be finite, got {horizon}")
+    _check_tol(drift_tol)
     if opts["tbar"] is None:
         opts["tbar"] = 0.6 if variant == "hex" else 0.5
     if variant == "hex":
@@ -349,6 +360,9 @@ def cmd_flow(args, cfg) -> int:
         raise ValueError(f"unknown flow variant {variant!r}")
 
     ys = fl.sample_points(L, ny)
+    if not opts["t0_csv"] and not 2 * abs(opts["mode"]) < ny:
+        # mode ny/2 samples sin as zero, higher modes alias onto lower ones
+        raise OutOfRange(f"--mode {opts['mode']} needs 2|mode| < ny = {ny}")
     t0 = (_read_profile(opts["t0_csv"], L)(ny) if opts["t0_csv"]
           else opts["tbar"] + opts["amp"] * np.sin(2 * np.pi * opts["mode"] * ys / L))
     p0 = (_read_profile(opts["p0_csv"], L)(ny) if opts["p0_csv"]

@@ -13,8 +13,8 @@ densities Phi is one logarithm and Phi'(l) = F(e^l) is the rational
 function of the spectral curve, so dl/dx = F(e^l) dl/dy; for a generic
 tension Phi takes one partial Legendre transform per sample.  Two
 independent integrators are provided: classical 4th-order method of lines
-on the periodic samples of l, projected onto its low Fourier modes after
-every step, and the implicit complex-characteristic
+on the periodic samples of l, projected onto its low Fourier modes at the
+start and after every step, and the implicit complex-characteristic
 solver of the Burgers form (values transported along straight lines whose
 complex foot point is found by Newton continuation).
 
@@ -45,6 +45,7 @@ TWO_PI_I = 2.0j * np.pi
 SHOCK_DELTA = 1e-3
 FILTER_GROWTH = 1e4  # largest roundoff growth the default mode filter lets through
 DY_MATRIX_MAX = 256  # largest sample count whose d/dy is a dense matrix product
+FOLD_BLOCK = 64  # RK4 steps whose fold margins are formed in one expression
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +326,16 @@ def conserved_In_bar(state: FlowState, n: int) -> complex:
 # shock diagnostics
 # ---------------------------------------------------------------------------
 
+def _fold_margins(gprime: np.ndarray, xs) -> np.ndarray:
+    """min over y of |1 - x G'| for each x of xs, G' the samples of dG/dy."""
+    xs = np.asarray(xs, dtype=float)
+    return np.min(np.abs(1.0 - xs[..., None] * gprime), axis=-1)
+
+
 def shock_indicator(state: FlowState, F: BurgersFunction, x: float) -> float:
     """min over y of |1 - x dG/dy| with G = F(e^l); shocks at 0."""
     g = F(np.exp(state.l))
-    gprime = spectral_dy(g, state.L)
-    return float(np.min(np.abs(1.0 - x * gprime)))
+    return float(_fold_margins(spectral_dy(g, state.L), x))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +348,7 @@ class Trajectory:
     states: list
     heights: list  # h(y) samples per x, anchored h(0, 0) = 0
     filter_modes: int = 0  # the mode cutoff the projection used
-    filter_energy_removed: float = 0.0  # largest share of sum |l_hat|^2 cut in one step
+    filter_energy_removed: float = 0.0  # largest share of sum |l_hat|^2 one projection cut
     rhs_evals: int = 0  # Phi evaluations
     min_shock_indicator: float | None = None  # None without a Burgers function
 
@@ -361,17 +367,35 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
     inverse FFT back, two FFTs a step.  h rides along so cross-sections
     integrate exactly into height fields.  The x evolution of the elliptic
     limit-shape system amplifies Fourier mode k of roundoff like
-    exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so after every step the
-    coefficients with |k| > filter_modes are zeroed.  When the density
-    carries its Burgers function F, the default cutoff is the largest k
-    whose growth over the span is at most FILTER_GROWTH, clipped to [2,
-    ny/4]; without F it is ny/4.  Either is far above the mode content of
-    analytic initial data on any pre-shock horizon.  The trajectory
-    records the cutoff, the largest energy share one projection removed,
-    the Phi evaluations and the smallest shock indicator.  Raises
-    OutOfRange for a non-finite x span, steps < 1 or keep_every < 1,
-    ShockDetected once the characteristic-map indicator of the initial
-    data drops below the shock threshold, StepFailure on blow-up.
+    exp(2 pi k max|Im F(e^l0)| |x1 - x0| / L), so the initial data and
+    every step are projected: the coefficients with |k| > filter_modes are
+    zeroed.  When the density carries its Burgers function F, the default
+    cutoff is the largest k whose growth over the span is at most
+    FILTER_GROWTH, clipped to [2, ny/4]; without F it is ny/4.  Either is
+    far above the mode content of analytic initial data on any pre-shock
+    horizon.
+
+    Checks.  Each stage tests its Phi for finiteness by one scalar, sum
+    |Phi|^2 (a sum that overflows is confirmed sample by sample), and the
+    step stops at the first non-finite stage.  The four stages are tested
+    for the tension domain together, once per step, on the stacked
+    Im Phi / pi and Im l / pi.  When either test fails, or a stage's Phi
+    or its input raises, each stage computed so far is checked on its
+    own, in stage order, and the first failure raises StepFailure, so a
+    step fails with the same error as if every stage were checked as it
+    is made; an exception that no earlier stage explains is re-raised.
+    The fold margins min_y |1 - (x - x0) G'|, G' = d/dy F(e^l0) at the
+    end of each step, are formed FOLD_BLOCK steps at a time, and each
+    raises ShockDetected at its own step.  The state is tested for
+    finiteness only when the spectral energy sum |l_hat|^2 is not finite.
+
+    The trajectory records the cutoff, the largest share of sum |l_hat|^2
+    one projection removed (the initial one included, so initial data
+    with modes above the cutoff shows here), the Phi evaluations and the
+    smallest fold margin.  Raises OutOfRange for a non-finite x span,
+    steps < 1, keep_every < 1 or a negative filter_modes, ShockDetected
+    once the characteristic-map indicator of the initial data drops below
+    the shock threshold, StepFailure on blow-up.
     """
     x0, x1 = x_span
     if not (math.isfinite(x0) and math.isfinite(x1)):
@@ -390,21 +414,33 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
             rate = 2 * np.pi * float(np.max(np.abs(g0.imag))) * abs(x1 - x0) / L
             if rate * filter_modes > math.log(FILTER_GROWTH):
                 filter_modes = max(2, int(math.log(FILTER_GROWTH) / rate))
-    cut = np.abs(np.fft.fftfreq(ny, d=1.0 / ny)) > filter_modes
+    elif not filter_modes >= 0:
+        raise OutOfRange(f"filter_modes must be nonnegative, got {filter_modes}")
+    kept = int(min(filter_modes, ny))
+    cut = slice(kept + 1, ny - kept)  # the fft-order indices of |k| > filter_modes
     dy = _dy_operator(ny, L)
     step_ik = dx / 6.0 * 1j * _wavenumbers(ny, L)
+    stage_dx = (0.0, 0.5 * dx, 0.5 * dx, dx)
 
-    def stage(l):
-        """Phi at the samples l, checked finite and inside the tension domain."""
-        phi = dens.phi(l)
-        if not np.isfinite(phi).all():
-            raise StepFailure("density partials blew up")
-        if not sigma.feasible(phi.imag / np.pi, l.imag / np.pi, margin=0.0):
-            raise StepFailure("state left the tension domain")
-        return phi
+    def recheck(inputs, phis):
+        """Each computed stage's checks on its own, in stage order."""
+        for arg, phi in zip(inputs, phis):
+            if not np.isfinite(phi).all():
+                raise StepFailure("density partials blew up")
+            if not sigma.feasible(phi.imag / np.pi, arg.imag / np.pi, margin=0.0):
+                raise StepFailure("state left the tension domain")
+
+    def project(lhat):
+        """Zero the modes |k| > filter_modes of lhat; return sum |l_hat|^2
+        and the share of it removed."""
+        total = np.vdot(lhat, lhat).real
+        high = lhat[cut]
+        share = np.vdot(high, high).real / total if total > 0 else 0.0
+        lhat[cut] = 0.0
+        return total, float(share)
 
     lhat = np.fft.fft(state.l)
-    lhat[cut] = 0.0
+    removed = project(lhat)[1]
     l = np.fft.ifft(lhat)
     t = l.imag / np.pi
     h = spectral_antideriv(t, L) + np.mean(t) * state.ys
@@ -412,30 +448,44 @@ def hamilton_evolve(state: FlowState, dens: HamiltonianDensity,
     xs = [x0]
     states = [FlowState.from_l(L, l)]
     heights = [h.copy()]
-    removed, min_ind = 0.0, math.inf
+    min_ind = math.inf
     for k in range(steps):
         x = x0 + k * dx
         if gprime0 is not None:
-            ind = float(np.min(np.abs(1.0 - (x + dx - x0) * gprime0)))
+            if k % FOLD_BLOCK == 0:
+                block = np.arange(k, min(k + FOLD_BLOCK, steps))
+                margins = _fold_margins(gprime0, x0 + block * dx + dx - x0).tolist()
+            ind = margins[k % FOLD_BLOCK]
             if ind < SHOCK_DELTA:
                 raise ShockDetected("characteristic map about to fold",
                                     x=x, diagnostics={"indicator": ind})
             min_ind = min(min_ind, ind)
-        phi1 = stage(l)
-        phi2 = stage(l + 0.5 * dx * dy(phi1))
-        phi3 = stage(l + 0.5 * dx * dy(phi2))
-        phi4 = stage(l + dx * dy(phi3))
+        inputs, phis, finite = [], [], True
+        try:
+            for c in stage_dx:
+                arg = l + c * dy(phis[-1]) if phis else l
+                phi = dens.phi(arg)
+                inputs.append(arg)
+                phis.append(phi)
+                if not math.isfinite(np.vdot(phi, phi).real) and not np.isfinite(phi).all():
+                    finite = False
+                    break
+        except Exception:
+            recheck(inputs, phis)
+            raise
+        if not finite or not sigma.feasible(np.array(phis).imag / np.pi,
+                                            np.array(inputs).imag / np.pi, margin=0.0):
+            recheck(inputs, phis)
+        phi1, phi2, phi3, phi4 = phis
         acc = phi1 + 2 * phi2 + 2 * phi3 + phi4
         lhat = lhat + step_ik * np.fft.fft(acc)
-        total = np.vdot(lhat, lhat).real
-        high = lhat[cut]
-        share = np.vdot(high, high).real / total if total > 0 else 0.0
-        lhat[cut] = 0.0
+        total, share = project(lhat)
         l = np.fft.ifft(lhat)
         h = h + dx / (6.0 * np.pi) * acc.imag  # the slope d1 tau is Im Phi / pi
-        if not np.isfinite(l).all():
+        # a finite total bounds every |l_hat| and with it every sample of l
+        if not math.isfinite(total) and not np.isfinite(l).all():
             raise StepFailure(f"non-finite state at x={x + dx}")
-        removed = max(removed, float(share))
+        removed = max(removed, share)
         if (k + 1) % keep_every == 0 or k == steps - 1:
             xs.append(x + dx)
             states.append(FlowState.from_l(L, l))

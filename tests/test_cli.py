@@ -365,6 +365,42 @@ def test_flow_bad_period_or_horizon_is_config_error(tmp_path, capsys, args, mess
     assert not (tmp_path / "conservation.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--nx", "5", "--ny", "4"],
+    ["flow", "--ny", "16", "--steps", "8"],
+    ["tension", "--variant", "numeric", "--n", "1"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # flow --tol nan switched its drift check off; solve --tol -1 never returned
+    assert run(command + ["--tol", tol, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "--tol must be finite and positive" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("variant", ["hex", "ff"])
+def test_config_tol_is_not_checked_by_closed_form_tension(tmp_path, variant):
+    # a shared config's tol is ignored by the closed-form variants, even a bad one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0, "u": 0.5}))
+    out = tmp_path / "out"
+    assert run(["tension", "--variant", variant, "--config", str(cfg), "--lo", "0.3",
+                "--hi", "0.3", "--n", "1", "--out", str(out)]) == 0
+    assert list(out.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["64", "65", "1000", "-64"])
+def test_flow_mode_must_lie_below_half_the_sample_count(tmp_path, capsys, mode):
+    # mode 64 of 128 samples is a zero perturbation, higher modes alias
+    assert run(["flow", "--ny", "128", "--mode", mode, "--steps", "8",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "needs 2|mode| < ny = 128" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_flow_shock_exit_code(tmp_path, monkeypatch):
     def fake_evolve(*a, **kw):
         raise ShockDetected("stub shock", x=0.1)

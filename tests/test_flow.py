@@ -419,11 +419,196 @@ def test_hamilton_fold_raises_at_the_parent_step(ny):
     assert abs(err.value.diagnostics["indicator"] - 0.0009735361584435331) <= 1e-13
 
 
+def _staged_density(*outs):
+    """ff_density(1.1) whose Phi is the constant outs[i] on its i-th call,
+    or raises outs[i] when that is an exception."""
+    calls = iter(outs)
+
+    def phi(l):
+        out = next(calls)
+        if isinstance(out, Exception):
+            raise out
+        return np.full(l.shape, out, dtype=complex)
+
+    return dataclasses.replace(fl.ff_density(1.1), phi=phi)
+
+
+FEASIBLE, INFEASIBLE = 0.5j * np.pi, 2.0j * np.pi  # Im Phi / pi = 1/2 and 2
+
+
+@pytest.mark.parametrize("outs, error, message", [
+    ((INFEASIBLE, np.nan), StepFailure, "state left the tension domain"),
+    ((FEASIBLE, FEASIBLE, np.nan), StepFailure, "density partials blew up"),
+    ((INFEASIBLE, ValueError("stage 2")), StepFailure, "state left the tension domain"),
+    ((FEASIBLE, ValueError("stage 2")), ValueError, "stage 2"),
+    ((FEASIBLE,) * 7 + (np.nan,), StepFailure, "density partials blew up"),
+    ((FEASIBLE,) * 7 + (INFEASIBLE,), StepFailure, "state left the tension domain")])
+def test_hamilton_stage_failures_raise_in_stage_order(outs, error, message):
+    # the first failing check in stage order wins, whatever a later stage
+    # does; eight outputs are two steps, whose second fails at stage 4
+    steps = (len(outs) - 1) // 4 + 1
+    with pytest.raises(error, match=message):
+        fl.hamilton_evolve(sine_state(16, tbar=0.5), _staged_density(*outs),
+                           (0.0, 0.01 * steps), steps)
+
+
+def test_filter_energy_removed_counts_the_initial_projection():
+    # mode 20 is above the cutoff of 14, so the projection at x = 0 removes
+    # the whole sine: its share of sum |l_hat|^2 is (amp^2 / 2) / (tbar^2 + amp^2 / 2)
+    ys = np.arange(128) / 128
+    st = fl.FlowState(1.0, np.zeros(128), 0.6 + 0.03 * np.sin(2 * np.pi * 20 * ys))
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 128)
+    assert traj.filter_modes == 14
+    assert np.ptp(traj.states[0].t) <= 1e-15
+    share = (0.03 ** 2 / 2) / (0.6 ** 2 + 0.03 ** 2 / 2)
+    assert abs(traj.filter_energy_removed - share) <= 1e-12 * share
+
+
+def _reference_hamilton(state, dens, x_span, steps, keep_every=1, filter_modes=None):
+    """hamilton_evolve's step loop with every check where it was first
+    written: finiteness and feasibility per stage, one fold margin per
+    step, a boolean mode mask and a finite-state test every step."""
+    x0, x1 = x_span
+    dx = (x1 - x0) / steps
+    L, ny, F, sigma = state.L, state.ny, dens.burgers, dens.sigma
+    g0 = None if F is None else F(np.exp(state.l))
+    gprime0 = None if g0 is None else fl.spectral_dy(g0, L)
+    if filter_modes is None:
+        filter_modes = max(2, ny // 4)
+        if g0 is not None:
+            rate = 2 * np.pi * float(np.max(np.abs(g0.imag))) * abs(x1 - x0) / L
+            if rate * filter_modes > math.log(fl.FILTER_GROWTH):
+                filter_modes = max(2, int(math.log(fl.FILTER_GROWTH) / rate))
+    cut = np.abs(np.fft.fftfreq(ny, d=1.0 / ny)) > filter_modes
+    dy = fl._dy_operator(ny, L)
+    step_ik = dx / 6.0 * 1j * fl._wavenumbers(ny, L)
+
+    def stage(l):
+        phi = dens.phi(l)
+        if not np.isfinite(phi).all():
+            raise StepFailure("density partials blew up")
+        if not sigma.feasible(phi.imag / np.pi, l.imag / np.pi, margin=0.0):
+            raise StepFailure("state left the tension domain")
+        return phi
+
+    def project(lhat):
+        total = np.vdot(lhat, lhat).real
+        high = lhat[cut]
+        share = np.vdot(high, high).real / total if total > 0 else 0.0
+        lhat[cut] = 0.0
+        return share
+
+    lhat = np.fft.fft(state.l)
+    removed = float(project(lhat))
+    l = np.fft.ifft(lhat)
+    t = l.imag / np.pi
+    h = fl.spectral_antideriv(t, L) + np.mean(t) * state.ys
+    xs, states, heights = [x0], [fl.FlowState.from_l(L, l)], [h.copy()]
+    min_ind = math.inf
+    for k in range(steps):
+        x = x0 + k * dx
+        if gprime0 is not None:
+            ind = float(np.min(np.abs(1.0 - (x + dx - x0) * gprime0)))
+            if ind < fl.SHOCK_DELTA:
+                raise ShockDetected("characteristic map about to fold",
+                                    x=x, diagnostics={"indicator": ind})
+            min_ind = min(min_ind, ind)
+        phi1 = stage(l)
+        phi2 = stage(l + 0.5 * dx * dy(phi1))
+        phi3 = stage(l + 0.5 * dx * dy(phi2))
+        phi4 = stage(l + dx * dy(phi3))
+        acc = phi1 + 2 * phi2 + 2 * phi3 + phi4
+        lhat = lhat + step_ik * np.fft.fft(acc)
+        share = project(lhat)
+        l = np.fft.ifft(lhat)
+        h = h + dx / (6.0 * np.pi) * acc.imag
+        if not np.isfinite(l).all():
+            raise StepFailure(f"non-finite state at x={x + dx}")
+        removed = max(removed, float(share))
+        if (k + 1) % keep_every == 0 or k == steps - 1:
+            xs.append(x + dx)
+            states.append(fl.FlowState.from_l(L, l))
+            heights.append(h.copy())
+    return fl.Trajectory(np.array(xs), states, heights, filter_modes, removed,
+                         rhs_evals=4 * steps,
+                         min_shock_indicator=None if gprime0 is None else min_ind)
+
+
+def _outcome(evolve, *args, **kwargs):
+    try:
+        return evolve(*args, **kwargs)
+    except Exception as err:
+        return err
+
+
+def _fold_density():
+    """The real inviscid-Burgers density of the fold test above."""
+    F = fl.BurgersFunction(lambda z: np.log(z) - 0.5j * np.pi, lambda z: 1.0 / z, "real")
+    return dataclasses.replace(fl.ff_density(1.1), burgers=F,
+                               phi=lambda l: (l - 0.5j * np.pi) ** 2 / 2 + 0.5j * np.pi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=hst.sampled_from(["hex", "ff", "generic", "fold"]),
+       ny=hst.sampled_from([16, 128, 300]), steps=hst.sampled_from([1, 63, 64, 65, 130]),
+       keep=hst.sampled_from(["1", "7", "steps"]),
+       cutoff=hst.sampled_from(["default", "0", "1", "half-1", "half", "ny"]),
+       T=hst.floats(0.02, 0.3), amp=hst.floats(0.01, 0.05))
+def test_hamilton_is_bit_identical_to_the_reference_loop(kind, ny, steps, keep, cutoff, T, amp):
+    # ny = 16 and 128 take the dense d/dy, ny = 300 the FFT pair; 63, 64,
+    # 65 and 130 steps end inside, on and past a block of fold margins, and
+    # the fold data folds at x = 0.5305 of its span (0, 1 + T)
+    if kind == "fold":
+        dens, amp, T = _fold_density(), 0.3, 1.0 + T
+        st = fl.FlowState(1.0, amp * np.sin(2 * np.pi * np.arange(ny) / ny), np.full(ny, 0.5))
+    else:
+        dens = {"hex": fl.hex_density(), "ff": fl.ff_density(1.1),
+                "generic": dataclasses.replace(fl.hex_density(), burgers=None)}[kind]
+        st = sine_state(ny, tbar=0.5 if kind == "ff" else 0.6, amp=amp)
+    keep_every = {"1": 1, "7": 7, "steps": steps}[keep]
+    filter_modes = {"default": None, "0": 0, "1": 1, "half-1": ny // 2 - 1,
+                    "half": ny // 2, "ny": ny}[cutoff]
+    got, want = (_outcome(evolve, st, dens, (0.0, T), steps, keep_every=keep_every,
+                          filter_modes=filter_modes)
+                 for evolve in (fl.hamilton_evolve, _reference_hamilton))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "x", None) == getattr(want, "x", None)
+        assert getattr(got, "diagnostics", None) == getattr(want, "diagnostics", None)
+        return
+    assert np.array_equal(got.xs, want.xs)
+    assert len(got.states) == len(want.states) == len(got.heights)
+    assert all(np.array_equal(a.l, b.l) for a, b in zip(got.states, want.states))
+    assert all(np.array_equal(a, b) for a, b in zip(got.heights, want.heights))
+    assert got.min_shock_indicator == want.min_shock_indicator
+    assert got.rhs_evals == want.rhs_evals
+    assert got.filter_modes == want.filter_modes
+    assert got.filter_energy_removed == want.filter_energy_removed
+
+
 @pytest.mark.parametrize("keep_every", [0, -1])
 def test_hamilton_refuses_keep_every_below_one(keep_every):
     with pytest.raises(OutOfRange, match="keep_every"):
         fl.hamilton_evolve(sine_state(16), fl.hex_density(), (0.0, 0.1), 4,
                            keep_every=keep_every)
+
+
+@pytest.mark.parametrize("filter_modes", [-1, math.nan])
+def test_hamilton_refuses_a_negative_cutoff(filter_modes):
+    with pytest.raises(OutOfRange, match="filter_modes must be nonnegative"):
+        fl.hamilton_evolve(sine_state(16), fl.hex_density(), (0.0, 0.1), 4,
+                           filter_modes=filter_modes)
+
+
+def test_hamilton_finiteness_test_survives_an_overflowing_sum():
+    # sum |Phi|^2 overflows to inf on finite samples, and the step goes on:
+    # Im Phi / pi = 1/2 is feasible, and over a span of 1e-250 the roundoff
+    # of d/dy on Re Phi = 1e200 moves no stage out of the domain
+    dens = dataclasses.replace(fl.ff_density(1.1), burgers=None,
+                               phi=lambda l: np.full(l.shape, 1e200 + 0.5j * np.pi))
+    st = sine_state(16, tbar=0.5)
+    traj = fl.hamilton_evolve(st, dens, (0.0, 1e-250), 2)
+    assert np.max(np.abs(traj.states[-1].l - traj.states[0].l)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
