@@ -394,7 +394,8 @@ def cmd_flow(args, cfg) -> int:
                    ["x", "y", "p", "t", "re_l", "im_l"], rows)
         for n in range(1, 5):
             vals = [fl.conserved_In(st, n) for st in states]
-            base = vals[0]
+            # from the input, so a perturbation the projection removed shows
+            base = fl.conserved_In(state, n)
             series[f"I{n}"] = {
                 "x": [float(x) for x in xs_traj],
                 "re": [v.real for v in vals],

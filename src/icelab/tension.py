@@ -7,15 +7,16 @@ product of circles,
 
 The default evaluator integrates the inner circle exactly by factoring the
 fiber polynomial (Jensen's formula; a fiber of degree one in z has its root
-in closed form, higher degrees use companion-matrix eigenvalues).  Roots
-are counted on a fixed grid of the outer circle and every jump of the
-count, where a root crosses |z| = e^H and the integrand has a kink, is
-located by a secant search, all jumps together.  The outer circle is then
-integrated by Gauss-Legendre between the kinks, and the same crossings give
-the exact root-counting form of the gradient and, from the rate at which
-each crossing moves, the exact Hessian that the Legendre Newton iteration
-uses as its Jacobian.  A plain two-dimensional trapezoid grid is kept as an
-independent cross-check.
+in closed form, higher degrees use companion-matrix eigenvalues).  The
+integrand has a kink wherever a root crosses |z| = e^H.  These crossings
+are where the curve meets the torus |z| = e^H, |w| = e^V, found exactly as
+the roots on the unit circle of one resultant and polished by Newton
+(`_crossings`).  The outer circle is then integrated by Gauss-Legendre
+between the kinks, and the same crossings give the exact root-counting
+form of the gradient and, from the rate at which each crossing moves, the
+exact Hessian that the Legendre Newton iteration uses as its Jacobian.  A
+plain two-dimensional trapezoid grid is kept as an independent
+cross-check.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
@@ -223,14 +224,16 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
     from n0 on one piece [0, 2 pi) when no crossing is found.  "grid" is
     the plain two-dimensional trapezoid rule from n0, an independent
     cross-check.  The info holds the number of outer nodes ``n``, the last
-    difference ``estimate`` and ``converged``, False if ``n_max`` came first.
+    difference ``estimate`` and ``converged``, False if ``n_max`` came first;
+    "jensen" adds ``crossing_residual``, the largest |log|z| - H| left at a
+    crossing root after the polish (0.0 with no crossing).
     """
     if n0 < 64:
         raise OutOfRange("resolution parameter must be at least 64")
     level = n0
     if method == "jensen":
         layout = _fiber_layout(curve)
-        start = _crossings(layout, H, V)[2]
+        start, _, _, residual = _crossings(layout, H, V)
         level, start = (8, start) if start.size else (n0, np.zeros(1))
         half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
 
@@ -248,124 +251,112 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
         cur, n = evaluate(level)
         est, value = abs(cur - value), cur
     if return_info:
-        return value, {"n": n, "estimate": est, "converged": est <= tol}
+        info = {"n": n, "estimate": est, "converged": est <= tol}
+        if method == "jensen":
+            info["crossing_residual"] = residual
+        return value, info
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _node_grid(n: int):
-    """The n nodes 2 pi k / n of the outer circle, built on first use.
+def _near_root(layout, H: float, V: float, psi: np.ndarray):
+    """g = log|Z| - H and rho = -(w dP/dw) / (z dP/dz) at (Z, w).
 
-    Returns read-only (psi_k, psi_k + 2 pi / n, e^(i psi_k)): the node
-    angles, the right ends of the intervals they start, and the unit roots.
+    w = e^(V + i psi) for each angle, and Z is the root of P(., w) whose
+    modulus is nearest e^H; g(psi) has slope -Im rho.
     """
-    psi = np.arange(n) * (_TWO_PI / n)
-    grid = psi, psi + _TWO_PI / n, np.exp(1j * psi)
-    for a in grid:
-        a.flags.writeable = False
-    return grid
-
-
-def _crossings(layout, H: float, V: float, n: int = 2048):
-    """Where fiber roots cross |z| = e^H as w goes round |w| = e^V.
-
-    Returns the root counts at the nodes 2 pi k / n, the indices k of the
-    intervals whose end counts differ, and the crossing angle in each, all
-    solved together.  The node fiber is e^V times the cached unit roots
-    (`_node_grid`), and the counts come from the root moduli.  An odd jump
-    is found to a few ulp by secant steps on q = prod tanh(log|z_k| - H),
-    continuous (escaped roots give +1) with sign (-1)^count, taking the
-    midpoint for a step that leaves the bracket; an even jump is bisected
-    on the count.  Of the nodes, q is formed only at the two ends of each
-    jump interval.  Two jumps inside one interval cancel and are not seen.
-    """
-    psi, psi_next, unit = _node_grid(n)
-    radius, ulps = math.exp(H), 4.0 * np.spacing(_TWO_PI)
-
-    def moduli(w):
-        return np.abs(_fiber_roots(_fiber_coeffs(layout, w))[0])
-
-    def tanh_product(mod):
-        return np.prod(np.tanh(np.log(mod) - H), axis=-1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mod = moduli(math.exp(V) * unit)
-        count = (mod < radius).sum(axis=1)
-        jump = np.flatnonzero(count != np.append(count[1:], count[0]))
-        cross, idx, left = np.empty(jump.size), np.arange(jump.size), count[jump]
-        x0, x1 = psi[jump], psi_next[jump]
-        q0, q1 = tanh_product(mod[np.stack((jump, (jump + 1) % n))])
-        secant, blo, bhi = q0 * q1 < 0, x0, x1
-        for _ in range(64):
-            x = x1 - q1 * (x1 - x0) / (q1 - q0)
-            done = (bhi - blo <= ulps) | secant & ((np.abs(x - x1) <= ulps) | (q1 == 0))
-            if done.any():
-                cross[idx[done]] = x1[done]
-                idx, x0, q0, x1, q1, blo, bhi, x, left, secant = (
-                    v[~done] for v in (idx, x0, q0, x1, q1, blo, bhi, x, left, secant))
-            if not idx.size:
-                break
-            x = np.where(secant & (x > blo) & (x < bhi), x, 0.5 * (blo + bhi))
-            mod = moduli(np.exp(V + 1j * x))
-            cx, qx = (mod < radius).sum(axis=1), tanh_product(mod)
-            blo, bhi = np.where(cx == left, x, blo), np.where(cx == left, bhi, x)
-            x0, q0, x1, q1 = x1, q1, x, qx
-        cross[idx] = x1
-    return count, jump, cross
-
-
-def _crossing_rates(layout, H: float, V: float, cross: np.ndarray):
-    """(d psi_c/dH, d psi_c/dV) of each crossing angle psi_c.
-
-    The crossing root Z of P(., w), w = e^(V + i psi_c), is the one with
-    log|Z| nearest H; with rho = -(w dP/dw) / (z dP/dz) at (Z, w), keeping
-    log|Z| = H gives -1 / Im rho and Re rho / Im rho.
-    """
-    w = np.exp(V + 1j * cross)
+    w = np.exp(V + 1j * psi)
     roots = _fiber_roots(_fiber_coeffs(layout, w))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.argmin(np.abs(np.log(np.abs(roots)) - H), axis=1)
-    z = roots[np.arange(cross.size), near]
+    gap = np.log(np.abs(roots)) - H
+    near = np.argmin(np.abs(gap), axis=1)
+    z, g = roots[np.arange(psi.size), near], gap[np.arange(psi.size), near]
     z_dz = sum(c * row * z ** row * w ** j for row, j, c in layout[2])
     w_dw = sum(c * j * z ** row * w ** j for row, j, c in layout[2])
-    rho = -w_dw / z_dz
-    return -1.0 / rho.imag, rho.real / rho.imag
+    return g, -w_dw / z_dz
 
 
-def grad_free_energy(curve: SpectralCurve, H: float, V: float,
-                     n: int = 2048, hessian: bool = False):
+def _crossings(layout, H: float, V: float):
+    """Where fiber roots cross |z| = e^H as w goes round |w| = e^V.
+
+    With p(zeta, omega) = P(e^H zeta, e^V omega) of z-degree d, the
+    crossings are the roots on |omega| = 1 of the resultant
+    R(omega) = Res_zeta(p, zeta^d p(1/zeta, 1/omega)): on the unit circle the
+    second polynomial's coefficients are the conjugates of the first's,
+    reversed, so the two share a root where p has one on |zeta| = 1.  R is
+    a Laurent polynomial of degree d e, e the w-span of the curve; it is
+    sampled at 2 d e + 1 roots of unity (Sylvester determinants),
+    interpolated by one discrete Fourier transform and solved by np.roots.
+    Each root is polished by Newton on log|Z(psi)| - H (`_near_root`).
+
+    Returns the m crossing angles in [0, 2 pi), ascending; the root count
+    inside |z| = e^H on each of the m + 1 arcs they cut from [0, 2 pi),
+    from one fiber solve at the arcs' midpoints (the first and the last arc
+    are one arc round 2 pi; one count when m = 0); rho at each crossing;
+    and the largest |log|Z| - H| left by the polish.
+    """
+    _, deg, terms = layout
+    j_all = [j for _, j, _ in terms]
+    de = deg * (max(j_all) - min(j_all))
+    omega = np.exp(np.arange(2 * de + 1) * (1j * _TWO_PI / (2 * de + 1)))
+    a = _fiber_coeffs(layout, math.exp(V) * omega) * np.exp(H * np.arange(deg + 1))[:, None]
+    sylvester = np.zeros((omega.size, 2 * deg, 2 * deg), dtype=complex)
+    for k in range(deg):
+        sylvester[:, k, k:k + deg + 1] = a[::-1].T
+        sylvester[:, deg + k, k:k + deg + 1] = a.conj().T
+    # the discrete Fourier transform of the samples, without loading np.fft
+    r = np.vander(omega.conj(), increasing=True).T @ np.linalg.det(sylvester)
+    omega = np.roots(np.concatenate((r[de::-1], r[:de:-1])))
+    # near a tangency two roots merge and np.roots keeps them to ~sqrt(eps)
+    psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
+    ulps = np.spacing(_TWO_PI)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # no candidate, no fiber solve (at z-degree 0 there is no root to pick)
+        g, rho = _near_root(layout, H, V, psi) if psi.size else (psi, psi + 0j)
+        last = np.inf
+        for _ in range(16):
+            step = np.nan_to_num(g / rho.imag, posinf=0.0, neginf=0.0)
+            size = np.max(np.abs(step), initial=0.0)
+            # stop at an ulp, or where roundoff stops the steps shrinking
+            if size <= ulps or size >= last:
+                break
+            psi, last = psi + step, size
+            g, rho = _near_root(layout, H, V, psi)
+    psi = psi % _TWO_PI
+    order = np.argsort(psi)
+    psi, rho = psi[order], rho[order]
+    ends = np.concatenate((psi[-1:] - _TWO_PI, psi, psi[:1] + _TWO_PI))
+    mid = 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
+    moduli = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * mid)))[0])
+    count = (moduli < math.exp(H)).sum(axis=1)
+    return psi, count, rho, float(np.max(np.abs(g), initial=0.0))
+
+
+def grad_free_energy(curve: SpectralCurve, H: float, V: float, hessian: bool = False):
     """(d/dH, d/dV) of the free energy via exact root counting.
 
     The H-derivative equals i_min plus the fraction of the outer circle on
-    which roots of the fiber polynomial sit inside radius e^H.  The count
-    is taken at n nodes and `_crossings` locates the jump in every interval
-    where it changes, so the result is accurate to a few ulp rather than
-    to the grid spacing.  A pair of jumps inside one interval is not seen.
+    which roots of the fiber polynomial sit inside radius e^H: the sum of
+    count times length over the arcs of [0, 2 pi) that the crossings of
+    `_crossings` cut, over 2 pi.
 
     With ``hessian=True`` the result is ((d/dH, d/dV), 2x2 Hessian).  The
-    second derivatives move the same crossings: each adds its jump in the
-    count (before minus after) times the rates of `_crossing_rates`, over
-    2 pi.  The V-V entry comes from the swapped curve and the cross term
-    from the first direction only, so the matrix is exactly symmetric; with
-    no crossing it is zero.
+    second derivatives move the same crossings: a crossing at psi_c moves
+    at -1 / Im rho in H and Re rho / Im rho in V, so each adds its jump in
+    the count (before minus after) times these rates, over 2 pi.  The V-V
+    entry comes from the swapped curve and the cross term from the first
+    direction only, so the matrix is exactly symmetric; with no crossing it
+    is zero.
     """
-    a, b, _ = _node_grid(n)
 
     def one_direction(cv, hh, vv):
         layout = _fiber_layout(cv)
-        count, jump, cross = _crossings(layout, hh, vv, n)
-        after = count[(jump + 1) % n]
-        # count[k] holds on [a, cross] and count[k + 1] on [cross, b]; without a
-        # jump count[k] holds on all of [a, b]
-        parts = count * (b - a)
-        parts[jump] = count[jump] * (cross - a[jump]) + after * (b[jump] - cross)
-        # summed in node order, as a scalar loop would add them
-        grad = layout[0] + float(np.add.accumulate(parts)[-1]) / _TWO_PI
+        psi, count, rho, _ = _crossings(layout, hh, vv)
+        arcs = np.diff(np.concatenate(([0.0], psi, [_TWO_PI])))
+        grad = layout[0] + float(count @ arcs) / _TWO_PI
         if not hessian:
             return grad, None
-        delta = count[jump] - after
-        rate_h, rate_v = _crossing_rates(layout, hh, vv, cross)
-        return grad, (float(delta @ rate_h) / _TWO_PI, float(delta @ rate_v) / _TWO_PI)
+        delta = count[:-1] - count[1:]
+        return grad, (float(delta @ (-1.0 / rho.imag)) / _TWO_PI,
+                      float(delta @ (rho.real / rho.imag)) / _TWO_PI)
 
     gh, second_h = one_direction(curve, H, V)
     gv, second_v = one_direction(curve.transformed(swap=True), V, H)

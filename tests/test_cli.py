@@ -401,6 +401,18 @@ def test_flow_mode_must_lie_below_half_the_sample_count(tmp_path, capsys, mode):
     assert not list(tmp_path.iterdir())
 
 
+def test_flow_drift_is_measured_from_the_input(tmp_path, capsys):
+    # mode 20 lies above the 14 modes kept at ny = 128: the projection leaves
+    # a constant, whose I_n never move, so only the input shows the loss
+    assert run(["flow", "--ny", "128", "--mode", "20", "--method", "hamilton",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "exceeds tol 1e-06" in err
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    assert report["filter_energy_removed"] > 1e-3
+    assert report["conservation"]["I2"]["max_rel_drift"] > 1e-3
+
+
 def test_flow_shock_exit_code(tmp_path, monkeypatch):
     def fake_evolve(*a, **kw):
         raise ShockDetected("stub shock", x=0.1)

@@ -172,8 +172,8 @@ def test_degree_drop_on_the_free_fermion_fiber():
     assert abs(f_jensen - f_grid) < 1e-6
 
 
-# reference root counting as it was before the crossing search was batched:
-# companion-matrix roots at every degree and one scalar bisection per jump
+# reference root counting by nodes: companion-matrix roots at every degree,
+# one scalar bisection per jump, and intervals that tile [0, 2 pi)
 
 def _eigvals_fiber_roots(coeffs):
     deg = coeffs.shape[0] - 1
@@ -205,7 +205,7 @@ def _scalar_bisection_grad(curve, H, V, n=2048):
             c0 = counts[k]
             c1 = counts[(k + 1) % n]
             a = psis[k]
-            b = psis[k] + 2 * np.pi / n
+            b = psis[k + 1] if k + 1 < n else 2 * np.pi
             if c0 == c1:
                 total += c0 * (b - a)
                 continue
@@ -295,42 +295,141 @@ def _reference_crossings(layout, H, V, n=2048):
 def test_crossing_search_matches_the_reference_property(kind, u, H, V, node):
     curve = {"hex": tn.hex_curve(), "ff": tn.ff_curve(u), "degree2": _DEGREE_TWO}[kind]
     layout = tn._fiber_layout(curve)
+    step = 2 * np.pi / 2048
     if node is not None:
         # put a root on |z| = e^H exactly at a node, where q vanishes
-        w = np.exp(V + 1j * np.array([node * (2 * np.pi / 2048)]))
+        w = np.exp(V + 1j * np.array([node * step]))
         H = float(np.log(np.abs(tn._fiber_roots(_reference_fiber_coeffs(layout, w))[0][0, 0])))
-    got, want = tn._crossings(layout, H, V), _reference_crossings(layout, H, V)
-    for g, r in zip(got, want):
-        assert g.dtype == r.dtype and np.array_equal(g, r)
+    psi, count = tn._crossings(layout, H, V)[:2]
+    ref_count, jump, cross = _reference_crossings(layout, H, V)
+    # equal counts at every node but one that sits on a crossing, a tie
+    nodes = np.arange(2048) * step
+    gap = np.min(np.abs(np.angle(np.exp(1j * (nodes[:, None] - psi)))), axis=1, initial=np.inf)
+    ours = count[np.searchsorted(psi, nodes, side="right")]
+    assert np.array_equal(ours[gap > 1e-12], ref_count[gap > 1e-12])
+    # the reference locates one crossing at most in a node interval
+    cell = (psi // step).astype(int)
+    shared = cell[1:][np.diff(cell) == 0]
+    alone, seen = psi[~np.isin(cell, shared)], cross[~np.isin(jump, shared)]
+    assert alone.size == seen.size
+    for x in seen:
+        assert np.min(np.abs(np.angle(np.exp(1j * (alone - x))))) <= 1e-12
 
 
-@pytest.mark.parametrize("curve", [tn.hex_curve(), _DEGREE_TWO], ids=["hex", "degree2"])
-def test_crossing_search_solves_n_columns_once(curve, monkeypatch):
-    # one fiber solve over the n nodes; every secant probe solves at most
-    # one column per jump interval
-    real, columns = tn._fiber_roots, []
-
-    def counted(coeffs):
-        columns.append(coeffs.shape[1])
-        return real(coeffs)
-
-    monkeypatch.setattr(tn, "_fiber_roots", counted)
-    layout = tn._fiber_layout(curve)
-    for H, V in np.random.default_rng(41).uniform(-0.5, 0.5, (6, 2)):
-        columns.clear()
-        jump = tn._crossings(layout, H, V)[1]
-        assert jump.size and columns[0] == 2048
-        assert all(c <= jump.size for c in columns[1:]), columns
-    for a in tn._node_grid(2048):
-        assert not a.flags.writeable
+# two roots leave |z| = e^H 1.2e-4 apart, inside one interval of a 2048-node grid
+_CLOSE_PAIR = (0.8524, 0.4109)
 
 
-def test_node_grid_is_not_built_at_import():
-    code = "import icelab; print(icelab.tension._node_grid.cache_info().currsize)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "0"
+def _close_pair_fiber_mp(psi):
+    """Leading coefficient and both roots of _DEGREE_TWO's fiber, by mpmath."""
+    H, V = _CLOSE_PAIR
+    c = {k: mp.mpf(v) for k, v in _DEGREE_TWO.as_dict().items()}
+    w = mp.exp(V) * mp.expj(psi)
+    a, b, d = c[2, 0], c[1, 0] + c[1, 1] * w, c[0, 0] + c[0, 1] * w
+    root = mp.sqrt(b * b - 4 * a * d)
+    return a, ((-b + root) / (2 * a), (-b - root) / (2 * a))
+
+
+def _close_pair_crossings_mp():
+    """The two crossings in (0, pi) at _CLOSE_PAIR, by mpmath."""
+    H, _ = _CLOSE_PAIR
+    found = []
+    for seed in (0.925677, 0.925797):
+        # the root that crosses at this angle, and log|z(psi)| = H on it
+        g = min((lambda p, k=k: mp.log(abs(_close_pair_fiber_mp(p)[1][k])) - H
+                 for k in (0, 1)), key=lambda g: abs(g(seed)))
+        found.append(mp.findroot(g, mp.mpf(seed)))
+    return found
+
+
+def test_close_pair_crossings_match_mpmath():
+    with mp.workdps(30):
+        half = _close_pair_crossings_mp()
+        want = np.array([float(x) for x in half + [2 * mp.pi - x for x in reversed(half)]])
+    psi = tn._crossings(tn._fiber_layout(_DEGREE_TWO), *_CLOSE_PAIR)[0]
+    assert psi.shape == (4,) and np.max(np.abs(psi - want)) <= 1e-12
+
+
+def test_close_pair_free_energy_has_all_four_kinks():
+    H, _ = _CLOSE_PAIR
+    with mp.workdps(20):
+        def inner(p):
+            a, roots = _close_pair_fiber_mp(p)
+            return mp.log(abs(a)) + sum(max(mp.mpf(H), mp.log(abs(z))) for z in roots)
+
+        # the integrand is even in psi, with two kinks in (0, pi)
+        want = float(mp.quad(inner, [0, *_close_pair_crossings_mp(), mp.pi]) / mp.pi)
+    value, info = tn.free_energy(_DEGREE_TWO, *_CLOSE_PAIR, tol=1e-10, return_info=True)
+    assert info["converged"] is True and abs(value - want) <= 1e-10
+    assert info["crossing_residual"] <= 1e-12
+
+
+def test_crossing_residual_is_reported():
+    rng = np.random.default_rng(43)
+    for s, t in rng.uniform(0.1, 0.45, (6, 2)):
+        H, V = (float(x) for x in tn.grad_sigma_hex(s, t))
+        _, info = tn.free_energy(tn.hex_curve(), H, V, return_info=True)
+        assert 0.0 <= info["crossing_residual"] <= 1e-12
+    # off the amoeba no root crosses
+    _, info = tn.free_energy(tn.hex_curve(), 2.0, 0.1, return_info=True)
+    assert info["crossing_residual"] == 0.0
+
+
+def test_a_fiber_without_roots_has_no_crossing():
+    # 2 + w has z-degree 0: f = log max(2, e^V) and grad f = (0, [e^V > 2])
+    curve = tn.SpectralCurve.from_dict({(0, 0): 2.0, (0, 1): 1.0})
+    for V, grad in ((0.2, (0.0, 0.0)), (1.0, (0.0, 1.0))):
+        assert abs(tn.free_energy(curve, 0.1, V) - max(math.log(2.0), V)) <= 1e-12
+        got, hess = tn.grad_free_energy(curve, 0.1, V, hessian=True)
+        assert got == grad and not hess.any()
+
+
+def _hex_gradient_mp(H, V, start):
+    """grad f at (H, V): the (s, t) that grad_sigma_hex maps there, by mpmath."""
+    with mp.workdps(30):
+        s, t = mp.findroot(
+            lambda s, t: [mp.log(mp.sin(mp.pi * s) / mp.sin(mp.pi * (s + t))) - H,
+                          mp.log(mp.sin(mp.pi * t) / mp.sin(mp.pi * (s + t))) - V],
+            tuple(mp.mpf(x) for x in start))
+        return float(s), float(t)
+
+
+def _ff_gradient_mp(H, V, u):
+    """grad_free_energy_ff's two arccos formulas, by mpmath."""
+    with mp.workdps(30):
+        H, V, u = mp.mpf(H), mp.mpf(V), mp.mpf(u)
+        arg_h = (mp.sinh(V - H) * mp.tan(u) - mp.sinh(V + H) * mp.cot(u)) / (2 * mp.cosh(H))
+        arg_v = (mp.sinh(H - V) * mp.tan(u) - mp.sinh(V + H) * mp.cot(u)) / (2 * mp.cosh(V))
+        return float(mp.acos(arg_h) / mp.pi), float(mp.acos(arg_v) / mp.pi)
+
+
+def test_counting_gradient_matches_the_hex_closed_form_to_an_ulp():
+    rng = np.random.default_rng(71)
+    for s, t in rng.uniform(0.1, 0.45, (8, 2)):
+        H, V = (float(x) for x in tn.grad_sigma_hex(s, t))
+        got = tn.grad_free_energy(tn.hex_curve(), H, V)
+        want = _hex_gradient_mp(H, V, (s, t))
+        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
+
+
+def test_counting_gradient_matches_the_ff_closed_form_to_an_ulp():
+    rng = np.random.default_rng(72)
+    for s, t, u in zip(*rng.uniform(0.1, 0.9, (2, 8)), rng.uniform(0.3, 1.3, 8)):
+        H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
+        got = tn.grad_free_energy(tn.ff_curve(u), H, V)
+        want = _ff_gradient_mp(H, V, u)
+        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["hex", "ff"]), u=st.floats(0.3, 1.3),
+       H=st.floats(-1.5, 1.5), V=st.floats(-1.5, 1.5))
+def test_harnack_curves_cross_the_torus_in_one_conjugate_pair(kind, u, H, V):
+    curve = tn.hex_curve() if kind == "hex" else tn.ff_curve(u)
+    psi = tn._crossings(tn._fiber_layout(curve), H, V)[0]
+    assert psi.size in (0, 2)
+    if psi.size:
+        assert abs(psi[0] + psi[1] - 2 * np.pi) <= 1e-12
 
 
 def test_import_loads_no_scipy():
@@ -375,20 +474,20 @@ def test_exact_hessian_matches_differences_of_the_gradient():
     assert np.array_equal(hess, np.zeros((2, 2)))
 
 
-# grad_free_energy as it returned these points before the Hessian was added
+# grad_free_energy at these points, each within 4e-16 of _scalar_bisection_grad
 _GRADIENTS = [
     (tn.hex_curve(), (-0.5866476065228805, 0.2626927845212411),
-     (0.13158751584520187, 0.6115099273875162)),
+     (0.13158751584519518, 0.6115099273874794)),
     (tn.hex_curve(), (-0.20264737061880572, 0.5197063963440317),
-     (0.11096546643301851, 0.7516518012066171)),
+     (0.11096546643301304, 0.7516518012065774)),
     (tn.ff_curve(1.0), (0.38310471216744335, 0.22988029192928883),
-     (0.599117371346931, 0.527809513638024)),
+     (0.5991173713468952, 0.5278095136379931)),
     (tn.ff_curve(1.0), (-0.24980711620551932, -0.23842049818991518),
-     (0.4466938907848137, 0.4521055516300243)),
+     (0.44669389078478855, 0.45210555162999877)),
     (_DEGREE_TWO, (0.11981233912500311, 0.15541781887768913),
-     (0.14235877150181303, 0.5215599366347521)),
+     (0.1423587715018056, 0.5215599366347218)),
     (_DEGREE_TWO, (0.476170414481467, 0.24550554561108384),
-     (0.2054903931928129, 0.5294598761828789)),
+     (0.2054903931928023, 0.5294598761828477)),
 ]
 
 
