@@ -56,7 +56,7 @@ from . import flow as fl
 from . import shapes as sh
 from . import sixvertex as sv
 from . import tension as tn
-from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected
+from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected, TooLarge
 from .suites import (FLOW_VARIATIONAL_TOL, SUITES, el_mesh_study,
                      flow_variational_gap, run_suite)
 
@@ -353,9 +353,9 @@ def cmd_flow(args, cfg) -> int:
     if opts["tbar"] is None:
         opts["tbar"] = 0.6 if variant == "hex" else 0.5
     if variant == "hex":
-        dens, F = fl.hex_density(), fl.hex_burgers()
+        dens = fl.hex_density()
     elif variant == "ff":
-        dens, F = fl.ff_density(opts["u"][0]), fl.ff_burgers(opts["u"][0])
+        dens = fl.ff_density(opts["u"][0])
     else:
         raise ValueError(f"unknown flow variant {variant!r}")
 
@@ -383,7 +383,7 @@ def cmd_flow(args, cfg) -> int:
             report["rhs_evals"] = traj.rhs_evals
             report["min_shock_indicator"] = traj.min_shock_indicator
         else:
-            states = [state] + [fl.burgers_evolve(state, F, float(x))
+            states = [state] + [fl.burgers_evolve(state, dens.burgers, float(x))
                                 for x in xs_out[1:]]
             xs_traj = xs_out
         rows = []
@@ -404,7 +404,7 @@ def cmd_flow(args, cfg) -> int:
                                      for v in vals),
             }
         if method == "both":
-            endB = fl.burgers_evolve(state, F, horizon)
+            endB = fl.burgers_evolve(state, dens.burgers, horizon)
             series["hamilton_vs_burgers_sup"] = float(
                 np.max(np.abs(states[-1].l - endB.l)))
         report["conservation"] = series
@@ -502,7 +502,9 @@ def cmd_sixv(args, cfg) -> int:
     else:
         w = sv.VertexWeights(1.0, 1.0, 1.0, H, V)
     if opts["transfer"] is not None:      # 0 and N > DENSE_CAP are errors
-        op = sv.transfer(opts["transfer"], w, dense=True)
+        if opts["transfer"] > sv.DENSE_CAP:
+            raise TooLarge(f"dense transfer capped at N = {sv.DENSE_CAP}, got {opts['transfer']}")
+        op = sv.transfer(opts["transfer"], w)
         _write_csv(os.path.join(out, "transfer.csv"),
                    [f"c{k}" for k in range(op.dim)], op.matrix)
         payload["transfer_rows"] = op.dim

@@ -188,50 +188,36 @@ def ff_burgers(u: float) -> BurgersFunction:
                            f"FF(u={u})")
 
 
-def _curve_partials(curve: SpectralCurve, z, w):
-    pz = sum(c * i * z ** (i - 1) * w ** j for (i, j), c in curve.coeffs if i)
-    pw = sum(c * j * z ** i * w ** (j - 1) for (i, j), c in curve.coeffs if j)
-    return pz, pw
-
-
 def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> BurgersFunction:
-    """F(z) = (z / w) dP/dz / dP/dw on the branch through the probe point.
+    """F(z) = z dP/dz / (w dP/dw) on the branch through the probe point.
 
-    The branch of w(z) is selected per evaluation as the root of P(z, .)
-    nearest to the probe value; evaluation is meant near the probe (track
-    continuity by re-probing for excursions).
+    The branch w(z) is the root of P(z, .) nearest to the probe's w, from one
+    batched fiber solve of the swapped curve in `tension`, and F = -1 / rho
+    from `tension._log_partials`.  Evaluation is meant near the probe.  Two
+    roots equally near it raise BranchAmbiguous; no root or dP/dw = 0 raises
+    SingularBranch.  df is the central difference with step 1e-6.
     """
     w0 = complex(probe[1])
-    d = curve.as_dict()
-    j_min = min(j for (_, j) in d)
+    layout = tension._fiber_layout(curve.transformed(swap=True))
 
-    def branch_w(z):
-        coeffs = {}
-        for (i, j), c in d.items():
-            coeffs[j - j_min] = coeffs.get(j - j_min, 0.0) + c * z ** i
-        deg = max(coeffs)
-        poly = np.array([coeffs.get(k, 0.0) for k in range(deg, -1, -1)],
-                        dtype=complex)
-        roots = np.roots(poly)
-        if roots.size == 0:
-            raise SingularBranch("fiber polynomial has no roots")
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        roots = tension._fiber_roots(tension._fiber_coeffs(layout, z.ravel()))[0]
         dist = np.abs(roots - w0)
-        order = np.argsort(dist)
-        if roots.size > 1 and dist[order[1]] - dist[order[0]] < 1e-9 * (1 + dist[order[0]]):
-            raise BranchAmbiguous(f"two branches equally near the probe at z={z}")
-        return roots[order[0]]
+        ranked = np.sort(dist, axis=1)
+        if roots.shape[1] == 0 or not np.isfinite(ranked[:, 0]).all():
+            raise SingularBranch("fiber polynomial has no finite root")
+        close = np.any(ranked[:, 1:2] - ranked[:, :1] < 1e-9 * (1 + ranked[:, :1]), axis=1)
+        if close.any():
+            raise BranchAmbiguous(f"branches equally near the probe at z={z.flat[close.argmax()]}")
+        w = np.take_along_axis(roots, np.argmin(dist, axis=1)[:, None], axis=1)[:, 0]
+        w_dw, z_dz = tension._log_partials(layout, w, z.ravel())
+        if np.any(np.abs(w_dw) < 1e-13 * np.abs(w) ** (1 - layout[0])):
+            raise SingularBranch("dP/dw vanished on the branch")
+        return (z_dz / w_dw).reshape(z.shape)
 
-    def f_scalar(z):
-        w = branch_w(z)
-        pz, pw = _curve_partials(curve, z, w)
-        if abs(pw) < 1e-13:
-            raise SingularBranch(f"dP/dw vanished at z={z}")
-        return (z / w) * pz / pw
-
-    f = np.vectorize(f_scalar, otypes=[complex])
-
-    def df(z, h=1e-6):
-        return (f(z + h) - f(z - h)) / (2 * h)
+    def df(z):
+        return np.subtract(*f(np.stack((z + 1e-6, z - 1e-6)))) / 2e-6
 
     return BurgersFunction(f, df, "FromCurve")
 

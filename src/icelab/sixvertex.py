@@ -333,17 +333,13 @@ def _fold_sectors(t: list, cur: list, r: int, pairs) -> list[np.ndarray]:
     return out
 
 
-def transfer(n: int, w: VertexWeights, dense: bool | None = None) -> TransferOperator:
+def transfer(n: int, w: VertexWeights) -> TransferOperator:
     """Transfer operator for N rows: explicit sector blocks up to DENSE_CAP,
     matrix-free above.  The blocks hold C(2N, N) of the 4^N dense entries:
     1.5 MB instead of 8.4 MB at N = 10, 21.6 MB instead of 134 MB at N = 12."""
     if n < 1:
         raise OutOfRange("need at least one row")
-    if dense is None:
-        dense = n <= DENSE_CAP
-    if dense and n > DENSE_CAP:
-        raise TooLarge(f"dense transfer capped at N = {DENSE_CAP}, got {n}")
-    if not dense:
+    if n > DENSE_CAP:
         return TransferOperator(n, w)
     t = _site_tensor(w).tolist()  # [q_out][a_south][q_in][a_north]
     # zero rows: the auxiliary edge passes through unchanged

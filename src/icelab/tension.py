@@ -5,7 +5,7 @@ product of circles,
 
     f(H, V) = mean over (phi, psi) of log|P(e^(H + i phi), e^(V + i psi))|.
 
-The default evaluator integrates the inner circle exactly by factoring the
+The evaluator integrates the inner circle exactly by factoring the
 fiber polynomial (Jensen's formula; a fiber of degree one in z has its root
 in closed form, higher degrees use companion-matrix eigenvalues).  The
 integrand has a kink wherever a root crosses |z| = e^H.  These crossings
@@ -15,8 +15,8 @@ the roots on the unit circle of one resultant and polished by Newton
 between the kinks, and the same crossings give the exact root-counting
 form of the gradient and, from the rate at which each crossing moves, the
 exact Hessian that the Legendre Newton iteration uses as its Jacobian.  A
-plain two-dimensional trapezoid grid is kept as an independent
-cross-check.
+plain trapezoid grid (`_grid_mean`) is the tests' reference.  No other
+module computes with a curve's coefficients.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
@@ -35,6 +35,7 @@ and is what the commutation certificate consumes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,9 @@ from .errors import (DomainBoundary, NonConvergence, OutOfRange,
 from .special import dilog, lobachevsky
 
 _TWO_PI = 2.0 * np.pi
+N0 = 256            # free_energy's Gauss-Legendre order when no crossing is found
+N_MAX = 16384       # free_energy's cap on outer nodes
+GRID_BLOCK = 1 << 18   # nodes per block of the `_grid_mean` reference
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +193,19 @@ def _jensen_inner(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
 
 
 def _grid_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
-    phi = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    psi = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    z = np.exp(H + 1j * phi)[:, None]
-    w = np.exp(V + 1j * psi)[None, :]
-    vals = np.abs(curve(z, w))
-    scale = max(abs(c) for _, c in curve.coeffs)
-    if np.min(vals) < 1e-14 * scale:
-        raise SingularLocus("spectral curve vanished on a quadrature node")
-    return float(np.mean(np.log(vals)))
+    """The n x n midpoint-trapezoid mean of log|P|, in blocks of about
+    GRID_BLOCK nodes; |P| below 1e-14 of the top coefficient raises."""
+    theta = (np.arange(n) + 0.5) * (_TWO_PI / n)
+    z = np.exp(H + 1j * theta)[:, None]
+    w = np.exp(V + 1j * theta)[None, :]
+    floor = 1e-14 * max(abs(c) for _, c in curve.coeffs)
+    rows, total = max(1, GRID_BLOCK // n), 0.0
+    for k in range(0, n, rows):
+        vals = np.abs(curve(z[k:k + rows], w))
+        if np.min(vals) < floor:
+            raise SingularLocus("spectral curve vanished on a quadrature node")
+        total += float(np.sum(np.log(vals)))
+    return total / (n * n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,48 +222,46 @@ def _gauss_legendre(order: int):
 
 
 def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
-                n0: int = 256, n_max: int = 16384, method: str = "jensen",
                 return_info: bool = False):
     """Torus free energy, converged by doubling the resolution.
 
-    "jensen" (default) takes the inner circle exactly and the outer circle
-    by Gauss-Legendre on the pieces between the crossings `_crossings`
-    locates, where the integrand is analytic; the order doubles from 8, or
-    from n0 on one piece [0, 2 pi) when no crossing is found.  "grid" is
-    the plain two-dimensional trapezoid rule from n0, an independent
-    cross-check.  The info holds the number of outer nodes ``n``, the last
-    difference ``estimate`` and ``converged``, False if ``n_max`` came first;
-    "jensen" adds ``crossing_residual``, the largest |log|z| - H| left at a
-    crossing root after the polish (0.0 with no crossing).
+    The inner circle is taken exactly (Jensen's formula) and the outer
+    circle by Gauss-Legendre on the pieces between the crossings
+    `_crossings` locates, where the integrand is analytic; the order doubles
+    from 8, or from N0 on one piece [0, 2 pi) when no crossing is found,
+    until two results agree to tol or N_MAX outer nodes are reached.  The
+    info holds the number of outer nodes ``n``, the last difference
+    ``estimate``, ``converged`` (False if N_MAX came first) and
+    ``crossing_residual``, the largest |log|z| - H| left at a crossing root
+    after the polish (0.0 with no crossing).
     """
-    if n0 < 64:
-        raise OutOfRange("resolution parameter must be at least 64")
-    level = n0
-    if method == "jensen":
-        layout = _fiber_layout(curve)
-        start, _, _, residual = _crossings(layout, H, V)
-        level, start = (8, start) if start.size else (n0, np.zeros(1))
-        half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
+    layout = _fiber_layout(curve)
+    start, _, _, residual = _crossings(layout, H, V)
+    level, start = (8, start) if start.size else (N0, np.zeros(1))
+    half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
 
     def evaluate(order):
-        if method != "jensen":
-            return _grid_mean(curve, H, V, order), order
         x, w = _gauss_legendre(order)
         psi = start[:, None] + half * (1.0 + x)
         inner = _jensen_inner(layout, H, V, psi.ravel()).reshape(psi.shape)
         return float(np.sum(half * w * inner)) / _TWO_PI, psi.size
 
     (value, n), est = evaluate(level), math.inf
-    while n < n_max and est > tol:
+    while n < N_MAX and est > tol:
         level *= 2
         cur, n = evaluate(level)
         est, value = abs(cur - value), cur
     if return_info:
-        info = {"n": n, "estimate": est, "converged": est <= tol}
-        if method == "jensen":
-            info["crossing_residual"] = residual
-        return value, info
+        return value, {"n": n, "estimate": est, "converged": est <= tol,
+                       "crossing_residual": residual}
     return value
+
+
+def _log_partials(layout, z, w):
+    """(z dP/dz, w dP/dw) times z^-i_min at points (z, w) of the curve."""
+    z_dz = sum(c * row * z ** row * w ** j for row, j, c in layout[2])
+    w_dw = sum(c * j * z ** row * w ** j for row, j, c in layout[2])
+    return z_dz, w_dw
 
 
 def _near_root(layout, H: float, V: float, psi: np.ndarray):
@@ -269,8 +275,7 @@ def _near_root(layout, H: float, V: float, psi: np.ndarray):
     gap = np.log(np.abs(roots)) - H
     near = np.argmin(np.abs(gap), axis=1)
     z, g = roots[np.arange(psi.size), near], gap[np.arange(psi.size), near]
-    z_dz = sum(c * row * z ** row * w ** j for row, j, c in layout[2])
-    w_dw = sum(c * j * z ** row * w ** j for row, j, c in layout[2])
+    z_dz, w_dw = _log_partials(layout, z, w)
     return g, -w_dw / z_dz
 
 
@@ -302,8 +307,13 @@ def _crossings(layout, H: float, V: float):
     for k in range(deg):
         sylvester[:, k, k:k + deg + 1] = a[::-1].T
         sylvester[:, deg + k, k:k + deg + 1] = a.conj().T
+    samples = np.linalg.det(sylvester)
+    # R = 0 where p is real on a torus arc: every sample at roundoff of its
+    # Hadamard bound, the product of its row norms, which is |a|^(2 deg)
+    if np.all(np.abs(samples) < 1e-12 * np.linalg.norm(a, axis=0) ** (2 * deg)):
+        raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along an arc")
     # the discrete Fourier transform of the samples, without loading np.fft
-    r = np.vander(omega.conj(), increasing=True).T @ np.linalg.det(sylvester)
+    r = np.vander(omega.conj(), increasing=True).T @ samples
     omega = np.roots(np.concatenate((r[de::-1], r[:de:-1])))
     # near a tangency two roots merge and np.roots keeps them to ~sqrt(eps)
     psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
@@ -330,39 +340,34 @@ def _crossings(layout, H: float, V: float):
     return psi, count, rho, float(np.max(np.abs(g), initial=0.0))
 
 
-def grad_free_energy(curve: SpectralCurve, H: float, V: float, hessian: bool = False):
-    """(d/dH, d/dV) of the free energy via exact root counting.
+def grad_free_energy(curve: SpectralCurve, H: float, V: float):
+    """((d/dH, d/dV), 2x2 Hessian) of the free energy via exact root counting.
 
     The H-derivative equals i_min plus the fraction of the outer circle on
     which roots of the fiber polynomial sit inside radius e^H: the sum of
     count times length over the arcs of [0, 2 pi) that the crossings of
     `_crossings` cut, over 2 pi.
 
-    With ``hessian=True`` the result is ((d/dH, d/dV), 2x2 Hessian).  The
-    second derivatives move the same crossings: a crossing at psi_c moves
-    at -1 / Im rho in H and Re rho / Im rho in V, so each adds its jump in
-    the count (before minus after) times these rates, over 2 pi.  The V-V
-    entry comes from the swapped curve and the cross term from the first
-    direction only, so the matrix is exactly symmetric; with no crossing it
-    is zero.
+    The second derivatives move the same crossings: a crossing at psi_c
+    moves at -1 / Im rho in H and Re rho / Im rho in V, so each adds its
+    jump in the count (before minus after) times these rates, over 2 pi.
+    The V-V entry comes from the swapped curve and the cross term from the
+    first direction only, so the matrix is exactly symmetric; with no
+    crossing it is zero.
     """
 
     def one_direction(cv, hh, vv):
         layout = _fiber_layout(cv)
         psi, count, rho, _ = _crossings(layout, hh, vv)
         arcs = np.diff(np.concatenate(([0.0], psi, [_TWO_PI])))
-        grad = layout[0] + float(count @ arcs) / _TWO_PI
-        if not hessian:
-            return grad, None
         delta = count[:-1] - count[1:]
-        return grad, (float(delta @ (-1.0 / rho.imag)) / _TWO_PI,
-                      float(delta @ (rho.real / rho.imag)) / _TWO_PI)
+        return (layout[0] + float(count @ arcs) / _TWO_PI,
+                float(delta @ (-1.0 / rho.imag)) / _TWO_PI,
+                float(delta @ (rho.real / rho.imag)) / _TWO_PI)
 
-    gh, second_h = one_direction(curve, H, V)
-    gv, second_v = one_direction(curve.transformed(swap=True), V, H)
-    if not hessian:
-        return gh, gv
-    return (gh, gv), np.array([[second_h[0], second_h[1]], [second_h[1], second_v[0]]])
+    gh, hh, hv = one_direction(curve, H, V)
+    gv, vv, _ = one_direction(curve.transformed(swap=True), V, H)
+    return (gh, gv), np.array([[hh, hv], [hv, vv]])
 
 
 @dataclass
@@ -385,18 +390,23 @@ class FreeEnergyField:
         return f
 
 
-def _newton_polygon_contains(curve: SpectralCurve, s: float, t: float,
-                             margin: float = 1e-9) -> bool:
-    pts = np.array([k for k, _ in curve.coeffs], dtype=float)
-    # strict interior test by margin-shrunk support function over directions
-    if pts.shape[0] < 3:
-        return False
-    p = np.array([s, t])
-    for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
-        d = np.array([a, b], dtype=float)
-        if p @ d > np.max(pts @ d) - margin:
-            return False
-    return True
+def _newton_polygon_contains(curve: SpectralCurve, s, t, margin: float = 1e-9):
+    """Whether each (s, t) is inside the Newton polygon by margin, on arrays.
+
+    Each edge is a line a i + b j = h through two exponents with every
+    exponent on the side a i + b j <= h, (a, b) primitive; (s, t) must have
+    a s + b t <= h - margin on all of them.  Exponents on one line give both
+    sides of it, so nothing passes.
+    """
+    pts = [k for k, _ in curve.coeffs]
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    inside = np.full(np.broadcast(s, t).shape, len(pts) > 1)
+    for (i0, j0), (i1, j1) in itertools.permutations(pts, 2):
+        g = math.gcd(j1 - j0, i1 - i0)
+        a, b = (j1 - j0) // g, (i0 - i1) // g
+        if all(a * (i - i0) + b * (j - j0) <= 0 for i, j in pts):
+            inside &= s * a + t * b <= a * i0 + b * j0 - margin
+    return inside
 
 
 def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
@@ -404,7 +414,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
 
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
     whose Jacobian is the exact Hessian of f from the located crossings
-    (`grad_free_energy` with ``hessian=True``); an accepted line-search
+    (`grad_free_energy`); an accepted line-search
     trial hands its Hessian on to the next step, and the Newton step off the
     last residual is taken before returning.  It starts from (0, 0) and
     takes at most 60 steps.  Returns (sigma, (H, V)).
@@ -415,7 +425,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
     H, V = 0.0, 0.0
 
     def residual(H, V):
-        (gh, gv), hess = grad_free_energy(fef.curve, H, V, hessian=True)
+        (gh, gv), hess = grad_free_energy(fef.curve, H, V)
         return np.array([gh - s, gv - t]), hess
 
     r, jac = residual(H, V)
@@ -653,13 +663,11 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
     def hess(s, t):
         # Hess sigma is the inverse of Hess f at the maximizer
         H, V = grad(s, t)
-        (h11, h12), (_, h22) = np.linalg.inv(grad_free_energy(curve, H, V, hessian=True)[1])
+        (h11, h12), (_, h22) = np.linalg.inv(grad_free_energy(curve, H, V)[1])
         return h11, h12, h22
 
-    inside = np.vectorize(functools.partial(_newton_polygon_contains, curve), otypes=[bool])
-
     def feasible(s, t, margin=0.0):
-        return bool(inside(s, t, max(margin, 1e-9)).all())
+        return bool(_newton_polygon_contains(curve, s, t, max(margin, 1e-9)).all())
 
     return SurfaceTension("NumericLegendre", 0.0, 1.0,
                           np.vectorize(value, otypes=[float]),

@@ -287,12 +287,15 @@ def test_transfer_matches_kron_oracle(w):
 
 
 def test_transfer_dense_cap_and_matrix_free():
+    # above DENSE_CAP the operator is matrix-free, and dense-only work refuses it
+    big = sv.transfer(13, ff_weights(0.5))
+    assert big.blocks is None
     with pytest.raises(TooLarge):
-        sv.transfer(13, ff_weights(0.5), dense=True)
+        sv.commutator_residual(big, big)
     rng = np.random.default_rng(4)
     w = sv.VertexWeights(1.1, 0.7, 1.3, 0.2, -0.3)
     dense = sv.transfer(5, w)
-    free = sv.transfer(5, w, dense=False)
+    free = sv.TransferOperator(5, w)
     v = rng.standard_normal(32)
     assert np.max(np.abs(dense.apply(v) - free.apply(v))) < 1e-12
     # the tensordot contraction is not bit for bit the sector-block apply
@@ -300,7 +303,7 @@ def test_transfer_dense_cap_and_matrix_free():
         for w in (ff_weights(0.7), sv.VertexWeights(1.1, 0.8, 1.3, 0.35, -0.6)):
             v = rng.standard_normal(1 << n)
             ref = sv.transfer(n, w).apply(v)
-            err = np.max(np.abs(sv.transfer(n, w, dense=False).apply(v) - ref))
+            err = np.max(np.abs(sv.TransferOperator(n, w).apply(v) - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, w)
 
 

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from icelab import flow as fl
 from icelab import tension as tn
@@ -31,17 +33,21 @@ def test_free_energy_scaling():
 def test_hex_free_energy_dual_pipelines():
     target = 3.0 / math.pi * lobachevsky(math.pi / 3)
     f_j = tn.free_energy(tn.hex_curve(), 0.0, 0.0, tol=1e-9)
-    f_g = tn.free_energy(tn.hex_curve(), 0.0, 0.0, tol=1e-6, method="grid",
-                         n0=256, n_max=4096)
+    # the 512 x 512 grid reference, 5e-8 from the 256 x 256 one
+    f_g = tn._grid_mean(tn.hex_curve(), 0.0, 0.0, 512)
     assert abs(f_j - target) < 1e-4
     assert abs(f_g - target) < 1e-4
     assert abs(f_j - f_g) < 1e-4
 
 
-def test_quadrature_geometric_decay_off_the_zero_locus():
+def test_quadrature_geometric_decay_off_the_zero_locus(monkeypatch):
     # gas-phase point: no zeros on the integration torus, spectral decay
     curve = tn.hex_curve()
-    vals = [tn.free_energy(curve, 2.0, 0.1, n0=n, n_max=n) for n in (64, 128, 256)]
+    vals = []
+    for n in (64, 128, 256):
+        monkeypatch.setattr(tn, "N0", n)
+        monkeypatch.setattr(tn, "N_MAX", n)
+        vals.append(tn.free_energy(curve, 2.0, 0.1))
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     assert d2 <= 0.5 * d1 or d2 < 1e-13
@@ -51,6 +57,19 @@ def test_grid_method_singular_node():
     curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (1, 0): 1.0})
     with pytest.raises(SingularLocus):
         tn._grid_mean(curve, 0.0, 0.0, 65)   # odd grid hits z = -1 exactly
+
+
+def test_grid_reference_runs_in_bounded_memory(monkeypatch):
+    n, curve = 2048, tn.hex_curve()
+    tracemalloc.start()
+    try:
+        blocked = tn._grid_mean(curve, 0.1, 0.2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6       # one complex n x n array alone is 67 MB
+    monkeypatch.setattr(tn, "GRID_BLOCK", n * n)      # the whole grid at once
+    assert abs(blocked - tn._grid_mean(curve, 0.1, 0.2, n)) <= 1e-13
 
 
 def _hex_closed_form(H, V):
@@ -67,19 +86,21 @@ def _hex_closed_form(H, V):
     return s * H + t * V - sigma
 
 
-def test_free_energy_flags_a_missed_tolerance():
+def test_free_energy_flags_a_missed_tolerance(monkeypatch):
     # with the kinks located, (-0.5, -0.5) converges to the closed form
     value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
                                  return_info=True)
     assert info["converged"] is True and info["estimate"] <= 1e-8
     assert abs(value - _hex_closed_form(-0.5, -0.5)) <= 1e-8
-    # an n_max below what the point needs: the info says so
-    value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
-                                 n_max=32, return_info=True)
+    # a node cap below what the point needs: the info says so
+    with monkeypatch.context() as mp_:
+        mp_.setattr(tn, "N_MAX", 32)
+        value, info = tn.free_energy(tn.hex_curve(), -0.5, -0.5, tol=1e-8,
+                                     return_info=True)
     assert info["n"] <= 32 and info["estimate"] > 1e-8
     assert info["converged"] is False
     assert math.isfinite(value)
-    # gas phase: spectral decay, met well before n_max
+    # gas phase: spectral decay, met well before the cap
     _, info = tn.free_energy(tn.hex_curve(), 2.0, 0.1, return_info=True)
     assert info["converged"] is True and info["n"] < 16384
 
@@ -133,9 +154,7 @@ def test_free_fermion_free_energy_converges_on_the_slope_grid():
 
 
 def test_a_missed_free_energy_propagates_as_nonconvergence(monkeypatch):
-    real = tn.free_energy
-    monkeypatch.setattr(tn, "free_energy",
-                        lambda *args, **kw: real(*args, **{**kw, "n_max": 16}))
+    monkeypatch.setattr(tn, "N_MAX", 16)
     fef = tn.FreeEnergyField(tn.hex_curve())
     with pytest.raises(NonConvergence) as err:
         tn.legendre_sigma(fef, 0.3, 0.35)
@@ -162,13 +181,14 @@ def test_degree_drop_on_the_free_fermion_fiber():
     assert np.array_equal(np.nonzero(np.isinf(roots[:, 0]))[0], [1024])
     assert lead[1024] == coeffs[0, 1024]          # trimmed to degree 0
     for H in (-0.3, 0.0, 0.2):
-        g = tn.grad_free_energy(curve, H, V)
+        g, _ = tn.grad_free_energy(curve, H, V)
         ge = tn.grad_free_energy_ff(H, V, u)
         assert abs(g[0] - ge[0]) < 1e-10 and abs(g[1] - ge[1]) < 1e-10
     # an odd Jensen grid puts its middle node on psi = pi
     psi = (np.arange(4097) + 0.5) * (2 * np.pi / 4097)
     f_jensen = float(np.mean(tn._jensen_inner(tn._fiber_layout(curve), 0.1, V, psi)))
-    f_grid = tn.free_energy(curve, 0.1, V, tol=1e-7, n_max=4096, method="grid")
+    # the 4096 x 4096 grid reference, 9e-8 from the 2048 x 2048 one
+    f_grid = tn._grid_mean(curve, 0.1, V, 4096)
     assert abs(f_jensen - f_grid) < 1e-6
 
 
@@ -232,7 +252,7 @@ _DEGREE_TWO = tn.SpectralCurve.from_dict({(0, 0): 1.0, (1, 0): -0.7, (2, 0): 0.2
 def test_batched_crossing_search_matches_scalar_bisection(curve):
     rng = np.random.default_rng(31)
     for H, V in rng.uniform(-0.6, 0.6, (4, 2)):
-        got = tn.grad_free_energy(curve, H, V)
+        got, _ = tn.grad_free_energy(curve, H, V)
         want = _scalar_bisection_grad(curve, H, V)
         assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
 
@@ -375,12 +395,36 @@ def test_crossing_residual_is_reported():
     assert info["crossing_residual"] == 0.0
 
 
+_ARC_CURVE = tn.SpectralCurve.from_dict({(0, 0): 3.0, (1, 0): -1.0, (-1, 0): -1.0,
+                                        (0, 1): -1.0, (0, -1): -1.0})
+
+
+def test_a_curve_real_on_a_torus_arc_raises_singular_locus():
+    # at (0, 0) 3 - z - 1/z - w - 1/w is real on the whole torus, so the
+    # resultant vanishes identically and its roots would be noise
+    with pytest.raises(SingularLocus):
+        tn.grad_free_energy(_ARC_CURVE, 0.0, 0.0)
+    with pytest.raises(SingularLocus):
+        tn.free_energy(_ARC_CURVE, 0.0, 0.0)
+    (gh, gv), hess = tn.grad_free_energy(_ARC_CURVE, 0.01, 0.0)
+    assert np.all(np.isfinite(hess)) and abs(gh - 1.0 / 3.0) < 1e-3 and gv == 0.0
+
+
+@pytest.mark.parametrize("curve", [tn.hex_curve(), tn.ff_curve(0.9), _DEGREE_TWO],
+                         ids=["hex", "ff", "degree2"])
+def test_no_singular_alarm_on_generic_points(curve):
+    layouts = tn._fiber_layout(curve), tn._fiber_layout(curve.transformed(swap=True))
+    for H, V in np.random.default_rng(44).uniform(-1.5, 1.5, (300, 2)):
+        tn._crossings(layouts[0], H, V)
+        tn._crossings(layouts[1], V, H)
+
+
 def test_a_fiber_without_roots_has_no_crossing():
     # 2 + w has z-degree 0: f = log max(2, e^V) and grad f = (0, [e^V > 2])
     curve = tn.SpectralCurve.from_dict({(0, 0): 2.0, (0, 1): 1.0})
     for V, grad in ((0.2, (0.0, 0.0)), (1.0, (0.0, 1.0))):
         assert abs(tn.free_energy(curve, 0.1, V) - max(math.log(2.0), V)) <= 1e-12
-        got, hess = tn.grad_free_energy(curve, 0.1, V, hessian=True)
+        got, hess = tn.grad_free_energy(curve, 0.1, V)
         assert got == grad and not hess.any()
 
 
@@ -407,7 +451,7 @@ def test_counting_gradient_matches_the_hex_closed_form_to_an_ulp():
     rng = np.random.default_rng(71)
     for s, t in rng.uniform(0.1, 0.45, (8, 2)):
         H, V = (float(x) for x in tn.grad_sigma_hex(s, t))
-        got = tn.grad_free_energy(tn.hex_curve(), H, V)
+        got, _ = tn.grad_free_energy(tn.hex_curve(), H, V)
         want = _hex_gradient_mp(H, V, (s, t))
         assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
 
@@ -416,7 +460,7 @@ def test_counting_gradient_matches_the_ff_closed_form_to_an_ulp():
     rng = np.random.default_rng(72)
     for s, t, u in zip(*rng.uniform(0.1, 0.9, (2, 8)), rng.uniform(0.3, 1.3, 8)):
         H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
-        got = tn.grad_free_energy(tn.ff_curve(u), H, V)
+        got, _ = tn.grad_free_energy(tn.ff_curve(u), H, V)
         want = _ff_gradient_mp(H, V, u)
         assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-15
 
@@ -450,27 +494,27 @@ def test_exact_hessian_inverts_the_closed_form_tension_hessians():
     rng = np.random.default_rng(61)
     for s, t in rng.uniform(0.1, 0.45, (8, 2)):
         H, V = (float(x) for x in tn.grad_sigma_hex(s, t))
-        _, hess = tn.grad_free_energy(tn.hex_curve(), H, V, hessian=True)
+        _, hess = tn.grad_free_energy(tn.hex_curve(), H, V)
         assert np.max(np.abs(hess @ _matrix(*tn.hess_sigma_hex(s, t)) - np.eye(2))) <= 1e-12
     for s, t, u in zip(*rng.uniform(0.1, 0.9, (2, 8)), rng.uniform(0.3, 1.3, 8)):
         H, V = (float(x) for x in tn.grad_sigma_ff(s, t, u))
-        _, hess = tn.grad_free_energy(tn.ff_curve(u), H, V, hessian=True)
+        _, hess = tn.grad_free_energy(tn.ff_curve(u), H, V)
         assert np.max(np.abs(hess @ _matrix(*tn.hess_sigma_ff(s, t, u)) - np.eye(2))) <= 1e-12
 
 
 def test_exact_hessian_matches_differences_of_the_gradient():
     h = 1e-5
     for H, V in [(0.12, 0.16), (0.48, 0.25), (-0.1, 0.3)]:
-        _, hess = tn.grad_free_energy(_DEGREE_TWO, H, V, hessian=True)
+        _, hess = tn.grad_free_energy(_DEGREE_TWO, H, V)
         assert hess[0, 1] == hess[1, 0] and np.linalg.det(hess) > 0.01
         fd = np.column_stack([
-            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H + h, V),
-                         tn.grad_free_energy(_DEGREE_TWO, H - h, V))) / (2 * h),
-            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H, V + h),
-                         tn.grad_free_energy(_DEGREE_TWO, H, V - h))) / (2 * h)])
+            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H + h, V)[0],
+                         tn.grad_free_energy(_DEGREE_TWO, H - h, V)[0])) / (2 * h),
+            (np.subtract(tn.grad_free_energy(_DEGREE_TWO, H, V + h)[0],
+                         tn.grad_free_energy(_DEGREE_TWO, H, V - h)[0])) / (2 * h)])
         assert np.max(np.abs(hess - fd)) <= 1e-8
     # off the amoeba no root crosses and the Hessian vanishes
-    _, hess = tn.grad_free_energy(tn.hex_curve(), 2.0, 0.1, hessian=True)
+    _, hess = tn.grad_free_energy(tn.hex_curve(), 2.0, 0.1)
     assert np.array_equal(hess, np.zeros((2, 2)))
 
 
@@ -493,15 +537,14 @@ _GRADIENTS = [
 
 @pytest.mark.parametrize("curve, point, grad", _GRADIENTS)
 def test_gradient_is_unchanged_by_the_hessian(curve, point, grad):
-    assert tn.grad_free_energy(curve, *point) == grad
-    assert tn.grad_free_energy(curve, *point, hessian=True)[0] == grad
+    assert tn.grad_free_energy(curve, *point)[0] == grad
 
 
 def test_counting_gradient_matches_ff_closed_form():
     u = math.pi / 3
     for H, V in [(0.2, -0.1), (0.0, 0.0), (-0.4, 0.3)]:
         g1 = tn.grad_free_energy_ff(H, V, u)
-        g2 = tn.grad_free_energy(tn.ff_curve(u), H, V)
+        g2, _ = tn.grad_free_energy(tn.ff_curve(u), H, V)
         assert abs(g1[0] - g2[0]) < 1e-10
         assert abs(g1[1] - g2[1]) < 1e-10
 
@@ -687,6 +730,42 @@ def test_legendre_sigma_domain_boundary():
     fef = tn.FreeEnergyField(tn.hex_curve())
     with pytest.raises(DomainBoundary):
         tn.legendre_sigma(fef, 0.7, 0.7)
+
+
+def test_newton_polygon_is_the_hull_not_an_octagon():
+    # 1 + z^2 + w: (1.5, 0.4) has s + 2t = 2.3 > 2, outside the triangle but
+    # inside its bounding octagon
+    curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (2, 0): 1.0, (0, 1): 1.0})
+    assert not tn._newton_polygon_contains(curve, 1.5, 0.4)
+    with pytest.raises(DomainBoundary):
+        tn.legendre_sigma(tn.FreeEnergyField(curve), 1.5, 0.4)
+    s, t = np.array([[1.5, 0.5], [0.2, 1.2]]), np.array([[0.4, 0.3], [0.5, 0.5]])
+    got = tn._newton_polygon_contains(curve, s, t)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[bool(tn._newton_polygon_contains(curve, a, b))
+                             for a, b in zip(rs, rt)] for rs, rt in zip(s, t)]
+    assert got.tolist() == [[False, True], [True, False]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exps=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                     min_size=1, max_size=5, unique=True),
+       a=st.integers(-16, 16), b=st.integers(-16, 16))
+def test_newton_polygon_matches_a_convex_combination_reference(exps, a, b):
+    curve = tn.SpectralCurve.from_dict({k: 1.0 for k in exps})
+    s, t = a / 8, b / 8
+    pts = np.vstack([np.array(exps, dtype=float).T, np.ones(len(exps))])
+
+    def in_hull(x, y):
+        # a convex combination of the exponents equal to (x, y)
+        return linprog(np.zeros(len(exps)), A_eq=pts, b_eq=[x, y, 1.0],
+                       bounds=(0, None), method="highs").status == 0
+
+    # a point of the 1/8 lattice is on an edge or at least 1/48 from its
+    # line, so it is interior exactly when four 1e-4 moves stay in the hull
+    interior = all(in_hull(s + dx, t + dy)
+                   for dx, dy in ((1e-4, 0), (-1e-4, 0), (0, 1e-4), (0, -1e-4)))
+    assert bool(tn._newton_polygon_contains(curve, s, t)) == interior
 
 
 def test_legendre_involution_ff():
