@@ -509,72 +509,56 @@ class _TrigInterp:
         return phase @ self.c, phase @ self.dc
 
 
-def burgers_evolve(state: FlowState, F: BurgersFunction, x: float,
-                   sign: int = +1) -> FlowState:
+def burgers_evolve(state: FlowState, F: BurgersFunction, x: float) -> FlowState:
     """Transport l along straight characteristics to axis position x.
 
     The value at (x, y) is l0(zeta) with the complex foot point solving
-    zeta = y + sign * x F(e^(l0(zeta))).  The foot-point field is tracked
-    along its branch by integrating d zeta / dx = F / (1 - x dG/dzeta)
-    (G = F o exp o l0) with classical 4th-order steps, at least 16 and at
-    most 0.005 in x each, then polished by Newton to 1e-13.  The default
-    sign is the one under which the reconstructed height satisfies the
-    elliptic limit-shape equation.  Raises OutOfRange for a non-finite x,
-    ShockDetected when the characteristic Jacobian degenerates or the foot
-    points stop increasing across the period.
+    g(zeta) = zeta - x F(e^(l0(zeta))) - y = 0, the sign under which the
+    reconstructed height satisfies the elliptic limit-shape equation.  The
+    root is continued along its branch by Newton at the stations
+    x_k = k x / m, m = max(16, ceil(|x| / 0.005)), each solved to 1e-13 in
+    at most 30 iterations.  A station starts from the last one's root moved
+    one step along the tangent d zeta / dx = F / (1 - x dG/dzeta)
+    (G = F o exp o l0), with F and the Jacobian of that root's last
+    iterate.  Every iterate is checked: |F| above 1e3 L raises StepFailure
+    (a pole of the velocity), min |1 - x_k dG/dzeta| below SHOCK_DELTA
+    raises ShockDetected at x_k, and a non-finite foot point or 30
+    iterations without convergence raise StepFailure.  Raises OutOfRange
+    for a non-finite x, ShockDetected when the foot points stop increasing
+    across the period.
     """
     if not math.isfinite(x):
         raise OutOfRange(f"x must be finite, got {x}")
     interp = _TrigInterp(state.l, state.L)
     ys = state.ys.astype(complex)
-    zeta = ys.copy()
-    substeps = max(16, int(math.ceil(abs(x) / 0.005)))
-    hy = state.L / state.ny
-    dx = x / substeps
-
     speed_cap = 1e3 * state.L
-
-    def foot(z):
-        """l0(z), e^l0(z) and dG/dz, G = F o exp o l0."""
-        lz, dlz = interp.with_deriv(z)
-        ez = np.exp(lz)
-        return lz, ez, F.df(ez) * ez * dlz
-
-    def velocity(z, xk):
-        _, ez, gprime = foot(z)
-        jac = 1.0 - sign * xk * gprime
-        if np.min(np.abs(jac)) < SHOCK_DELTA:
-            raise ShockDetected("characteristic Jacobian degenerated",
-                                x=xk, diagnostics={"min_jac": float(np.min(np.abs(jac)))})
-        fz = F(ez)
-        if np.max(np.abs(fz)) > speed_cap:
-            raise StepFailure("characteristic passed near a pole of the velocity")
-        return sign * fz / jac
-
-    for k in range(substeps):
-        xk = k * dx
-        k1 = velocity(zeta, xk)
-        k2 = velocity(zeta + 0.5 * dx * k1, xk + 0.5 * dx)
-        k3 = velocity(zeta + 0.5 * dx * k2, xk + 0.5 * dx)
-        k4 = velocity(zeta + dx * k3, xk + dx)
-        zeta = zeta + dx / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(zeta)):
-            raise StepFailure(f"foot points blew up at x={xk + dx}")
-
-    # Newton polish on g(zeta) = zeta - sign*x*F(e^(l0(zeta))) - y
-    for _ in range(30):
-        lz, ez, gprime = foot(zeta)
-        g = zeta - sign * x * F(ez) - ys
-        if np.max(np.abs(g)) < 1e-13:
-            break
-        jac = 1.0 - sign * x * gprime
-        if np.min(np.abs(jac)) < SHOCK_DELTA:
-            raise ShockDetected("characteristic Jacobian degenerated", x=x)
-        zeta = zeta - g / jac
-    else:
-        raise StepFailure(f"characteristic Newton failed to polish at x={x}")
+    stations = max(16, int(math.ceil(abs(x) / 0.005)))
+    dx = x / stations
+    zeta, tangent = ys, 0.0
+    for xk in np.linspace(0.0, x, stations + 1).tolist():
+        zeta = zeta + dx * tangent
+        for _ in range(30):
+            lz, dlz = interp.with_deriv(zeta)
+            ez = np.exp(lz)
+            fz = F(ez)
+            if np.max(np.abs(fz)) > speed_cap:
+                raise StepFailure("characteristic passed near a pole of the velocity")
+            jac = 1.0 - xk * (F.df(ez) * ez * dlz)
+            min_jac = float(np.min(np.abs(jac)))
+            if min_jac < SHOCK_DELTA:
+                raise ShockDetected("characteristic Jacobian degenerated",
+                                    x=xk, diagnostics={"min_jac": min_jac})
+            g = zeta - xk * fz - ys
+            if np.max(np.abs(g)) < 1e-13:
+                break
+            zeta = zeta - g / jac
+            if not np.all(np.isfinite(zeta)):
+                raise StepFailure(f"foot points blew up at x={xk}")
+        else:
+            raise StepFailure(f"characteristic Newton failed to converge at x={xk}")
+        tangent = fz / jac
     incr = np.diff(np.concatenate([zeta.real, [zeta.real[0] + state.L]]))
-    if np.min(incr) < SHOCK_DELTA * hy:
+    if np.min(incr) < SHOCK_DELTA * (state.L / state.ny):
         raise ShockDetected("characteristic foot points stopped increasing",
                             x=x, diagnostics={"min_increment": float(np.min(incr))})
     return FlowState.from_l(state.L, lz)

@@ -473,10 +473,16 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
 # closed-form tensions
 # ---------------------------------------------------------------------------
 
+def _hex_inside(s, t, margin=0.0):
+    """Whether (s, t) is inside the hexagonal triangle by margin, on arrays;
+    False for NaN."""
+    return (s > margin) & (t > margin) & (s + t < 1.0 - margin)
+
+
 def _check_hex_domain(s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s <= 0) or np.any(t <= 0) or np.any(s + t >= 1):
+    if not _hex_inside(s, t).all():
         raise DomainBoundary("hexagonal tension needs s, t > 0 and s + t < 1")
     return s, t
 
@@ -510,11 +516,17 @@ def check_spectral_parameter(u: float) -> None:
         raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
 
 
+def _ff_inside(s, t, margin=0.0):
+    """Whether (s, t) is inside the free-fermion square by margin, on
+    arrays; False for NaN."""
+    return (s > margin) & (t > margin) & (s < 1.0 - margin) & (t < 1.0 - margin)
+
+
 def _check_ff_domain(s, t, u):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     check_spectral_parameter(u)
-    if np.any(s <= 0) or np.any(s >= 1) or np.any(t <= 0) or np.any(t >= 1):
+    if not _ff_inside(s, t).all():
         raise DomainBoundary("free-fermion tension needs s, t in (0, 1)")
     return s, t
 
@@ -600,9 +612,7 @@ class SurfaceTension:
 
 def hex_tension() -> SurfaceTension:
     def feasible(s, t, margin=0.0):
-        s = np.asarray(s)
-        t = np.asarray(t)
-        return bool(((s > margin) & (t > margin) & (s + t < 1.0 - margin)).all())
+        return bool(_hex_inside(np.asarray(s), np.asarray(t), margin).all())
 
     return SurfaceTension("HexClosed", 0.0, 1.0, sigma_hex, grad_sigma_hex,
                           hess_sigma_hex, feasible)
@@ -610,10 +620,7 @@ def hex_tension() -> SurfaceTension:
 
 def ff_tension(u: float) -> SurfaceTension:
     def feasible(s, t, margin=0.0):
-        s = np.asarray(s)
-        t = np.asarray(t)
-        return bool(((s > margin) & (t > margin)
-                     & (s < 1.0 - margin) & (t < 1.0 - margin)).all())
+        return bool(_ff_inside(np.asarray(s), np.asarray(t), margin).all())
 
     return SurfaceTension(f"FFClosed(u={u})", 0.0, 1.0,
                           lambda s, t: sigma_ff(s, t, u),
@@ -648,31 +655,29 @@ def quadratic_tension(qa: float, qb: float, qc: float,
 def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
     """Quadrature plus Legendre tension for an arbitrary curve.
 
-    One `legendre_sigma` solve per point, lifted to arrays by np.vectorize;
-    ``feasible`` is True when every point is strictly inside the Newton
-    polygon.
+    One `legendre_sigma` solve per point gives sigma, the maximizer (H, V)
+    as the gradient and Hess sigma as the inverse of Hess f there.  The
+    last point's result is kept, so value, grad and hess at one point share
+    its solve; one np.vectorize lifts the solve to arrays.  ``feasible`` is
+    True when every point is strictly inside the Newton polygon.
     """
     fef = FreeEnergyField(curve)
 
-    def value(s, t):
-        return legendre_sigma(fef, float(s), float(t), tol=tol)[0]
-
-    def grad(s, t):
-        return legendre_sigma(fef, float(s), float(t), tol=tol)[1]
-
-    def hess(s, t):
-        # Hess sigma is the inverse of Hess f at the maximizer
-        H, V = grad(s, t)
+    @functools.lru_cache(maxsize=1)
+    def solve(s, t):
+        sig, (H, V) = legendre_sigma(fef, s, t, tol=tol)
         (h11, h12), (_, h22) = np.linalg.inv(grad_free_energy(curve, H, V)[1])
-        return h11, h12, h22
+        return sig, H, V, h11, h12, h22
+
+    lifted = np.vectorize(lambda s, t: solve(float(s), float(t)), otypes=[float] * 6)
 
     def feasible(s, t, margin=0.0):
         return bool(_newton_polygon_contains(curve, s, t, max(margin, 1e-9)).all())
 
     return SurfaceTension("NumericLegendre", 0.0, 1.0,
-                          np.vectorize(value, otypes=[float]),
-                          np.vectorize(grad, otypes=[float, float]),
-                          np.vectorize(hess, otypes=[float, float, float]), feasible)
+                          lambda s, t: lifted(s, t)[0],
+                          lambda s, t: lifted(s, t)[1:3],
+                          lambda s, t: lifted(s, t)[3:], feasible)
 
 
 # ---------------------------------------------------------------------------

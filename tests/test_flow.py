@@ -185,10 +185,15 @@ def test_picture_equivalence_ff():
     assert np.max(np.abs(traj.states[-1].l - endB.l)) < 1e-5
 
 
+def wrong_sign(F):
+    """F with its transport sign flipped; every product flips sign exactly."""
+    return fl.BurgersFunction(lambda z: -F(z), lambda z: -F.df(z), f"-{F.tag}")
+
+
 def test_wrong_transport_sign_fails_equivalence():
     st = sine_state(96)
     good = fl.burgers_evolve(st, fl.hex_burgers(), 0.25)
-    bad = fl.burgers_evolve(st, fl.hex_burgers(), 0.25, sign=-1)
+    bad = fl.burgers_evolve(st, wrong_sign(fl.hex_burgers()), 0.25)
     assert np.max(np.abs(good.l - bad.l)) > 1e-2
 
 
@@ -229,7 +234,7 @@ def test_burgers_reconstruction_satisfies_hex_pde():
     # the wrong transport sign violates the equation grossly
     h_bad = np.empty_like(h)
     for k, x in enumerate(xs):
-        stx = fl.burgers_evolve(st, F, float(x), sign=-1) if x > 0 else st
+        stx = fl.burgers_evolve(st, wrong_sign(F), float(x)) if x > 0 else st
         h_bad[k] = fl.spectral_antideriv(stx.t, L) + np.mean(stx.t) * st.ys
     h_bad = h_bad - h_bad[:, :1] + anchor[:, None]
     hf_bad = sh.HeightField(grid, h_bad, 0.0, 1.0, kappa=float(np.mean(st.t) * L))
@@ -264,6 +269,14 @@ def test_shock_detected_synthetic():
     assert np.all(np.isfinite(out.p))
     with pytest.raises(ShockDetected):
         fl.burgers_evolve(st, F, 0.8)
+
+
+def test_burgers_refuses_a_characteristic_near_a_pole():
+    # t near 0 puts e^l0 near the pole z = 1 of the hex velocity z / (1 - z)
+    ys = np.arange(32) / 32
+    st = fl.FlowState(1.0, np.zeros(32), 1e-4 + 1e-5 * np.sin(2 * np.pi * ys))
+    with pytest.raises(StepFailure, match="near a pole of the velocity"):
+        fl.burgers_evolve(st, fl.hex_burgers(), 0.01)
 
 
 @pytest.mark.parametrize("ny", [128, 192, 256])

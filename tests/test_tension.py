@@ -595,6 +595,21 @@ def test_sigma_hex_examples():
         tn.sigma_hex(0.6, 0.5)
 
 
+@pytest.mark.parametrize("s, t", [(math.nan, 0.3), (0.3, math.nan), (math.nan, math.nan)])
+def test_closed_forms_refuse_nan_slopes(s, t):
+    # a NaN slope passed every `<= 0` test, and lobachevsky_fast maps NaN
+    # to 0, so sigma_hex(nan, 0.3) returned -0.1249
+    u = 0.9
+    for evaluate in (tn.sigma_hex, tn.grad_sigma_hex, tn.hess_sigma_hex,
+                     lambda s, t: tn.sigma_ff(s, t, u), lambda s, t: tn.grad_sigma_ff(s, t, u),
+                     lambda s, t: tn.hess_sigma_ff(s, t, u)):
+        with pytest.raises(DomainBoundary):
+            evaluate(s, t)
+    for sigma in (tn.hex_tension(), tn.ff_tension(u)):
+        assert not sigma.feasible(s, t)
+        assert not sigma.feasible(np.array([0.3, s]), np.array([0.3, t]))
+
+
 def test_closed_form_ff_tension_matches_the_free_energy():
     for u in (0.4, math.pi / 4, 1.2):
         curve = tn.ff_curve(u)
@@ -962,6 +977,24 @@ def test_numeric_tension_hessian_is_the_closed_form():
             got = np.array(num.hess(s, t), dtype=float)
             want = np.array(hess(s, t), dtype=float)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (s, t)
+
+
+def test_numeric_tension_solves_each_point_once(monkeypatch):
+    solved = []
+    real = tn.legendre_sigma
+
+    def counted(fef, s, t, tol=1e-9):
+        solved.append((s, t))
+        return real(fef, s, t, tol=tol)
+
+    monkeypatch.setattr(tn, "legendre_sigma", counted)
+    num = tn.numeric_tension(tn.hex_curve())
+    # grad and hess at each of the Newton iterates, then the value at the last
+    tn.partial_legendre(num, 0.1, 0.3)
+    assert len(solved) == 5
+    solved.clear()
+    num.value(0.3, 0.4), num.grad(0.3, 0.4), num.hess(0.3, 0.4)
+    assert solved == [(0.3, 0.4)]
 
 
 def test_numeric_tension_matches_hex():
