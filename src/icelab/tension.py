@@ -236,7 +236,7 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
     after the polish (0.0 with no crossing).
     """
     layout = _fiber_layout(curve)
-    start, _, _, residual = _crossings(layout, H, V)
+    start, *_, residual = _crossings(layout, H, V)
     level, start = (8, start) if start.size else (N0, np.zeros(1))
     half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
 
@@ -265,7 +265,7 @@ def _log_partials(layout, z, w):
 
 
 def _near_root(layout, H: float, V: float, psi: np.ndarray):
-    """g = log|Z| - H and rho = -(w dP/dw) / (z dP/dz) at (Z, w).
+    """g = log|Z| - H, rho = -(w dP/dw) / (z dP/dz) at (Z, w), and Z.
 
     w = e^(V + i psi) for each angle, and Z is the root of P(., w) whose
     modulus is nearest e^H; g(psi) has slope -Im rho.
@@ -276,7 +276,7 @@ def _near_root(layout, H: float, V: float, psi: np.ndarray):
     near = np.argmin(np.abs(gap), axis=1)
     z, g = roots[np.arange(psi.size), near], gap[np.arange(psi.size), near]
     z_dz, w_dw = _log_partials(layout, z, w)
-    return g, -w_dw / z_dz
+    return g, -w_dw / z_dz, z
 
 
 def _crossings(layout, H: float, V: float):
@@ -293,10 +293,10 @@ def _crossings(layout, H: float, V: float):
     Each root is polished by Newton on log|Z(psi)| - H (`_near_root`).
 
     Returns the m crossing angles in [0, 2 pi), ascending; the root count
-    inside |z| = e^H on each of the m + 1 arcs they cut from [0, 2 pi),
-    from one fiber solve at the arcs' midpoints (the first and the last arc
-    are one arc round 2 pi; one count when m = 0); rho at each crossing;
-    and the largest |log|Z| - H| left by the polish.
+    inside |z| = e^H on each of the m + 1 arcs they cut from [0, 2 pi)
+    (`_arc_counts`); rho and the polished root Z at each crossing, so
+    (Z, e^(V + i psi)) is the point where the curve meets the torus; and
+    the largest |log|Z| - H| left by the polish.
     """
     _, deg, terms = layout
     j_all = [j for _, j, _ in terms]
@@ -320,54 +320,86 @@ def _crossings(layout, H: float, V: float):
     ulps = np.spacing(_TWO_PI)
     with np.errstate(divide="ignore", invalid="ignore"):
         # no candidate, no fiber solve (at z-degree 0 there is no root to pick)
-        g, rho = _near_root(layout, H, V, psi) if psi.size else (psi, psi + 0j)
+        g, rho, z = _near_root(layout, H, V, psi) if psi.size else (psi, psi + 0j, psi + 0j)
         last = np.inf
         for _ in range(16):
-            step = np.nan_to_num(g / rho.imag, posinf=0.0, neginf=0.0)
+            step = g / rho.imag
+            step = np.where(np.isfinite(step), step, 0.0)
             size = np.max(np.abs(step), initial=0.0)
             # stop at an ulp, or where roundoff stops the steps shrinking
             if size <= ulps or size >= last:
                 break
             psi, last = psi + step, size
-            g, rho = _near_root(layout, H, V, psi)
+            g, rho, z = _near_root(layout, H, V, psi)
     psi = psi % _TWO_PI
     order = np.argsort(psi)
-    psi, rho = psi[order], rho[order]
+    psi, rho, z = psi[order], rho[order], z[order]
+    residual = float(np.max(np.abs(g), initial=0.0))
+    return psi, _arc_counts(layout, H, V, psi), rho, z, residual
+
+
+def _arc_counts(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
+    """Roots inside |z| = e^H on each arc that the ascending angles psi cut
+    from [0, 2 pi), from one fiber solve at the arcs' midpoints.
+
+    There are m + 1 arcs for m angles, the first and the last being one
+    arc round 2 pi, and one when m = 0.  Where the roots' relative distances
+    to the circle, each capped at 1, multiply to below 1e-12 at every
+    midpoint, the curve meets the torus along a circle over all of
+    [0, 2 pi), which no finite set of angles describes: that raises
+    SingularLocus.  The product counts a k-fold root, which the fiber solve
+    splits by about eps^(1/k), k times.
+    """
     ends = np.concatenate((psi[-1:] - _TWO_PI, psi, psi[:1] + _TWO_PI))
     mid = 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
     moduli = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * mid)))[0])
-    count = (moduli < math.exp(H)).sum(axis=1)
-    return psi, count, rho, float(np.max(np.abs(g), initial=0.0))
+    radius = math.exp(H)
+    gap = np.minimum(np.abs(moduli - radius) / radius, 1.0)
+    if gap.prod(axis=1).max() < 1e-12:
+        raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along a circle")
+    return (moduli < radius).sum(axis=1)
+
+
+def _arc_mean(psi: np.ndarray, count: np.ndarray):
+    """The mean of the arc counts over [0, 2 pi), and each angle's jump
+    (count before minus count after)."""
+    arcs = np.diff(np.concatenate(([0.0], psi, [_TWO_PI])))
+    return float(count @ arcs) / _TWO_PI, count[:-1] - count[1:]
 
 
 def grad_free_energy(curve: SpectralCurve, H: float, V: float):
     """((d/dH, d/dV), 2x2 Hessian) of the free energy via exact root counting.
 
+    Both partials are read off the one finite set of points where the curve
+    meets the torus |z| = e^H, |w| = e^V, found by one `_crossings` solve.
     The H-derivative equals i_min plus the fraction of the outer circle on
-    which roots of the fiber polynomial sit inside radius e^H: the sum of
-    count times length over the arcs of [0, 2 pi) that the crossings of
-    `_crossings` cut, over 2 pi.
+    which roots of the fiber polynomial sit inside radius e^H: the mean of
+    the counts over the arcs of [0, 2 pi) that the crossing angles psi_c
+    cut.  The V-derivative is the same mean for the curve read as a
+    w-polynomial, whose crossing angles are theta_c = arg Z_c of the same
+    points, with counts from one fiber solve of that reading
+    (`_arc_counts`).
 
     The second derivatives move the same crossings: a crossing at psi_c
     moves at -1 / Im rho in H and Re rho / Im rho in V, so each adds its
     jump in the count (before minus after) times these rates, over 2 pi.
-    The V-V entry comes from the swapped curve and the cross term from the
-    first direction only, so the matrix is exactly symmetric; with no
-    crossing it is zero.
+    Read as a w-polynomial the rate is 1 / rho, and the V-V entry adds each
+    jump at theta_c times -1 / Im(1 / rho) = |rho|^2 / Im rho.  The cross
+    term comes from the first reading only, so the matrix is exactly
+    symmetric; with no crossing it is zero.
     """
-
-    def one_direction(cv, hh, vv):
-        layout = _fiber_layout(cv)
-        psi, count, rho, _ = _crossings(layout, hh, vv)
-        arcs = np.diff(np.concatenate(([0.0], psi, [_TWO_PI])))
-        delta = count[:-1] - count[1:]
-        return (layout[0] + float(count @ arcs) / _TWO_PI,
-                float(delta @ (-1.0 / rho.imag)) / _TWO_PI,
-                float(delta @ (rho.real / rho.imag)) / _TWO_PI)
-
-    gh, hh, hv = one_direction(curve, H, V)
-    gv, vv, _ = one_direction(curve.transformed(swap=True), V, H)
-    return (gh, gv), np.array([[hh, hv], [hv, vv]])
+    layout = _fiber_layout(curve)
+    psi, count, rho, z, _ = _crossings(layout, H, V)
+    mean_h, delta = _arc_mean(psi, count)
+    theta = np.angle(z) % _TWO_PI
+    order = np.argsort(theta)
+    theta, rho_w = theta[order], rho[order]
+    layout_w = _fiber_layout(curve.transformed(swap=True))
+    mean_v, delta_w = _arc_mean(theta, _arc_counts(layout_w, V, H, theta))
+    hh = float(delta @ (-1.0 / rho.imag)) / _TWO_PI
+    hv = float(delta @ (rho.real / rho.imag)) / _TWO_PI
+    vv = float(delta_w @ ((rho_w.real ** 2 + rho_w.imag ** 2) / rho_w.imag)) / _TWO_PI
+    return (layout[0] + mean_h, layout_w[0] + mean_v), np.array([[hh, hv], [hv, vv]])
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,18 @@ def test_burgers_refuses_a_characteristic_near_a_pole():
     st = fl.FlowState(1.0, np.zeros(32), 1e-4 + 1e-5 * np.sin(2 * np.pi * ys))
     with pytest.raises(StepFailure, match="near a pole of the velocity"):
         fl.burgers_evolve(st, fl.hex_burgers(), 0.01)
+
+
+def test_a_diverging_characteristic_fails_without_warnings():
+    # the Newton iterate overflows e^l0 on its way to a non-finite foot point
+    ys = np.arange(64) / 64
+    st = fl.FlowState(1.0, np.full(64, 0.20157133608275618),
+                      0.7922062596338384
+                      + 0.07878086830125501 * np.sin(6 * np.pi * ys + 6.009165176125216))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match="foot points blew up"):
+            fl.burgers_evolve(st, fl.ff_burgers(1.1179596722955816), -0.4261685860741615)
 
 
 @pytest.mark.parametrize("ny", [128, 192, 256])
