@@ -557,51 +557,33 @@ def theta_graph(w0: float = 1.0, w1: float = 1.0, w2: float = 1.0) -> BipartiteG
     return BipartiteGraph(colors, edges, rotations=rotations)
 
 
-def cube_graph(weights=None) -> BipartiteGraph:
-    """Planar cube skeleton: 8 vertices, 12 edges, 9 matchings."""
-    outer = [(2, 2), (-2, 2), (-2, -2), (2, -2)]
-    inner = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-    colors = {}
-    coords = {}
-    for k in range(4):
+def _prism_graph(outer, inner, weights) -> BipartiteGraph:
+    """Rings at `outer` and `inner` joined spoke by spoke, colours alternating."""
+    n = len(outer)
+    colors, coords, pairs = {}, {}, []
+    for k in range(n):
         colors[f"o{k}"] = "black" if k % 2 == 0 else "white"
         colors[f"i{k}"] = "white" if k % 2 == 0 else "black"
         coords[f"o{k}"] = outer[k]
         coords[f"i{k}"] = inner[k]
-    pairs = []
-    for k in range(4):
-        pairs.append((f"o{k}", f"o{(k + 1) % 4}"))
-        pairs.append((f"i{k}", f"i{(k + 1) % 4}"))
-        pairs.append((f"o{k}", f"i{k}"))
-    ws = [1.0] * 12 if weights is None else list(weights)
-    edges = []
-    for eid, (u, v) in enumerate(pairs):
-        b, wv = (u, v) if colors[u] == "black" else (v, u)
-        edges.append(Edge(eid, b, wv, ws[eid]))
+        pairs += [(f"o{k}", f"o{(k + 1) % n}"), (f"i{k}", f"i{(k + 1) % n}"), (f"o{k}", f"i{k}")]
+    ws = [1.0] * len(pairs) if weights is None else list(weights)
+    edges = [Edge(eid, *((u, v) if colors[u] == "black" else (v, u)), ws[eid])
+             for eid, (u, v) in enumerate(pairs)]
     return BipartiteGraph(colors, edges, coords=coords)
+
+
+def cube_graph(weights=None) -> BipartiteGraph:
+    """Planar cube skeleton: 8 vertices, 12 edges, 9 matchings."""
+    return _prism_graph([(2, 2), (-2, 2), (-2, -2), (2, -2)],
+                        [(1, 1), (-1, 1), (-1, -1), (1, -1)], weights)
 
 
 def prism_graph(weights=None) -> BipartiteGraph:
     """Hexagonal prism skeleton: 12 vertices, 18 edges, 3-valent."""
-    colors = {}
-    coords = {}
-    for k in range(6):
-        a = math.pi * k / 3.0
-        colors[f"o{k}"] = "black" if k % 2 == 0 else "white"
-        colors[f"i{k}"] = "white" if k % 2 == 0 else "black"
-        coords[f"o{k}"] = (2 * math.cos(a), 2 * math.sin(a))
-        coords[f"i{k}"] = (math.cos(a), math.sin(a))
-    pairs = []
-    for k in range(6):
-        pairs.append((f"o{k}", f"o{(k + 1) % 6}"))
-        pairs.append((f"i{k}", f"i{(k + 1) % 6}"))
-        pairs.append((f"o{k}", f"i{k}"))
-    ws = [1.0] * 18 if weights is None else list(weights)
-    edges = []
-    for eid, (u, v) in enumerate(pairs):
-        b, wv = (u, v) if colors[u] == "black" else (v, u)
-        edges.append(Edge(eid, b, wv, ws[eid]))
-    return BipartiteGraph(colors, edges, coords=coords)
+    angles = [math.pi * k / 3.0 for k in range(6)]
+    return _prism_graph([(2 * math.cos(a), 2 * math.sin(a)) for a in angles],
+                        [(math.cos(a), math.sin(a)) for a in angles], weights)
 
 
 def single_edge_graph(weight: float = 1.0) -> BipartiteGraph:

@@ -4,7 +4,8 @@ Weights, Baxter parametrizations, R-matrices, Yang-Baxter residuals,
 column-to-column transfer operators, cylinder/torus partition functions,
 brute-force state enumeration, and the height-function bijection.
 
-Conventions, fixed once and pinned against enumeration in the tests:
+Conventions, fixed once and pinned against enumeration in the tests (the
+matrix layout in `_vertex_matrix`, the Baxter families in `_FAMILIES`):
 
 * Edge states: e1 = empty, e2 = occupied.  The 4x4 vertex matrix acts on
   (horizontal edge) x (vertical edge) in the tensor basis
@@ -30,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, Inconsistent, OutOfRange, TooLarge)
-
-REGIMES = ("A1", "A2", "B1", "B2", "C")
 
 DENSE_CAP = 12          # explicit sector blocks up to N = 12: 21.6 MB, 1.5 MB at N = 10
 ENUM_EDGE_CAP = 36      # brute-force enumeration cap
@@ -66,6 +65,24 @@ def anisotropy_delta(w: VertexWeights) -> float:
     return (w.a ** 2 + w.b ** 2 - w.c ** 2) / (2.0 * w.a * w.b)
 
 
+# regime -> ((a, b, c) at (u, gamma), valid outside the window too, as the
+# Yang-Baxter middle factor needs; Delta at gamma; the (u, gamma) window in
+# which all three weights are positive; whether the middle factor negates c)
+_FAMILIES = {
+    "A1": (lambda u, g: (math.sinh(u + g), math.sinh(u), math.sinh(g)), math.cosh,
+           lambda u, g: g > 0 and u > 0, False),
+    "A2": (lambda u, g: (math.sinh(u - g), math.sinh(u), math.sinh(g)), math.cosh,
+           lambda u, g: 0 < g < u, True),
+    "B1": (lambda u, g: (math.sin(u - g), math.sin(u), math.sin(g)), math.cos,
+           lambda u, g: 0 < g < np.pi / 2 and g < u < np.pi / 2, True),
+    "B2": (lambda u, g: (math.sin(g - u), math.sin(u), math.sin(g)), lambda g: -math.cos(g),
+           lambda u, g: 0 < g < np.pi / 2 and 0 < u < g, False),
+    "C": (lambda u, g: (math.sinh(g - u), math.sinh(u), math.sinh(g)), lambda g: -math.cosh(g),
+          lambda u, g: 0 < u < g, False),
+}
+REGIMES = tuple(_FAMILIES)
+
+
 @dataclass(frozen=True)
 class BaxterParam:
     """Spectral point (regime, u, gamma, r) of the Baxter parametrization.
@@ -73,6 +90,7 @@ class BaxterParam:
     Regimes: A1 (a largest, Delta = cosh g), A2 (b largest, Delta = cosh g),
     B1 and B2 (trigonometric, with Delta = +cos g and -cos g respectively,
     as direct substitution into the anisotropy gives), C (Delta = -cosh g).
+    Inside each regime's window all three weights are positive.
     """
 
     regime: str
@@ -86,26 +104,13 @@ class BaxterParam:
         if self.r <= 0:
             raise OutOfRange("scale r must be positive")
         u, g = self.u, self.gamma
-        ok = {
-            "A1": g > 0 and u > 0,
-            "A2": 0 < g < u,
-            "B1": 0 < g < np.pi / 2 and g < u < np.pi / 2,
-            "B2": 0 < g < np.pi / 2 and 0 < u < g,
-            "C": 0 < u < g,
-        }[self.regime]
-        if not ok:
+        if not _FAMILIES[self.regime][2](u, g):
             raise OutOfRange(f"(u, gamma)=({u}, {g}) outside the {self.regime} window")
 
 
 def baxter_delta(regime: str, gamma: float) -> float:
     """Delta of a Baxter family (sign as computed from the weights)."""
-    return {
-        "A1": math.cosh(gamma),
-        "A2": math.cosh(gamma),
-        "B1": math.cos(gamma),
-        "B2": -math.cos(gamma),
-        "C": -math.cosh(gamma),
-    }[regime]
+    return _FAMILIES[regime][1](gamma)
 
 
 def weights_from_baxter(p: BaxterParam, H: float = 0.0, V: float = 0.0) -> VertexWeights:
@@ -123,40 +128,32 @@ def field_matrix(h: float) -> np.ndarray:
     return np.diag([math.exp(h / 2.0), math.exp(-h / 2.0)])
 
 
+def _vertex_matrix(a1, b1, b2, a2, c) -> np.ndarray:
+    """a1 all empty, a2 all occupied, b1 horizontal and b2 vertical through,
+    c both turns, in the basis e1e1, e1e2, e2e1, e2e2."""
+    return np.array([
+        [a1, 0.0, 0.0, 0.0],
+        [0.0, b1, c, 0.0],
+        [0.0, c, b2, 0.0],
+        [0.0, 0.0, 0.0, a2],
+    ])
+
+
 def r_matrix(w: VertexWeights) -> np.ndarray:
     """The 4x4 vertex matrix in the basis e1e1, e1e2, e2e1, e2e2."""
     a, b, c, H, V = w.a, w.b, w.c, w.H, w.V
-    return np.array([
-        [a * math.exp(H + V), 0.0, 0.0, 0.0],
-        [0.0, b * math.exp(H - V), c, 0.0],
-        [0.0, c, b * math.exp(V - H), 0.0],
-        [0.0, 0.0, 0.0, a * math.exp(-H - V)],
-    ])
+    return _vertex_matrix(a * math.exp(H + V), b * math.exp(H - V), b * math.exp(V - H),
+                          a * math.exp(-H - V), c)
 
 
 def _r_from_abc(a: float, b: float, c: float) -> np.ndarray:
-    return np.array([
-        [a, 0.0, 0.0, 0.0],
-        [0.0, b, c, 0.0],
-        [0.0, c, b, 0.0],
-        [0.0, 0.0, 0.0, a],
-    ])
+    return _vertex_matrix(a, b, b, a, c)
 
 
 def _baxter_abc(regime: str, u: float, gamma: float) -> tuple[float, float, float]:
-    # raw formulas, allowed outside the positivity windows (needed for the
-    # middle factor of the Yang-Baxter triple)
-    if regime == "A1":
-        return math.sinh(u + gamma), math.sinh(u), math.sinh(gamma)
-    if regime == "A2":
-        return math.sinh(u - gamma), math.sinh(u), math.sinh(gamma)
-    if regime == "B1":
-        return math.sin(u - gamma), math.sin(u), math.sin(gamma)
-    if regime == "B2":
-        return math.sin(gamma - u), math.sin(u), math.sin(gamma)
-    if regime == "C":
-        return math.sinh(gamma - u), math.sinh(u), math.sinh(gamma)
-    raise OutOfRange(f"unknown regime {regime!r}")
+    if regime not in _FAMILIES:
+        raise OutOfRange(f"unknown regime {regime!r}")
+    return _FAMILIES[regime][0](u, gamma)
 
 
 def baxter_r(regime: str, u: float, gamma: float) -> np.ndarray:
@@ -165,18 +162,12 @@ def baxter_r(regime: str, u: float, gamma: float) -> np.ndarray:
 
 
 def _middle_r(regime: str, u_plus_v: float, gamma: float) -> np.ndarray:
-    """The middle factor of the Yang-Baxter triple.
-
-    For the families with a = f(gamma + u) (A1, B2, C) the plain matrix at
-    u + v works.  The a = f(u - gamma) branches (A2, B1) close under the
-    same relation only after flipping the sign of the c entries of the
-    middle factor, which is the analytic continuation of the family
-    through its parametrization (for B1 it equals -R(u + v - pi)).
-    """
+    """The middle factor of the Yang-Baxter triple: the family's matrix at
+    u + v, with c negated for the a = f(u - gamma) families (A2, B1), which
+    is their analytic continuation through the parametrization (for B1 it
+    equals -R(u + v - pi)); the a = f(gamma + u) families need no flip."""
     a, b, c = _baxter_abc(regime, u_plus_v, gamma)
-    if regime in ("A2", "B1"):
-        c = -c
-    return _r_from_abc(a, b, c)
+    return _r_from_abc(a, b, -c if _FAMILIES[regime][3] else c)
 
 
 def _embed_three(r4: np.ndarray, pos: tuple[int, int]) -> np.ndarray:
@@ -642,34 +633,18 @@ def five_vertex_limit_r(case: int, *, xi: float | None = None,
     vertex matrix after overall-factor normalization; the convergence gap
     helper measures the approach.
     """
-    if case == 1:
+    if case in (1, 3):
         if xi is None or xi <= 0:
-            raise OutOfRange("case 1 needs xi > 0")
-        return np.array([
-            [2.0 * math.sinh(xi) * math.exp(l + m), 0, 0, 0],
-            [0, math.exp(xi + l - m), 1.0, 0],
-            [0, 1.0, math.exp(xi - l + m), 0],
-            [0, 0, 0, 0.0],
-        ])
+            raise OutOfRange(f"case {case} needs xi > 0")
+        x = xi if case == 1 else -xi     # case 3 mirrors xi in the b entries
+        return _vertex_matrix(2.0 * math.sinh(xi) * math.exp(l + m), math.exp(x + l - m),
+                              math.exp(x - l + m), 0.0, 1.0)
     if case == 2:
         if u is None or not 0 < u < np.pi / 2:
             raise OutOfRange("case 2 needs 0 < u < pi/2")
         su = math.sin(u)
-        return np.array([
-            [math.exp(l + m), 0, 0, 0],
-            [0, su * math.exp(l - m), su, 0],
-            [0, su, su * math.exp(m - l), 0],
-            [0, 0, 0, 0.0],
-        ])
-    if case == 3:
-        if xi is None or xi <= 0:
-            raise OutOfRange("case 3 needs xi > 0")
-        return np.array([
-            [2.0 * math.sinh(xi) * math.exp(l + m), 0, 0, 0],
-            [0, math.exp(-xi + l - m), 1.0, 0],
-            [0, 1.0, math.exp(-xi - l + m), 0],
-            [0, 0, 0, 0.0],
-        ])
+        return _vertex_matrix(math.exp(l + m), su * math.exp(l - m), su * math.exp(m - l),
+                              0.0, su)
     raise OutOfRange(f"case must be 1, 2 or 3, got {case}")
 
 
@@ -677,10 +652,12 @@ def five_vertex_finite_r(case: int, gamma: float, *, xi: float | None = None,
                          u: float | None = None, l: float = 0.0,
                          m: float = 0.0) -> np.ndarray:
     """Finite-gamma six-vertex R-matrix entering the strong-field limit."""
-    if case == 1:
-        if xi is None or xi <= 0 or gamma <= 0:
-            raise OutOfRange("case 1 needs xi > 0 and gamma > 0")
-        w = VertexWeights(math.sinh(xi), math.sinh(gamma + xi), math.sinh(gamma),
+    if case in (1, 3):
+        if xi is None or xi <= 0 or gamma <= (0 if case == 1 else xi):
+            raise OutOfRange("case 1 needs xi > 0 and gamma > 0" if case == 1
+                             else "case 3 needs 0 < xi < gamma")
+        x = xi if case == 1 else -xi     # case 3 mirrors xi in the b weight
+        w = VertexWeights(math.sinh(xi), math.sinh(gamma + x), math.sinh(gamma),
                           H=gamma / 2.0 + l, V=gamma / 2.0 + m)
     elif case == 2:
         if u is None or not 0 < u < gamma or gamma >= np.pi:
@@ -688,11 +665,6 @@ def five_vertex_finite_r(case: int, gamma: float, *, xi: float | None = None,
         d = gamma - u
         w = VertexWeights(math.sin(d), math.sin(u), math.sin(gamma),
                           H=-0.5 * math.log(d) + l, V=-0.5 * math.log(d) + m)
-    elif case == 3:
-        if xi is None or xi <= 0 or gamma <= xi:
-            raise OutOfRange("case 3 needs 0 < xi < gamma")
-        w = VertexWeights(math.sinh(xi), math.sinh(gamma - xi), math.sinh(gamma),
-                          H=gamma / 2.0 + l, V=gamma / 2.0 + m)
     else:
         raise OutOfRange(f"case must be 1, 2 or 3, got {case}")
     return r_matrix(w)

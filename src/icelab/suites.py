@@ -166,6 +166,24 @@ def _fd2(fun, x, h):
     return (16 * base - wide) / 15.0
 
 
+def _appendix_a_fd(tag: str, tau, sigma, ps, xis) -> list:
+    """Worst misses of d11 tau * d11 sigma = 1 and d22 tau / d11 tau = -det Hess
+    sigma over ps x xis: tau's partials by finite differences, sigma's Hessian
+    at the partial Legendre point."""
+    worst_p11 = worst_ratio = 0.0
+    for p in ps:
+        for xi in xis:
+            d11 = _fd2(lambda q: tau(q, xi), p, 4e-3)
+            d22 = _fd2(lambda x2: tau(p, x2), xi, 4e-3)
+            pl = tn.partial_legendre(sigma, p, xi)
+            h11, h12, h22 = (float(v) for v in sigma.hess(pl.nu_star, xi))
+            det = h11 * h22 - h12 * h12
+            worst_p11 = max(worst_p11, abs(d11 * h11 - 1.0))
+            worst_ratio = max(worst_ratio, abs(d22 / d11 + det))
+    return [Check.le(f"appendixA-{tag}-p11", worst_p11, 1e-8),
+            Check.le(f"appendixA-{tag}-ratio", worst_ratio, 1e-8)]
+
+
 def suite_hessian() -> list:
     """Criteria 5 and 6: partial-Legendre identities and the spectral
     independence of the free-fermion Hessian determinant."""
@@ -185,41 +203,13 @@ def suite_hessian() -> list:
     checks.append(Check.le("appendixA-quadratic-exact", worst, 1e-12))
     # hexagonal: finite differences of tau values against the identities
     hx = tn.hex_tension()
-    worst_p11 = 0.0
-    worst_ratio = 0.0
-    h = 4e-3
-    for p in np.linspace(-0.4, 0.4, 5):
-        for xi in np.linspace(0.25, 0.55, 5):
-            d11 = _fd2(lambda q: tn.partial_legendre(hx, q, xi).tau, p, h)
-            d22 = _fd2(lambda x2: tn.partial_legendre(hx, p, x2).tau, xi, h)
-            pl = tn.partial_legendre(hx, p, xi)
-            h11, h12, h22 = (float(v) for v in hx.hess(pl.nu_star, xi))
-            det = h11 * h22 - h12 * h12
-            worst_p11 = max(worst_p11, abs(d11 * h11 - 1.0))
-            worst_ratio = max(worst_ratio, abs(d22 / d11 + det))
-    checks.append(Check.le("appendixA-hex-p11", worst_p11, 1e-8))
-    checks.append(Check.le("appendixA-hex-ratio", worst_ratio, 1e-8))
+    checks += _appendix_a_fd("hex", lambda q, x2: tn.partial_legendre(hx, q, x2).tau, hx,
+                             np.linspace(-0.4, 0.4, 5), np.linspace(0.25, 0.55, 5))
     # free fermion: the closed-form density equals tau up to affine terms,
     # so its second differences probe the same identities
     u = 0.9
-    ffT = tn.ff_tension(u)
-    worst_p11 = 0.0
-    worst_ratio = 0.0
-    for p in (-0.3, 0.0, 0.25):
-        for xi in (0.3, 0.5, 0.7):
-            def tau_like(q, x2=xi):
-                return fl.hamiltonian_ff(q + 1j * np.pi * x2, u).real
-            def tau_like_xi(x2, q=p):
-                return fl.hamiltonian_ff(q + 1j * np.pi * x2, u).real
-            d11 = _fd2(tau_like, p, 4e-3)
-            d22 = _fd2(tau_like_xi, xi, 4e-3)
-            pl = tn.partial_legendre(ffT, p, xi)
-            h11, h12, h22 = (float(v) for v in ffT.hess(pl.nu_star, xi))
-            det = h11 * h22 - h12 * h12
-            worst_p11 = max(worst_p11, abs(d11 * h11 - 1.0))
-            worst_ratio = max(worst_ratio, abs(d22 / d11 + det))
-    checks.append(Check.le("appendixA-ff-p11", worst_p11, 1e-8))
-    checks.append(Check.le("appendixA-ff-ratio", worst_ratio, 1e-8))
+    checks += _appendix_a_fd("ff", lambda q, x2: fl.hamiltonian_ff(q + 1j * np.pi * x2, u).real,
+                             tn.ff_tension(u), (-0.3, 0.0, 0.25), (0.3, 0.5, 0.7))
     # criterion 6: det Hess sigma_ff spread over the spectral parameter
     worst = 0.0
     for s in np.linspace(0.2, 0.8, 5):

@@ -259,8 +259,10 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
 
 def _log_partials(layout, z, w):
     """(z dP/dz, w dP/dw) times z^-i_min at points (z, w) of the curve."""
-    z_dz = sum(c * row * z ** row * w ** j for row, j, c in layout[2])
-    w_dw = sum(c * j * z ** row * w ** j for row, j, c in layout[2])
+    z_pow = {row: z ** row for row in {row for row, _, _ in layout[2]}}
+    w_pow = {j: w ** j for j in {j for _, j, _ in layout[2]}}
+    z_dz = sum(c * row * z_pow[row] * w_pow[j] for row, j, c in layout[2])
+    w_dw = sum(c * j * z_pow[row] * w_pow[j] for row, j, c in layout[2])
     return z_dz, w_dw
 
 
@@ -338,9 +340,10 @@ def _crossings(layout, H: float, V: float):
     return psi, _arc_counts(layout, H, V, psi), rho, z, residual
 
 
-def _arc_counts(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
+def _arc_counts(layout, H: float, V: float, psi: np.ndarray, swap: bool = False) -> np.ndarray:
     """Roots inside |z| = e^H on each arc that the ascending angles psi cut
-    from [0, 2 pi), from one fiber solve at the arcs' midpoints.
+    from [0, 2 pi), from one fiber solve at the arcs' midpoints; with swap,
+    layout is the curve's w-reading and the roots are those inside |w| = e^V.
 
     There are m + 1 arcs for m angles, the first and the last being one
     arc round 2 pi, and one when m = 0.  Where the roots' relative distances
@@ -350,10 +353,11 @@ def _arc_counts(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
     SingularLocus.  The product counts a k-fold root, which the fiber solve
     splits by about eps^(1/k), k times.
     """
+    log_r, log_fiber = (V, H) if swap else (H, V)
     ends = np.concatenate((psi[-1:] - _TWO_PI, psi, psi[:1] + _TWO_PI))
     mid = 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
-    moduli = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * mid)))[0])
-    radius = math.exp(H)
+    moduli = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(log_fiber + 1j * mid)))[0])
+    radius = math.exp(log_r)
     gap = np.minimum(np.abs(moduli - radius) / radius, 1.0)
     if gap.prod(axis=1).max() < 1e-12:
         raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along a circle")
@@ -395,7 +399,7 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float):
     order = np.argsort(theta)
     theta, rho_w = theta[order], rho[order]
     layout_w = _fiber_layout(curve.transformed(swap=True))
-    mean_v, delta_w = _arc_mean(theta, _arc_counts(layout_w, V, H, theta))
+    mean_v, delta_w = _arc_mean(theta, _arc_counts(layout_w, H, V, theta, swap=True))
     hh = float(delta @ (-1.0 / rho.imag)) / _TWO_PI
     hv = float(delta @ (rho.real / rho.imag)) / _TWO_PI
     vv = float(delta_w @ ((rho_w.real ** 2 + rho_w.imag ** 2) / rho_w.imag)) / _TWO_PI

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icelab import sixvertex as sv
@@ -76,6 +76,15 @@ def test_baxter_windows_raise():
         sv.BaxterParam("Z", 0.1, 0.2)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(regime=st.sampled_from(sv.REGIMES), u=st.floats(0.0, 3.0), g=st.floats(0.0, 3.0))
+def test_weights_are_positive_inside_each_family_window(regime, u, g):
+    assume(sv._FAMILIES[regime][2](u, g))
+    assert min(sv._baxter_abc(regime, u, g)) > 0.0
+    w = sv.weights_from_baxter(sv.BaxterParam(regime, u, g))
+    assert min(w.a, w.b, w.c) > 0.0
+
+
 def test_vertex_weights_validation():
     with pytest.raises(ValueError):
         sv.VertexWeights(1.0, -0.2, 1.0)
@@ -96,6 +105,19 @@ def test_r_matrix_zero_pattern():
         nz = {(i, j) for i in range(4) for j in range(4) if r[i, j] != 0}
         assert nz == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)}
         assert np.all(r[r != 0] > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(abc=st.tuples(*[st.floats(0.01, 10.0)] * 3), H=st.floats(-3.0, 3.0),
+       V=st.floats(-3.0, 3.0))
+def test_r_matrix_is_the_documented_layout(abc, H, V):
+    # basis e1e1, e1e2, e2e1, e2e2; an empty half-edge carries exp(+field/2)
+    a, b, c = abc
+    want = np.zeros((4, 4))
+    want[0, 0], want[3, 3] = a * math.exp(H + V), a * math.exp(-H - V)
+    want[1, 1], want[2, 2] = b * math.exp(H - V), b * math.exp(V - H)
+    want[1, 2] = want[2, 1] = c
+    assert np.array_equal(sv.r_matrix(sv.VertexWeights(a, b, c, H, V)), want)
 
 
 def test_r_matrix_b_zero_swap_pattern():
@@ -495,6 +517,25 @@ def test_five_vertex_limit_patterns():
     assert abs(lim2[1, 1] - su * math.exp(0.3)) < 1e-15
     assert abs(lim2[1, 2] - su) < 1e-15
     assert abs(lim2[2, 2] - su * math.exp(-0.3)) < 1e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(xi=st.floats(0.01, 2.0), dg=st.floats(0.01, 4.0), l=st.floats(-1.0, 1.0),
+       m=st.floats(-1.0, 1.0))
+def test_five_vertex_case_3_is_case_1_with_xi_mirrored_in_b(xi, dg, l, m):
+    lim1, lim3 = (sv.five_vertex_limit_r(case, xi=xi, l=l, m=m) for case in (1, 3))
+    mirror = lim1.copy()
+    mirror[1, 1], mirror[2, 2] = math.exp(-xi + l - m), math.exp(-xi - l + m)
+    assert np.array_equal(lim3, mirror)
+    gamma = xi + dg
+
+    def weights(x):     # case 1's weights with xi -> x in the b weight
+        return sv.VertexWeights(math.sinh(xi), math.sinh(gamma + x), math.sinh(gamma),
+                                gamma / 2.0 + l, gamma / 2.0 + m)
+
+    for case, x in ((1, xi), (3, -xi)):
+        got = sv.five_vertex_finite_r(case, gamma, xi=xi, l=l, m=m)
+        assert np.array_equal(got, sv.r_matrix(weights(x)))
 
 
 def test_five_vertex_gaps_decrease():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -436,6 +437,15 @@ def test_a_circle_of_the_torus_on_the_curve_raises_in_either_reading(coeffs, poi
     # z-polynomial 2 + w has no root and no crossing angle, so only its
     # w-reading's counts can see the circle; 2 + z makes the resultant vanish
     with pytest.raises(SingularLocus):
+        tn.grad_free_energy(tn.SpectralCurve.from_dict(coeffs), *point)
+
+
+@pytest.mark.parametrize("coeffs, point", [
+    ({(0, 0): 2.0, (0, 1): 1.0}, (0.1, math.log(2.0))),
+    ({(0, 0): 2.0, (1, 0): 1.0}, (math.log(2.0), 0.1))], ids=["2+w", "2+z"])
+def test_singular_locus_names_the_point_as_h_then_v(coeffs, point):
+    # 2 + w raises from its w-reading, 2 + z from its z-reading
+    with pytest.raises(SingularLocus, match=re.escape(f"at ({point[0]}, {point[1]}) along")):
         tn.grad_free_energy(tn.SpectralCurve.from_dict(coeffs), *point)
 
 
