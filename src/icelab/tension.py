@@ -14,9 +14,8 @@ the roots on the unit circle of one resultant and polished by Newton
 (`_crossings`).  The outer circle is then integrated by Gauss-Legendre
 between the kinks, and the same crossings give the exact root-counting
 form of the gradient and, from the rate at which each crossing moves, the
-exact Hessian that the Legendre Newton iteration uses as its Jacobian.  A
-plain trapezoid grid (`_grid_mean`) is the tests' reference.  No other
-module computes with a curve's coefficients.
+exact Hessian that the Legendre Newton iteration uses as its Jacobian.  No
+other module computes with a curve's coefficients.
 
 Closed forms: the homogeneous hexagonal tension (Lobachevsky function) and
 the free-fermion tension at spectral parameter u (inverse hyperbolic sine
@@ -51,7 +50,6 @@ from .special import dilog, lobachevsky
 _TWO_PI = 2.0 * np.pi
 N0 = 256            # free_energy's Gauss-Legendre order when no crossing is found
 N_MAX = 16384       # free_energy's cap on outer nodes
-GRID_BLOCK = 1 << 18   # nodes per block of the `_grid_mean` reference
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +142,16 @@ def _fiber_coeffs(layout, w: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """np.roots(p) for complex p not all 0, bit for bit, without its wrapper: p trimmed of
+    leading and trailing zeros, then one 0 root per trailing zero (complex for a monomial too)."""
+    nz = np.flatnonzero(p)
+    trailing, p = p.size - 1 - nz[-1], p[nz[0]:nz[-1] + 1]
+    comp = np.eye(p.size - 1, k=-1, dtype=complex)
+    comp[:1] = -p[1:] / p[0]
+    return np.concatenate((np.linalg.eigvals(comp), np.zeros(trailing, dtype=complex)))
+
+
 def _fiber_roots(coeffs: np.ndarray):
     """Roots and leading coefficient of each column polynomial.
 
@@ -157,7 +165,7 @@ def _fiber_roots(coeffs: np.ndarray):
     if deg == 0:
         return np.zeros((n, 0), dtype=complex), coeffs[0]
     lead = coeffs[-1].copy()
-    scale = np.max(np.abs(coeffs), axis=0)
+    scale = np.abs(coeffs).max(axis=0)
     bad = np.abs(lead) < 1e-13 * np.maximum(scale, 1e-300)
     if deg == 1:
         # the eigenvalue of the 1x1 companion matrix, bit for bit
@@ -165,18 +173,17 @@ def _fiber_roots(coeffs: np.ndarray):
     else:
         roots = np.full((n, deg), np.nan, dtype=complex)
         good = ~bad
-        if np.any(good):
-            comp = np.zeros((int(good.sum()), deg, deg), dtype=complex)
-            comp[:, 1:, :-1] = np.eye(deg - 1)
-            comp[:, 0, :] = (-coeffs[deg - 1::-1, good] / lead[good]).T
-            roots[good] = np.linalg.eigvals(comp)
-    for k in np.nonzero(bad)[0]:
+        comp = np.zeros((int(good.sum()), deg, deg), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(deg - 1)
+        comp[:, 0, :] = (-coeffs[deg - 1::-1, good] / lead[good]).T
+        roots[good] = np.linalg.eigvals(comp)
+    for k in bad.nonzero()[0]:
         col = coeffs[:, k]
         nz = np.nonzero(np.abs(col) > 1e-13 * max(np.max(np.abs(col)), 1e-300))[0]
         if nz.size == 0:
             raise SingularLocus("fiber polynomial vanished identically")
         top = nz[-1]
-        roots[k, :top] = np.roots(col[top::-1]) if top > 0 else np.zeros(0, dtype=complex)
+        roots[k, :top] = _companion_roots(col[top::-1])
         roots[k, top:] = np.inf
         lead[k] = col[top]
     return roots, lead
@@ -188,24 +195,8 @@ def _jensen_inner(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
     finite = np.isfinite(roots)
     logmod = np.log(np.maximum(np.abs(np.where(finite, roots, 1.0)), 1e-300))
     # roots that escaped a trimmed fiber contribute nothing
-    return layout[0] * H + np.log(np.abs(lead)) + np.sum(
-        np.where(finite, np.maximum(H, logmod), 0.0), axis=1)
-
-
-def _grid_mean(curve: SpectralCurve, H: float, V: float, n: int) -> float:
-    """The n x n midpoint-trapezoid mean of log|P|, in blocks of about
-    GRID_BLOCK nodes; |P| below 1e-14 of the top coefficient raises."""
-    theta = (np.arange(n) + 0.5) * (_TWO_PI / n)
-    z = np.exp(H + 1j * theta)[:, None]
-    w = np.exp(V + 1j * theta)[None, :]
-    floor = 1e-14 * max(abs(c) for _, c in curve.coeffs)
-    rows, total = max(1, GRID_BLOCK // n), 0.0
-    for k in range(0, n, rows):
-        vals = np.abs(curve(z[k:k + rows], w))
-        if np.min(vals) < floor:
-            raise SingularLocus("spectral curve vanished on a quadrature node")
-        total += float(np.sum(np.log(vals)))
-    return total / (n * n)
+    return layout[0] * H + np.log(np.abs(lead)) + np.where(
+        finite, np.maximum(H, logmod), 0.0).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,12 +222,13 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
     from 8, or from N0 on one piece [0, 2 pi) when no crossing is found,
     until two results agree to tol or N_MAX outer nodes are reached.  The
     info holds the number of outer nodes ``n``, the last difference
-    ``estimate``, ``converged`` (False if N_MAX came first) and
+    ``estimate``, ``converged`` (False if N_MAX came first),
     ``crossing_residual``, the largest |log|z| - H| left at a crossing root
-    after the polish (0.0 with no crossing).
+    after the polish, and ``crossing_condition``, the largest 1/|Im rho|,
+    how far an error in log|z| moves a crossing (both 0.0 with no crossing).
     """
     layout = _fiber_layout(curve)
-    start, *_, residual = _crossings(layout, H, V)
+    start, _, rho, _, residual = _crossings(layout, H, V)
     level, start = (8, start) if start.size else (N0, np.zeros(1))
     half = 0.5 * (np.append(start[1:], start[0] + _TWO_PI) - start)[:, None]
 
@@ -244,7 +236,7 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
         x, w = _gauss_legendre(order)
         psi = start[:, None] + half * (1.0 + x)
         inner = _jensen_inner(layout, H, V, psi.ravel()).reshape(psi.shape)
-        return float(np.sum(half * w * inner)) / _TWO_PI, psi.size
+        return float((half * w * inner).sum()) / _TWO_PI, psi.size
 
     (value, n), est = evaluate(level), math.inf
     while n < N_MAX and est > tol:
@@ -252,8 +244,10 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
         cur, n = evaluate(level)
         est, value = abs(cur - value), cur
     if return_info:
+        with np.errstate(divide="ignore"):      # a tangent crossing: inf
+            condition = float(1.0 / np.abs(rho.imag).min(initial=np.inf))
         return value, {"n": n, "estimate": est, "converged": est <= tol,
-                       "crossing_residual": residual}
+                       "crossing_residual": residual, "crossing_condition": condition}
     return value
 
 
@@ -267,18 +261,29 @@ def _log_partials(layout, z, w):
 
 
 def _near_root(layout, H: float, V: float, psi: np.ndarray):
-    """g = log|Z| - H, rho = -(w dP/dw) / (z dP/dz) at (Z, w), and Z.
-
-    w = e^(V + i psi) for each angle, and Z is the root of P(., w) whose
-    modulus is nearest e^H; g(psi) has slope -Im rho.
-    """
-    w = np.exp(V + 1j * psi)
+    """g = log|Z| - H (slope -Im rho), rho = -(w dP/dw) / (z dP/dz) at (Z, w) and
+    Z, the root of P(., w = e^(V + i psi)) nearest |z| = e^H; psi mod 2 pi's argsort;
+    and the root moduli at the arcs' midpoints (`_arc_midpoints`): one fiber solve."""
+    m, order = psi.size, (psi % _TWO_PI).argsort()
+    w = np.exp(V + 1j * np.concatenate((psi, _arc_midpoints(psi[order] % _TWO_PI))))
     roots = _fiber_roots(_fiber_coeffs(layout, w))[0]
-    gap = np.log(np.abs(roots)) - H
-    near = np.argmin(np.abs(gap), axis=1)
-    z, g = roots[np.arange(psi.size), near], gap[np.arange(psi.size), near]
-    z_dz, w_dw = _log_partials(layout, z, w)
-    return g, -w_dw / z_dz, z
+    moduli = np.abs(roots)
+    if not m:       # no angle (at z-degree 0 there is no root to pick)
+        return psi, psi + 0j, psi + 0j, order, moduli
+    gap = np.log(moduli[:m]) - H
+    near = np.abs(gap).argmin(axis=1)
+    z, g = roots[np.arange(m), near], gap[np.arange(m), near]
+    z_dz, w_dw = _log_partials(layout, z, w[:m])
+    return g, -w_dw / z_dz, z, order, moduli[m:]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_dft(de: int):
+    """The 2 de + 1 roots of unity and their DFT matrix, read-only, no np.fft."""
+    omega = np.exp(np.arange(2 * de + 1) * (1j * _TWO_PI / (2 * de + 1)))
+    dft = np.vander(omega.conj(), increasing=True).T
+    omega.flags.writeable = dft.flags.writeable = False
+    return omega, dft
 
 
 def _crossings(layout, H: float, V: float):
@@ -291,8 +296,9 @@ def _crossings(layout, H: float, V: float):
     reversed, so the two share a root where p has one on |zeta| = 1.  R is
     a Laurent polynomial of degree d e, e the w-span of the curve; it is
     sampled at 2 d e + 1 roots of unity (Sylvester determinants),
-    interpolated by one discrete Fourier transform and solved by np.roots.
-    Each root is polished by Newton on log|Z(psi)| - H (`_near_root`).
+    interpolated by a DFT cached per d e and solved by `_companion_roots` (not np.roots).
+    Each Newton iterate on log|Z(psi)| - H is one fiber solve at the angles and
+    the midpoints of the arcs they cut (`_near_root`); the last gives the counts.
 
     Returns the m crossing angles in [0, 2 pi), ascending; the root count
     inside |z| = e^H on each of the m + 1 arcs they cut from [0, 2 pi)
@@ -303,7 +309,7 @@ def _crossings(layout, H: float, V: float):
     _, deg, terms = layout
     j_all = [j for _, j, _ in terms]
     de = deg * (max(j_all) - min(j_all))
-    omega = np.exp(np.arange(2 * de + 1) * (1j * _TWO_PI / (2 * de + 1)))
+    omega, dft = _unit_dft(de)
     a = _fiber_coeffs(layout, math.exp(V) * omega) * np.exp(H * np.arange(deg + 1))[:, None]
     sylvester = np.zeros((omega.size, 2 * deg, 2 * deg), dtype=complex)
     for k in range(deg):
@@ -312,52 +318,44 @@ def _crossings(layout, H: float, V: float):
     samples = np.linalg.det(sylvester)
     # R = 0 where p is real on a torus arc: every sample at roundoff of its
     # Hadamard bound, the product of its row norms, which is |a|^(2 deg)
-    if np.all(np.abs(samples) < 1e-12 * np.linalg.norm(a, axis=0) ** (2 * deg)):
+    if (np.abs(samples) < 1e-12 * np.linalg.norm(a, axis=0) ** (2 * deg)).all():
         raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along an arc")
-    # the discrete Fourier transform of the samples, without loading np.fft
-    r = np.vander(omega.conj(), increasing=True).T @ samples
-    omega = np.roots(np.concatenate((r[de::-1], r[:de:-1])))
-    # near a tangency two roots merge and np.roots keeps them to ~sqrt(eps)
+    r = dft @ samples
+    omega = _companion_roots(np.concatenate((r[de::-1], r[:de:-1])))
+    # near a tangency two roots merge and the eigenvalues keep them to ~sqrt(eps)
     psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
     ulps = np.spacing(_TWO_PI)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # no candidate, no fiber solve (at z-degree 0 there is no root to pick)
-        g, rho, z = _near_root(layout, H, V, psi) if psi.size else (psi, psi + 0j, psi + 0j)
+        g, rho, z, order, moduli = _near_root(layout, H, V, psi)
         last = np.inf
         for _ in range(16):
             step = g / rho.imag
             step = np.where(np.isfinite(step), step, 0.0)
-            size = np.max(np.abs(step), initial=0.0)
+            size = np.abs(step).max(initial=0.0)
             # stop at an ulp, or where roundoff stops the steps shrinking
             if size <= ulps or size >= last:
                 break
             psi, last = psi + step, size
-            g, rho, z = _near_root(layout, H, V, psi)
-    psi = psi % _TWO_PI
-    order = np.argsort(psi)
-    psi, rho, z = psi[order], rho[order], z[order]
-    residual = float(np.max(np.abs(g), initial=0.0))
-    return psi, _arc_counts(layout, H, V, psi), rho, z, residual
+            g, rho, z, order, moduli = _near_root(layout, H, V, psi)
+    count = _arc_counts(moduli, math.exp(H), H, V)
+    return psi[order] % _TWO_PI, count, rho[order], z[order], float(np.abs(g).max(initial=0.0))
 
 
-def _arc_counts(layout, H: float, V: float, psi: np.ndarray, swap: bool = False) -> np.ndarray:
-    """Roots inside |z| = e^H on each arc that the ascending angles psi cut
-    from [0, 2 pi), from one fiber solve at the arcs' midpoints; with swap,
-    layout is the curve's w-reading and the roots are those inside |w| = e^V.
-
-    There are m + 1 arcs for m angles, the first and the last being one
-    arc round 2 pi, and one when m = 0.  Where the roots' relative distances
-    to the circle, each capped at 1, multiply to below 1e-12 at every
-    midpoint, the curve meets the torus along a circle over all of
-    [0, 2 pi), which no finite set of angles describes: that raises
-    SingularLocus.  The product counts a k-fold root, which the fiber solve
-    splits by about eps^(1/k), k times.
-    """
-    log_r, log_fiber = (V, H) if swap else (H, V)
+def _arc_midpoints(psi: np.ndarray) -> np.ndarray:
+    """Midpoints of the m + 1 arcs ascending psi cuts from [0, 2 pi) ([0.0] if m = 0)."""
     ends = np.concatenate((psi[-1:] - _TWO_PI, psi, psi[:1] + _TWO_PI))
-    mid = 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
-    moduli = np.abs(_fiber_roots(_fiber_coeffs(layout, np.exp(log_fiber + 1j * mid)))[0])
-    radius = math.exp(log_r)
+    return 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
+
+
+def _arc_counts(moduli: np.ndarray, radius: float, H: float, V: float) -> np.ndarray:
+    """Roots inside radius on each arc, from a row of root moduli per arc midpoint.
+
+    Where the roots' relative distances to the circle, each capped at 1,
+    multiply to below 1e-12 at every midpoint, the curve meets the torus
+    (H, V) along a circle over all of [0, 2 pi), which no finite set of
+    angles describes: that raises SingularLocus.  The product counts a
+    k-fold root, which the fiber solve splits by about eps^(1/k), k times.
+    """
     gap = np.minimum(np.abs(moduli - radius) / radius, 1.0)
     if gap.prod(axis=1).max() < 1e-12:
         raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along a circle")
@@ -396,10 +394,12 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float):
     psi, count, rho, z, _ = _crossings(layout, H, V)
     mean_h, delta = _arc_mean(psi, count)
     theta = np.angle(z) % _TWO_PI
-    order = np.argsort(theta)
+    order = theta.argsort()
     theta, rho_w = theta[order], rho[order]
     layout_w = _fiber_layout(curve.transformed(swap=True))
-    mean_v, delta_w = _arc_mean(theta, _arc_counts(layout_w, H, V, theta, swap=True))
+    w = np.exp(H + 1j * _arc_midpoints(theta))
+    moduli_w = np.abs(_fiber_roots(_fiber_coeffs(layout_w, w))[0])
+    mean_v, delta_w = _arc_mean(theta, _arc_counts(moduli_w, math.exp(V), H, V))
     hh = float(delta @ (-1.0 / rho.imag)) / _TWO_PI
     hv = float(delta @ (rho.real / rho.imag)) / _TWO_PI
     vv = float(delta_w @ ((rho_w.real ** 2 + rho_w.imag ** 2) / rho_w.imag)) / _TWO_PI
@@ -467,7 +467,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
     r, jac = residual(H, V)
     prev = None
     for _ in range(60):
-        if np.max(np.abs(r)) <= tol:
+        if np.abs(r).max() <= tol:
             # the residual bounds (H, V)'s error only by |Hess sigma| tol;
             # one last Newton step on the Hessian in hand removes it
             if abs(np.linalg.det(jac)) >= 1e-14:
@@ -485,14 +485,14 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
             continue
         delta = np.linalg.solve(jac, -r)
         cap = 0.5
-        norm = float(np.max(np.abs(delta)))
+        norm = float(np.abs(delta).max())
         if norm > cap:
             delta *= cap / norm
         scale = 1.0
-        base = np.max(np.abs(r))
+        base = np.abs(r).max()
         for _ in range(30):
             rn, jn = residual(H + scale * delta[0], V + scale * delta[1])
-            if np.max(np.abs(rn)) < base:
+            if np.abs(rn).max() < base:
                 break
             scale *= 0.5
         else:

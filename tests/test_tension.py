@@ -19,6 +19,8 @@ from icelab.errors import (BranchCut, DomainBoundary, NonConvergence,
                            OutOfRange, SingularLocus, Unbounded)
 from icelab.special import lobachevsky
 
+import grid_reference as gr
+
 
 # ---------------------------------------------------------------------------
 # free energy
@@ -35,7 +37,7 @@ def test_hex_free_energy_dual_pipelines():
     target = 3.0 / math.pi * lobachevsky(math.pi / 3)
     f_j = tn.free_energy(tn.hex_curve(), 0.0, 0.0, tol=1e-9)
     # the 512 x 512 grid reference, 5e-8 from the 256 x 256 one
-    f_g = tn._grid_mean(tn.hex_curve(), 0.0, 0.0, 512)
+    f_g = gr._grid_mean(tn.hex_curve(), 0.0, 0.0, 512)
     assert abs(f_j - target) < 1e-4
     assert abs(f_g - target) < 1e-4
     assert abs(f_j - f_g) < 1e-4
@@ -57,20 +59,20 @@ def test_quadrature_geometric_decay_off_the_zero_locus(monkeypatch):
 def test_grid_method_singular_node():
     curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (1, 0): 1.0})
     with pytest.raises(SingularLocus):
-        tn._grid_mean(curve, 0.0, 0.0, 65)   # odd grid hits z = -1 exactly
+        gr._grid_mean(curve, 0.0, 0.0, 65)   # odd grid hits z = -1 exactly
 
 
 def test_grid_reference_runs_in_bounded_memory(monkeypatch):
     n, curve = 2048, tn.hex_curve()
     tracemalloc.start()
     try:
-        blocked = tn._grid_mean(curve, 0.1, 0.2, n)
+        blocked = gr._grid_mean(curve, 0.1, 0.2, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24e6       # one complex n x n array alone is 67 MB
-    monkeypatch.setattr(tn, "GRID_BLOCK", n * n)      # the whole grid at once
-    assert abs(blocked - tn._grid_mean(curve, 0.1, 0.2, n)) <= 1e-13
+    monkeypatch.setattr(gr, "GRID_BLOCK", n * n)      # the whole grid at once
+    assert abs(blocked - gr._grid_mean(curve, 0.1, 0.2, n)) <= 1e-13
 
 
 def _hex_closed_form(H, V):
@@ -189,7 +191,7 @@ def test_degree_drop_on_the_free_fermion_fiber():
     psi = (np.arange(4097) + 0.5) * (2 * np.pi / 4097)
     f_jensen = float(np.mean(tn._jensen_inner(tn._fiber_layout(curve), 0.1, V, psi)))
     # the 4096 x 4096 grid reference, 9e-8 from the 2048 x 2048 one
-    f_grid = tn._grid_mean(curve, 0.1, V, 4096)
+    f_grid = gr._grid_mean(curve, 0.1, V, 4096)
     assert abs(f_jensen - f_grid) < 1e-6
 
 
@@ -396,6 +398,20 @@ def test_crossing_residual_is_reported():
     assert info["crossing_residual"] == 0.0
 
 
+def test_free_energy_reports_the_crossing_condition():
+    rng = np.random.default_rng(45)
+    for curve in (tn.hex_curve(), tn.ff_curve(0.9)):
+        for H, V in rng.uniform(-0.3, 0.3, (4, 2)):
+            _, info = tn.free_energy(curve, H, V, return_info=True)
+            rho = tn._crossings(tn._fiber_layout(curve), H, V)[2]
+            assert rho.size and info["crossing_condition"] == np.max(1.0 / np.abs(rho.imag))
+            assert set(info) == {"n", "estimate", "converged", "crossing_residual",
+                                 "crossing_condition"}
+    # 2 + w has no fiber root, so no crossing
+    curve = tn.SpectralCurve.from_dict({(0, 0): 2.0, (0, 1): 1.0})
+    assert tn.free_energy(curve, 0.1, 0.2, return_info=True)[1]["crossing_condition"] == 0.0
+
+
 _ARC_CURVE = tn.SpectralCurve.from_dict({(0, 0): 3.0, (1, 0): -1.0, (-1, 0): -1.0,
                                         (0, 1): -1.0, (0, -1): -1.0})
 
@@ -491,6 +507,164 @@ def test_grad_free_energy_solves_the_crossings_once_per_point(monkeypatch):
             calls.clear()
             tn.grad_free_energy(curve, H, V)
             assert calls == [(H, V)]
+
+
+# the crossing search as it was with two fiber solves per call: np.roots on
+# a freshly built transform, a polish whose solves cover the crossings only,
+# then one more solve at the arcs' midpoints for the counts
+
+def _two_solve_near_root(layout, H, V, psi):
+    w = np.exp(V + 1j * psi)
+    roots = tn._fiber_roots(tn._fiber_coeffs(layout, w))[0]
+    gap = np.log(np.abs(roots)) - H
+    near = np.argmin(np.abs(gap), axis=1)
+    z, g = roots[np.arange(psi.size), near], gap[np.arange(psi.size), near]
+    z_dz, w_dw = tn._log_partials(layout, z, w)
+    return g, -w_dw / z_dz, z
+
+
+def _two_solve_arc_counts(layout, H, V, psi):
+    ends = np.concatenate((psi[-1:] - tn._TWO_PI, psi, psi[:1] + tn._TWO_PI))
+    mid = 0.5 * (ends[:-1] + ends[1:]) if psi.size else np.zeros(1)
+    moduli = np.abs(tn._fiber_roots(tn._fiber_coeffs(layout, np.exp(V + 1j * mid)))[0])
+    radius = math.exp(H)
+    gap = np.minimum(np.abs(moduli - radius) / radius, 1.0)
+    if gap.prod(axis=1).max() < 1e-12:
+        raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along a circle")
+    return (moduli < radius).sum(axis=1)
+
+
+def _two_solve_crossings(layout, H, V):
+    _, deg, terms = layout
+    j_all = [j for _, j, _ in terms]
+    de = deg * (max(j_all) - min(j_all))
+    omega = np.exp(np.arange(2 * de + 1) * (1j * tn._TWO_PI / (2 * de + 1)))
+    a = tn._fiber_coeffs(layout, math.exp(V) * omega) * np.exp(H * np.arange(deg + 1))[:, None]
+    sylvester = np.zeros((omega.size, 2 * deg, 2 * deg), dtype=complex)
+    for k in range(deg):
+        sylvester[:, k, k:k + deg + 1] = a[::-1].T
+        sylvester[:, deg + k, k:k + deg + 1] = a.conj().T
+    samples = np.linalg.det(sylvester)
+    if np.all(np.abs(samples) < 1e-12 * np.linalg.norm(a, axis=0) ** (2 * deg)):
+        raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along an arc")
+    r = np.vander(omega.conj(), increasing=True).T @ samples
+    omega = np.roots(np.concatenate((r[de::-1], r[:de:-1])))
+    psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
+    ulps = np.spacing(tn._TWO_PI)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g, rho, z = (_two_solve_near_root(layout, H, V, psi) if psi.size
+                     else (psi, psi + 0j, psi + 0j))
+        last = np.inf
+        for _ in range(16):
+            step = g / rho.imag
+            step = np.where(np.isfinite(step), step, 0.0)
+            size = np.max(np.abs(step), initial=0.0)
+            if size <= ulps or size >= last:
+                break
+            psi, last = psi + step, size
+            g, rho, z = _two_solve_near_root(layout, H, V, psi)
+    psi = psi % tn._TWO_PI
+    order = np.argsort(psi)
+    psi, rho, z = psi[order], rho[order], z[order]
+    residual = float(np.max(np.abs(g), initial=0.0))
+    return psi, _two_solve_arc_counts(layout, H, V, psi), rho, z, residual
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:            # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+def _same(a, b):
+    """Equal to the last bit: arrays by dtype, shape and value, the rest by ==."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def _both_routes(curve, H, V):
+    """(new, two-solve) outcomes of both readings' crossings, free_energy
+    with its info and grad_free_energy at (H, V)."""
+    layouts = tn._fiber_layout(curve), tn._fiber_layout(curve.transformed(swap=True))
+    runs = []
+    for crossings in (tn._crossings, _two_solve_crossings):
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(tn, "_crossings", crossings)
+            runs.append([_outcome(crossings, layouts[0], H, V),
+                         _outcome(crossings, layouts[1], V, H),
+                         _outcome(tn.free_energy, curve, H, V, return_info=True),
+                         _outcome(tn.grad_free_energy, curve, H, V)])
+    return runs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["hex", "ff", "degree2"]), u=st.floats(0.3, 1.3),
+       H=st.floats(-1.2, 1.2), V=st.floats(-1.2, 1.2))
+def test_one_fiber_solve_per_polish_step_is_the_two_solve_route_bit_for_bit(kind, u, H, V):
+    curve = {"hex": tn.hex_curve(), "ff": tn.ff_curve(u), "degree2": _DEGREE_TWO}[kind]
+    layout = tn._fiber_layout(curve)
+    *got, residual = tn._crossings(layout, H, V)
+    *want, want_residual = _two_solve_crossings(layout, H, V)
+    for x, y in zip(got, want):         # psi, counts, rho and Z
+        assert np.array_equal(x, y)
+    assert residual == want_residual
+    new, old = _both_routes(curve, H, V)
+    assert all(map(_same, new, old))
+
+
+@pytest.mark.parametrize("coeffs, point", [
+    ({(0, 0): 2.0, (0, 1): 1.0}, (0.1, math.log(2.0))),
+    ({(0, 0): 2.0, (1, 0): 1.0}, (math.log(2.0), 0.1)),
+    (_ARC_CURVE.as_dict(), (0.0, 0.0))], ids=["2+w", "2+z", "arc"])
+def test_singular_points_raise_alike_on_both_crossing_routes(coeffs, point):
+    new, old = _both_routes(tn.SpectralCurve.from_dict(coeffs), *point)
+    assert all(map(_same, new, old))
+    assert any(isinstance(x, tuple) and x[0] is SingularLocus for x in new)
+
+
+def test_companion_roots_are_np_roots_bit_for_bit():
+    rng = np.random.default_rng(73)
+    for n in rng.integers(1, 9, 300):
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        p[:rng.integers(0, n)] = 0.0          # leading zeros
+        p[n - rng.integers(0, n):] = 0.0      # trailing zeros, roots at 0
+        if p.any():
+            # np.roots gives a monomial's zero roots as real zeros
+            got, want = tn._companion_roots(p), np.roots(p)
+            assert got.dtype == complex and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("curve", [tn.hex_curve(), tn.ff_curve(0.9), _DEGREE_TWO],
+                         ids=["hex", "ff", "degree2"])
+def test_crossings_make_one_fiber_solve_per_polish_step(curve, monkeypatch):
+    solves, real = [], tn._fiber_roots
+
+    def recorded(coeffs):
+        solves.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(tn, "_fiber_roots", recorded)
+    layout = tn._fiber_layout(curve)
+    for H, V in ((0.1, -0.2), (0.48, 0.25), (2.0, 0.1)):
+        solves.clear()
+        _two_solve_crossings(layout, H, V)
+        *polish, count = solves
+        solves.clear()
+        m = tn._crossings(layout, H, V)[0].size
+        # one solve per polish iterate, at the m crossings and the m + 1 arc midpoints
+        assert [c.shape[1] for c in solves] == [2 * m + 1] * max(len(polish), 1)
+        for fused, crossing in zip(solves, polish):
+            assert np.array_equal(fused[:, :m], crossing)
+        # the counts come from the last iterate's midpoints, to the bit
+        assert np.array_equal(solves[-1][:, m:], count)
 
 
 def _hex_gradient_mp(H, V, start):
