@@ -13,7 +13,8 @@ Common flags: --out DIR, --config FILE, --tol X, --seed N.  A flag beats
 the config-file key of its name, which beats the command's one stated
 default; a config value is converted as the flag's text would be.  The
 ``resolved`` block of the solve, flow and sixv reports records the value
-every parameter took.  Exit codes: 0 pass, 1 configuration error,
+every parameter took.  Exit codes: 0 pass, 1 configuration error (a
+malformed or unknown flag included, reported in one ``error:`` line),
 2 verification failure, 3 solver non-convergence, 4 shock before the
 requested horizon.  ``flow`` also exits 1 when the worst drift of
 I_1..I_4 exceeds ``--tol`` (default 1e-6).  A ``--tol`` that a command
@@ -205,7 +206,7 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
 def cmd_verify(args, cfg) -> int:
     if args.tol is not None:
         raise ValueError("verify takes no tolerance (--tol); each check carries its own")
-    opts = _resolve(args, cfg, {"suite": "all", "out": ".", "seed": 1234, "fast": False})
+    opts = _resolve(args, cfg, {"suite": "all", "out": ".", "seed": 1234})
     names = list(SUITES) if opts["suite"] == "all" else [opts["suite"]]
     for name in names:
         if name not in SUITES:
@@ -214,7 +215,7 @@ def cmd_verify(args, cfg) -> int:
             return EXIT_CONFIG
     all_checks = []
     for name in names:
-        checks = run_suite(name, seed=opts["seed"], fast=opts["fast"])
+        checks = run_suite(name, seed=opts["seed"])
         all_checks.extend(checks)
         for c in checks:
             status = "pass" if c.passed else "FAIL"
@@ -444,13 +445,13 @@ def cmd_dimer(args, cfg) -> int:
         w = [float(x) for x in opts["weights"].split(",")]
         if opts["cell"] == "hex":
             vals = (w + [1.0, 1.0, 1.0])[:3]
-            fd = dm.hexagonal_cell(*vals)
+            cell = dm.hexagonal_cell(*vals)
         elif opts["cell"] == "city":
             vals = (w + [1.0] * 7)[:7]
-            fd = dm.dimer_city_cell(*vals)
+            cell = dm.dimer_city_cell(*vals)
         else:
             raise ValueError(f"unknown cell {opts['cell']!r}")
-        curve = dm.characteristic_polynomial(fd)
+        curve = dm.characteristic_polynomial(cell)
         _write_csv(os.path.join(out, "curve.csv"), ["i", "j", "coeff"],
                    [(i, j, c) for (i, j), c in curve.coeffs])
         print("characteristic polynomial:",
@@ -527,9 +528,16 @@ def cmd_sixv(args, cfg) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors (a bad or unknown flag) as ValueError, which
+    `main` reports in one line with EXIT_CONFIG; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="icelab",
-                                 description="six-vertex / dimer limit-shape laboratory")
+    ap = _Parser(prog="icelab", description="six-vertex / dimer limit-shape laboratory")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -547,8 +555,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     common(p)
     p.add_argument("--suite", help=f"suite name or 'all' ({', '.join(SUITES)})")
-    p.add_argument("--fast", action="store_const", const=True,
-                   help="reduced grid sizes for the heavy suites")
 
     p = sub.add_parser("tension", help="tabulate a surface tension")
     common(p)
@@ -607,8 +613,11 @@ _COMMANDS = {"verify": cmd_verify, "tension": cmd_tension, "solve": cmd_solve,
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = _load_config(args.config)
     except (OSError, ValueError, json.JSONDecodeError) as err:

@@ -1,16 +1,12 @@
 """Bipartite dimer combinatorics.
 
-Matchings and their enumeration, relative and trivalent height functions,
+Matchings and their enumeration, trivalent height functions,
 characteristic polynomials of periodic fundamental domains, and the
 gadget correspondence between the free-fermion six-vertex model and a
 dimer model with a small "city" replacing each vertex.
 
 Orientation conventions:
 
-* Composition cycles (relative heights) orient matched edges of the first
-  configuration black -> white and of the reference white -> black; the
-  height increases by one when stepping across a cycle from its right side
-  to its left side.
 * The three-valent height machinery orients every edge white -> black;
   faces are traversed counterclockwise, so the face on the left of an
   oriented edge is the face whose boundary walk contains it.
@@ -169,22 +165,6 @@ class BipartiteGraph:
     def internal_vertices(self) -> list:
         return [v for v in sorted(self.colors) if v not in self.boundary]
 
-    def outer_face(self) -> int:
-        """Face with clockwise (negative-area) boundary walk; needs coords."""
-        if self.coords is None:
-            raise Inconsistent("outer face detection needs coordinates")
-        best, best_area = None, None
-        for fid, walk in enumerate(self.faces()):
-            pts = [self.coords[tail] for _, tail in walk]
-            area = 0.0
-            for k in range(len(pts)):
-                x0, y0 = pts[k]
-                x1, y1 = pts[(k + 1) % len(pts)]
-                area += x0 * y1 - x1 * y0
-            if best is None or area < best_area:
-                best, best_area = fid, area
-        return best
-
 
 def config_weight(g: BipartiteGraph, d: frozenset) -> float:
     total = 1.0
@@ -228,7 +208,7 @@ def enumerate_matchings(g: BipartiteGraph) -> list[frozenset]:
 
 
 # ---------------------------------------------------------------------------
-# relative height functions
+# face walks
 # ---------------------------------------------------------------------------
 
 def _face_walk(g: BipartiteGraph, step, ref_face: int | None, ref_value,
@@ -260,19 +240,6 @@ def _face_walk(g: BipartiteGraph, step, ref_face: int | None, ref_value,
     if len(vals) != nf:
         raise Inconsistent("graph not connected through faces")
     return vals
-
-
-def relative_height(g: BipartiteGraph, d: frozenset, d0: frozenset,
-                    ref_face: int | None = None, ref_value: int = 0) -> dict:
-    """Integer face function of the composition cycles of (d, d0).
-
-    Planar graphs only.  The step from the right to the left side of an
-    edge (left/right along black -> white) is +1 for edges of ``d`` and
-    -1 for edges of ``d0``.
-    """
-    # theta(L_bw) - theta(R_bw) = theta(rw) - theta(lw)
-    return _face_walk(g, lambda eid: (1 if eid in d else 0) - (1 if eid in d0 else 0),
-                      ref_face, ref_value, "composition cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -374,48 +341,39 @@ def curves_equal_mod_units(p: SpectralCurve, q: SpectralCurve,
 # fundamental domains and characteristic polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FundamentalDomain:
-    """Periodic cell of a torus dimer model; edges carry cut crossings."""
-
-    graph: BipartiteGraph
-
-    def toric_matchings(self) -> list[frozenset]:
-        return enumerate_matchings(self.graph)
-
-
-def matching_monodromy(fd: FundamentalDomain, d: frozenset) -> tuple[int, int]:
-    cx = sum(fd.graph._edge(e).crossing[0] for e in d)
-    cy = sum(fd.graph._edge(e).crossing[1] for e in d)
+def matching_monodromy(g: BipartiteGraph, d: frozenset) -> tuple[int, int]:
+    cx = sum(g._edge(e).crossing[0] for e in d)
+    cy = sum(g._edge(e).crossing[1] for e in d)
     return cx, cy
 
 
-def characteristic_polynomial(fd: FundamentalDomain,
+def characteristic_polynomial(g: BipartiteGraph,
                               reference: frozenset | None = None) -> SpectralCurve:
-    """P(z, w) from the toric matchings of the cell.
+    """P(z, w) from the toric matchings of a periodic cell, whose edges
+    carry their cut crossings.
 
     Each matching contributes its weight (normalized by the reference
     matching) times z^dz w^dw and the sign (-1)^(dz dw + dz + dw), with
     (dz, dw) the cut-crossing monodromies relative to the reference.
     """
-    matchings = fd.toric_matchings()
+    matchings = enumerate_matchings(g)
     if not matchings:
         raise Inconsistent("cell admits no toric dimer configuration")
     ref = matchings[0] if reference is None else reference
-    w_ref = config_weight(fd.graph, ref)
-    cx0, cy0 = matching_monodromy(fd, ref)
+    w_ref = config_weight(g, ref)
+    cx0, cy0 = matching_monodromy(g, ref)
     coeffs: dict = {}
     for m in matchings:
-        cx, cy = matching_monodromy(fd, m)
+        cx, cy = matching_monodromy(g, m)
         dz, dw = cx - cx0, cy - cy0
         sign = -1.0 if (dz * dw + dz + dw) % 2 else 1.0
-        term = sign * config_weight(fd.graph, m) / w_ref
+        term = sign * config_weight(g, m) / w_ref
         coeffs[(dz, dw)] = coeffs.get((dz, dw), 0.0) + term
     return SpectralCurve.from_dict(coeffs)
 
 
 def hexagonal_cell(alpha: float = 1.0, beta: float = 1.0,
-                   gamma: float = 1.0) -> FundamentalDomain:
+                   gamma: float = 1.0) -> BipartiteGraph:
     """One black and one white vertex; three toric matchings."""
     colors = {"b": "black", "w": "white"}
     edges = [
@@ -423,11 +381,11 @@ def hexagonal_cell(alpha: float = 1.0, beta: float = 1.0,
         Edge(1, "b", "w", beta, (1, 0)),
         Edge(2, "b", "w", gamma, (0, 1)),
     ]
-    return FundamentalDomain(BipartiteGraph(colors, edges))
+    return BipartiteGraph(colors, edges)
 
 
 def dimer_city_cell(a1: float, a2: float, a3: float, a4: float,
-                    b1: float, b2: float, g: float) -> FundamentalDomain:
+                    b1: float, b2: float, g: float) -> BipartiteGraph:
     """Six-vertex city gadget closed into a torus cell.
 
     The two diagonal edges are b1 (southwest) and b2 (northeast); a1..a4
@@ -448,7 +406,7 @@ def dimer_city_cell(a1: float, a2: float, a3: float, a4: float,
         Edge(7, "d0", "d2", 1.0, (1, 0)),   # east leg onto the next west leg
         Edge(8, "d3", "d1", 1.0, (0, 1)),   # south leg onto the next north leg
     ]
-    return FundamentalDomain(BipartiteGraph(colors, edges))
+    return BipartiteGraph(colors, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -465,30 +423,12 @@ def ff_weights_to_city(a: float, b: float, c: float) -> tuple[float, float, floa
     return math.sqrt(b), (c - b) / a, a
 
 
-def city_vertex_weights(a1, a2, a3, a4, b1, b2, g) -> tuple:
-    """Six-vertex weights w1..w6 realized by the city gadget.
-
-    Both two-dimer terms carry the central-chord factor; that is what
-    makes w1 w2 + w3 w4 = w5 w6 hold identically, i.e. the gadget sits at
-    the free-fermion point for every choice of weights.
-    """
-    if min(a1, a2, a3, a4, b1, b2, g) < 0:
-        raise NegativeWeight("city weights must be nonnegative")
-    w1 = b1 * b2 * g + b2 * a2 * a3 + b1 * a1 * a4
-    w2 = g
-    w3 = a1 * a3
-    w4 = a4 * a2
-    w5 = a2 * a3 + b1 * g
-    w6 = a1 * a4 + b2 * g
-    return (w1, w2, w3, w4, w5, w6)
-
-
 def ff_city_curve(u: float) -> SpectralCurve:
     """Characteristic polynomial of the city cell at a = cos u, b = sin u,
     c = 1."""
     alpha, beta, gamma = ff_weights_to_city(math.cos(u), math.sin(u), 1.0)
-    fd = dimer_city_cell(alpha, alpha, alpha, alpha, beta, beta, gamma)
-    return characteristic_polynomial(fd)
+    cell = dimer_city_cell(alpha, alpha, alpha, alpha, beta, beta, gamma)
+    return characteristic_polynomial(cell)
 
 
 def ff_reference_curve(u: float) -> SpectralCurve:
@@ -540,11 +480,6 @@ def weight_from_height(theta: dict, g: BipartiteGraph) -> float:
     return math.exp(logw)
 
 
-def height_relation_6v_dimer(theta_6v, x, y):
-    """Dimer height from the six-vertex height: add (x + y) / 2."""
-    return np.asarray(theta_6v) + (np.asarray(x) + np.asarray(y)) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # test graphs
 # ---------------------------------------------------------------------------
@@ -584,36 +519,6 @@ def prism_graph(weights=None) -> BipartiteGraph:
     angles = [math.pi * k / 3.0 for k in range(6)]
     return _prism_graph([(2 * math.cos(a), 2 * math.sin(a)) for a in angles],
                         [(math.cos(a), math.sin(a)) for a in angles], weights)
-
-
-def single_edge_graph(weight: float = 1.0) -> BipartiteGraph:
-    """One dimer edge with the two sides of the plane as distinct faces."""
-    g = BipartiteGraph({"b": "black", "w": "white"},
-                       [Edge(0, "b", "w", weight)],
-                       rotations={"b": [0], "w": [0]})
-    # the rotation-system trace would merge both sides into one walk; keep
-    # them apart so the local height step across the dimer is visible
-    g._faces = [[(0, "w")], [(0, "b")]]
-    g._side = {0: (0, 1)}
-    return g
-
-
-def composition_figure_graph() -> BipartiteGraph:
-    """The 12-vertex planar graph used for the composition-cycle example."""
-    pts_b = [(-0.8, 0.1), (0.1, -0.1), (0.4, 0.8), (0.3, -1.0), (1.0, 0.1), (1.3, -0.7)]
-    pts_w = [(-0.2, 0.6), (-0.4, -0.65), (0.5, -0.5), (0.7, 0.5), (1.0, -1.1), (1.3, -0.3)]
-    colors = {}
-    coords = {}
-    for k, p in enumerate(pts_b):
-        colors[f"b{k}"] = "black"
-        coords[f"b{k}"] = p
-    for k, p in enumerate(pts_w):
-        colors[f"w{k}"] = "white"
-        coords[f"w{k}"] = p
-    pairs = ["b0w0", "b0w1", "b1w0", "b1w1", "b1w2", "b3w1", "b3w2", "b3w4",
-             "b2w0", "b2w3", "b4w2", "b4w3", "b4w5", "b5w4", "b5w5"]
-    edges = [Edge(eid, s[:2], s[2:], 1.0) for eid, s in enumerate(pairs)]
-    return BipartiteGraph(colors, edges, coords=coords)
 
 
 def parse_graph_text(text: str) -> BipartiteGraph:

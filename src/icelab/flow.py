@@ -318,12 +318,6 @@ def _fold_margins(gprime: np.ndarray, xs) -> np.ndarray:
     return np.min(np.abs(1.0 - xs[..., None] * gprime), axis=-1)
 
 
-def shock_indicator(state: FlowState, F: BurgersFunction, x: float) -> float:
-    """min over y of |1 - x dG/dy| with G = F(e^l); shocks at 0."""
-    g = F(np.exp(state.l))
-    return float(_fold_margins(spectral_dy(g, state.L), x))
-
-
 # ---------------------------------------------------------------------------
 # method-of-lines Hamiltonian evolution
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ blow-up of the tension at the domain boundary act as a natural barrier.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -258,27 +257,6 @@ def el_residual(hf: HeightField, sigma: SurfaceTension) -> np.ndarray:
         raise SlopeOutOfDomain("interior slopes leave the tension domain")
     h11, h12, h22 = sigma.hess(sx, sy)
     return h11 * hxx + 2.0 * h12 * hxy + h22 * hyy
-
-
-def hex_el_residual(hf: HeightField) -> np.ndarray:
-    """The hexagonal elliptic form with ratio-of-sines coefficients."""
-    hxx, hxy, hyy = hf._second_differences()
-    sx, sy = hf.node_slopes()
-    ss, st = np.sin(np.pi * sx), np.sin(np.pi * sy)
-    return hxx * st / ss - 2.0 * hxy * np.cos(np.pi * (sx + sy)) + hyy * ss / st
-
-
-def ff_el_residual(hf: HeightField, u: float) -> np.ndarray:
-    """Free-fermion elliptic form; at u = pi/2 it coincides with the
-    hexagonal form."""
-    hxx, hxy, hyy = hf._second_differences()
-    sx, sy = hf.node_slopes()
-    if np.any(sx <= 0) or np.any(sx >= 1) or np.any(sy <= 0) or np.any(sy >= 1):
-        raise SlopeOutOfDomain("free-fermion form needs slopes in (0, 1)")
-    ss, st = np.sin(np.pi * sx), np.sin(np.pi * sy)
-    mid = np.cos(np.pi * sx) * np.cos(np.pi * sy) \
-        + math.cos(2 * u) * np.sin(np.pi * sx) * np.sin(np.pi * sy)
-    return hxx * st / ss - 2.0 * hxy * mid + hyy * ss / st
 
 
 def facet_mask(hf: HeightField, eps: float = BOX_INSET, tol: float = 1e-9) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Weights, Baxter parametrizations, R-matrices, Yang-Baxter residuals,
 column-to-column transfer operators, cylinder/torus partition functions,
-brute-force state enumeration, and the height-function bijection.
+brute-force state enumeration, and the height function of a state.
 
 Conventions, fixed once and pinned against enumeration in the tests (the
 matrix layout in `_vertex_matrix`, the Baxter families in `_FAMILIES`):
@@ -66,18 +66,18 @@ def anisotropy_delta(w: VertexWeights) -> float:
 
 
 # regime -> ((a, b, c) at (u, gamma), valid outside the window too, as the
-# Yang-Baxter middle factor needs; Delta at gamma; the (u, gamma) window in
-# which all three weights are positive; whether the middle factor negates c)
+# Yang-Baxter middle factor needs; the (u, gamma) window in which all three
+# weights are positive; whether the middle factor negates c)
 _FAMILIES = {
-    "A1": (lambda u, g: (math.sinh(u + g), math.sinh(u), math.sinh(g)), math.cosh,
+    "A1": (lambda u, g: (math.sinh(u + g), math.sinh(u), math.sinh(g)),
            lambda u, g: g > 0 and u > 0, False),
-    "A2": (lambda u, g: (math.sinh(u - g), math.sinh(u), math.sinh(g)), math.cosh,
+    "A2": (lambda u, g: (math.sinh(u - g), math.sinh(u), math.sinh(g)),
            lambda u, g: 0 < g < u, True),
-    "B1": (lambda u, g: (math.sin(u - g), math.sin(u), math.sin(g)), math.cos,
+    "B1": (lambda u, g: (math.sin(u - g), math.sin(u), math.sin(g)),
            lambda u, g: 0 < g < np.pi / 2 and g < u < np.pi / 2, True),
-    "B2": (lambda u, g: (math.sin(g - u), math.sin(u), math.sin(g)), lambda g: -math.cos(g),
+    "B2": (lambda u, g: (math.sin(g - u), math.sin(u), math.sin(g)),
            lambda u, g: 0 < g < np.pi / 2 and 0 < u < g, False),
-    "C": (lambda u, g: (math.sinh(g - u), math.sinh(u), math.sinh(g)), lambda g: -math.cosh(g),
+    "C": (lambda u, g: (math.sinh(g - u), math.sinh(u), math.sinh(g)),
           lambda u, g: 0 < u < g, False),
 }
 REGIMES = tuple(_FAMILIES)
@@ -104,13 +104,8 @@ class BaxterParam:
         if self.r <= 0:
             raise OutOfRange("scale r must be positive")
         u, g = self.u, self.gamma
-        if not _FAMILIES[self.regime][2](u, g):
+        if not _FAMILIES[self.regime][1](u, g):
             raise OutOfRange(f"(u, gamma)=({u}, {g}) outside the {self.regime} window")
-
-
-def baxter_delta(regime: str, gamma: float) -> float:
-    """Delta of a Baxter family (sign as computed from the weights)."""
-    return _FAMILIES[regime][1](gamma)
 
 
 def weights_from_baxter(p: BaxterParam, H: float = 0.0, V: float = 0.0) -> VertexWeights:
@@ -122,11 +117,6 @@ def weights_from_baxter(p: BaxterParam, H: float = 0.0, V: float = 0.0) -> Verte
 # ---------------------------------------------------------------------------
 # R-matrix and Yang-Baxter residual
 # ---------------------------------------------------------------------------
-
-def field_matrix(h: float) -> np.ndarray:
-    """D^h = diag(exp(h/2), exp(-h/2))."""
-    return np.diag([math.exp(h / 2.0), math.exp(-h / 2.0)])
-
 
 def _vertex_matrix(a1, b1, b2, a2, c) -> np.ndarray:
     """a1 all empty, a2 all occupied, b1 horizontal and b2 vertical through,
@@ -167,7 +157,7 @@ def _middle_r(regime: str, u_plus_v: float, gamma: float) -> np.ndarray:
     is their analytic continuation through the parametrization (for B1 it
     equals -R(u + v - pi)); the a = f(gamma + u) families need no flip."""
     a, b, c = _baxter_abc(regime, u_plus_v, gamma)
-    return _r_from_abc(a, b, -c if _FAMILIES[regime][3] else c)
+    return _r_from_abc(a, b, -c if _FAMILIES[regime][2] else c)
 
 
 def _embed_three(r4: np.ndarray, pos: tuple[int, int]) -> np.ndarray:
@@ -590,34 +580,6 @@ def state_to_height(spec: LatticeSpec, state: frozenset,
         for i in range(i0 - 1, -1, -1):
             vals[(i, j)] = vals[(i + 1, j)] - v_step(i, j)
     return LatticeHeight(spec, vals)
-
-
-def height_to_state(h: LatticeHeight) -> frozenset:
-    """Invert state_to_height; raises Inconsistent on bad increments."""
-    spec = h.spec
-    occ = set()
-    for i in range(spec.m + 1):
-        for j in range(spec.n):
-            d = h.values[(i, j + 1)] - h.values[(i, j)]
-            if abs(abs(d) - 0.5) > 1e-9:
-                raise Inconsistent(f"horizontal increment {d} at face ({i},{j})")
-            if d > 0:
-                occ.add(spec.h_edge(i, j))
-    for j in range(spec.n + 1):
-        if spec.kind == "cylinder" and j == spec.n:
-            continue
-        for i in range(spec.m):
-            d = h.values[(i + 1, j)] - h.values[(i, j)]
-            if abs(abs(d) - 0.5) > 1e-9:
-                raise Inconsistent(f"vertical increment {d} at face ({i},{j})")
-            if d > 0:
-                occ.add(spec.v_edge(i, j))
-    state = frozenset(occ)
-    for x, y in spec.vertices():
-        shape = tuple(int(e in state) for e in spec.vertex_edges(x, y))
-        if shape not in _SHAPES:
-            raise Inconsistent(f"faces around vertex ({x},{y}) violate the ice rule")
-    return state
 
 
 # ---------------------------------------------------------------------------

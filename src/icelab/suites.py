@@ -68,21 +68,21 @@ def suite_ybe(seed: int = 1234) -> list:
     return checks
 
 
-def suite_commute(n_max: int = 8) -> list:
+def suite_commute() -> list:
     """Criterion 2: transfer-matrix commutativity for the free-fermion family."""
     checks = []
     us = [k * np.pi / 10 for k in (1, 2, 3, 4)]
     ops = {}
-    for n in (4, n_max):
+    for n in (4, 8):
         for u in us:
             w = sv.VertexWeights(math.cos(u), math.sin(u), 1.0)
             ops[(n, u)] = sv.transfer(n, w)
     worst = 0.0
-    for n in (4, n_max):
+    for n in (4, 8):
         for i, u in enumerate(us):
             for v in us[i + 1:]:
                 worst = max(worst, sv.commutator_residual(ops[(n, u)], ops[(n, v)]))
-    checks.append(Check.le("commute-ff-family", worst, 1e-10, n=n_max))
+    checks.append(Check.le("commute-ff-family", worst, 1e-10, n=8))
     t1 = sv.transfer(4, sv.VertexWeights(1.0, 1.0, 1.0))
     t2 = sv.transfer(4, sv.VertexWeights(2.0, 1.0, 1.0))
     checks.append(Check.ge("commute-different-delta-control",
@@ -333,7 +333,7 @@ def el_mesh_study(sigma, problem, levels, tol: float, V: float = 0.0,
     return residuals
 
 
-def suite_equivalence(fast: bool = False) -> list:
+def suite_equivalence() -> list:
     """Criterion 9: Hamiltonian vs characteristics vs variational solver."""
     checks = []
     T = 0.25
@@ -346,10 +346,9 @@ def suite_equivalence(fast: bool = False) -> list:
     checks.append(Check.le("equivalence-hamilton-burgers",
                            float(np.max(np.abs(endH.l - endB.l))), 1e-5))
 
-    n = 64 if fast else 128
     checks.append(Check.le("equivalence-variational-flow",
-                           flow_variational_gap(_hex_flow_problem(n), dens, T),
-                           FLOW_VARIATIONAL_TOL, grid=n))
+                           flow_variational_gap(_hex_flow_problem(128), dens, T),
+                           FLOW_VARIATIONAL_TOL, grid=128))
     return checks
 
 

@@ -322,10 +322,11 @@ def _crossings(layout, H: float, V: float):
         raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along an arc")
     r = dft @ samples
     omega = _companion_roots(np.concatenate((r[de::-1], r[:de:-1])))
-    # near a tangency two roots merge and the eigenvalues keep them to ~sqrt(eps)
-    psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
     ulps = np.spacing(_TWO_PI)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # near a tangency two roots merge and the eigenvalues keep them to
+        # ~sqrt(eps); an exact zero root (R's lowest coefficient 0) logs to -inf
+        psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
         g, rho, z, order, moduli = _near_root(layout, H, V, psi)
         last = np.inf
         for _ in range(16):

@@ -33,6 +33,23 @@ def test_verify_unknown_suite_is_config_error(tmp_path):
     assert run(["verify", "--suite", "nosuch", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [["solve", "--nx", "abc"], ["flow", "--bogus", "1"],
+                                  ["verify", "--fast"]])
+def test_flag_errors_exit_1_with_one_line(argv, capsys):
+    # argparse's own handling printed a usage block and exited 2, the code
+    # reserved for a verification failure
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["solve", "--help"]])
+def test_version_and_help_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suite": "ybe", "out": str(tmp_path)}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from icelab import dimers as dm
+from icelab.dimers import BipartiteGraph, Edge, _face_walk
 from icelab.errors import Inconsistent, NegativeWeight, NotTrivalent, TooLarge
 
 
@@ -12,9 +13,9 @@ from icelab.errors import Inconsistent, NegativeWeight, NotTrivalent, TooLarge
 # ---------------------------------------------------------------------------
 
 def test_matching_counts():
-    assert len(dm.enumerate_matchings(dm.single_edge_graph())) == 1
-    assert len(dm.hexagonal_cell().toric_matchings()) == 3
-    assert len(dm.dimer_city_cell(1, 1, 1, 1, 1, 1, 1).toric_matchings()) == 6
+    assert len(dm.enumerate_matchings(single_edge_graph())) == 1
+    assert len(dm.enumerate_matchings(dm.hexagonal_cell())) == 3
+    assert len(dm.enumerate_matchings(dm.dimer_city_cell(1, 1, 1, 1, 1, 1, 1))) == 6
 
 
 def test_matchings_cover_each_internal_vertex_once():
@@ -42,10 +43,74 @@ def test_matching_cap():
 
 # ---------------------------------------------------------------------------
 # relative heights
+#
+# Composition cycles orient matched edges of the first configuration
+# black -> white and of the reference white -> black; the height increases
+# by one when stepping across a cycle from its right side to its left side.
 # ---------------------------------------------------------------------------
 
+def relative_height(g: BipartiteGraph, d: frozenset, d0: frozenset,
+                    ref_face: int | None = None, ref_value: int = 0) -> dict:
+    """Integer face function of the composition cycles of (d, d0).
+
+    Planar graphs only.  The step from the right to the left side of an
+    edge (left/right along black -> white) is +1 for edges of ``d`` and
+    -1 for edges of ``d0``.
+    """
+    # theta(L_bw) - theta(R_bw) = theta(rw) - theta(lw)
+    return _face_walk(g, lambda eid: (1 if eid in d else 0) - (1 if eid in d0 else 0),
+                      ref_face, ref_value, "composition cycles")
+
+
+def outer_face(g: BipartiteGraph) -> int:
+    """Face with clockwise (negative-area) boundary walk; needs coords."""
+    if g.coords is None:
+        raise Inconsistent("outer face detection needs coordinates")
+    best, best_area = None, None
+    for fid, walk in enumerate(g.faces()):
+        pts = [g.coords[tail] for _, tail in walk]
+        area = 0.0
+        for k in range(len(pts)):
+            x0, y0 = pts[k]
+            x1, y1 = pts[(k + 1) % len(pts)]
+            area += x0 * y1 - x1 * y0
+        if best is None or area < best_area:
+            best, best_area = fid, area
+    return best
+
+
+def single_edge_graph(weight: float = 1.0) -> BipartiteGraph:
+    """One dimer edge with the two sides of the plane as distinct faces."""
+    g = BipartiteGraph({"b": "black", "w": "white"},
+                       [Edge(0, "b", "w", weight)],
+                       rotations={"b": [0], "w": [0]})
+    # the rotation-system trace would merge both sides into one walk; keep
+    # them apart so the local height step across the dimer is visible
+    g._faces = [[(0, "w")], [(0, "b")]]
+    g._side = {0: (0, 1)}
+    return g
+
+
+def composition_figure_graph() -> BipartiteGraph:
+    """The 12-vertex planar graph used for the composition-cycle example."""
+    pts_b = [(-0.8, 0.1), (0.1, -0.1), (0.4, 0.8), (0.3, -1.0), (1.0, 0.1), (1.3, -0.7)]
+    pts_w = [(-0.2, 0.6), (-0.4, -0.65), (0.5, -0.5), (0.7, 0.5), (1.0, -1.1), (1.3, -0.3)]
+    colors = {}
+    coords = {}
+    for k, p in enumerate(pts_b):
+        colors[f"b{k}"] = "black"
+        coords[f"b{k}"] = p
+    for k, p in enumerate(pts_w):
+        colors[f"w{k}"] = "white"
+        coords[f"w{k}"] = p
+    pairs = ["b0w0", "b0w1", "b1w0", "b1w1", "b1w2", "b3w1", "b3w2", "b3w4",
+             "b2w0", "b2w3", "b4w2", "b4w3", "b4w5", "b5w4", "b5w5"]
+    edges = [Edge(eid, s[:2], s[2:], 1.0) for eid, s in enumerate(pairs)]
+    return BipartiteGraph(colors, edges, coords=coords)
+
+
 def _fig_graph_configs():
-    g = dm.composition_figure_graph()
+    g = composition_figure_graph()
 
     def eids(names):
         return frozenset(next(e.eid for e in g.edges if e.black + e.white == nm)
@@ -58,14 +123,14 @@ def _fig_graph_configs():
 
 def test_relative_height_zero_on_equal_configs():
     g, d, d0 = _fig_graph_configs()
-    vals = dm.relative_height(g, d0, d0, ref_face=g.outer_face())
+    vals = relative_height(g, d0, d0, ref_face=outer_face(g))
     assert all(v == 0 for v in vals.values())
 
 
 def test_relative_height_figure_labels():
     g, d, d0 = _fig_graph_configs()
-    outer = g.outer_face()
-    h = dm.relative_height(g, d, d0, ref_face=outer, ref_value=0)
+    outer = outer_face(g)
+    h = relative_height(g, d, d0, ref_face=outer, ref_value=0)
 
     def face_at(pt):
         for fid, walk in enumerate(g.faces()):
@@ -95,7 +160,7 @@ def test_relative_height_increment_property():
     sides = g.edge_sides()
     for d in ms[:4]:
         for d0 in ms[:4]:
-            h = dm.relative_height(g, d, d0)   # raises if cycles fail to close
+            h = relative_height(g, d, d0)   # raises if cycles fail to close
             for eid, (lw, rw) in sides.items():
                 assert h[rw] - h[lw] in (-1, 0, 1)
 
@@ -156,23 +221,41 @@ def test_ff_curve_identity():
 
 
 def test_reference_matching_independence():
-    fd = dm.dimer_city_cell(1.3, 0.7, 1.1, 0.8, 1.4, 0.9, 1.2)
-    ms = fd.toric_matchings()
-    p0 = dm.characteristic_polynomial(fd, reference=ms[0])
-    p1 = dm.characteristic_polynomial(fd, reference=ms[1])
+    g = dm.dimer_city_cell(1.3, 0.7, 1.1, 0.8, 1.4, 0.9, 1.2)
+    ms = dm.enumerate_matchings(g)
+    p0 = dm.characteristic_polynomial(g, reference=ms[0])
+    p1 = dm.characteristic_polynomial(g, reference=ms[1])
     eq, _ = dm.curves_equal_mod_units(p0, p1, negate=True)
     assert eq
     # hexagonal cell: any two references differ by a unit and sign flips
-    hexfd = dm.hexagonal_cell()
-    hms = hexfd.toric_matchings()
-    q0 = dm.characteristic_polynomial(hexfd, reference=hms[0])
-    q1 = dm.characteristic_polynomial(hexfd, reference=hms[1])
+    hexg = dm.hexagonal_cell()
+    hms = dm.enumerate_matchings(hexg)
+    q0 = dm.characteristic_polynomial(hexg, reference=hms[0])
+    q1 = dm.characteristic_polynomial(hexg, reference=hms[1])
     assert dm.curves_equal_mod_units(q0, q1, negate=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # free-fermion correspondence
 # ---------------------------------------------------------------------------
+
+def city_vertex_weights(a1, a2, a3, a4, b1, b2, g) -> tuple:
+    """Six-vertex weights w1..w6 realized by the city gadget.
+
+    Both two-dimer terms carry the central-chord factor; that is what
+    makes w1 w2 + w3 w4 = w5 w6 hold identically, i.e. the gadget sits at
+    the free-fermion point for every choice of weights.
+    """
+    if min(a1, a2, a3, a4, b1, b2, g) < 0:
+        raise NegativeWeight("city weights must be nonnegative")
+    w1 = b1 * b2 * g + b2 * a2 * a3 + b1 * a1 * a4
+    w2 = g
+    w3 = a1 * a3
+    w4 = a4 * a2
+    w5 = a2 * a3 + b1 * g
+    w6 = a1 * a4 + b2 * g
+    return (w1, w2, w3, w4, w5, w6)
+
 
 def test_ff_weights_to_city_examples():
     u = math.pi / 4
@@ -192,20 +275,20 @@ def test_reconstructed_weights_are_free_fermionic():
         a, b = rng.uniform(0.2, 1.5, 2)
         c = rng.uniform(b, b + 1.5)
         alpha, beta, gamma = dm.ff_weights_to_city(a, b, c)
-        w = dm.city_vertex_weights(alpha, alpha, alpha, alpha, beta, beta, gamma)
+        w = city_vertex_weights(alpha, alpha, alpha, alpha, beta, beta, gamma)
         delta = (w[0] * w[1] + w[2] * w[3] - w[4] * w[5]) \
             / (2 * math.sqrt(w[0] * w[1] * w[2] * w[3]))
         assert abs(delta) < 1e-12
 
 
 def test_city_vertex_weights_examples():
-    assert dm.city_vertex_weights(1, 1, 1, 1, 1, 1, 1) == (3, 1, 1, 1, 2, 2)
+    assert city_vertex_weights(1, 1, 1, 1, 1, 1, 1) == (3, 1, 1, 1, 2, 2)
     rng = np.random.default_rng(10)
     for _ in range(8):
         v = rng.uniform(0.2, 2.5, 7)
-        w = dm.city_vertex_weights(*v)
+        w = city_vertex_weights(*v)
         assert abs(w[0] * w[1] + w[2] * w[3] - w[4] * w[5]) < 1e-12
-    w = dm.city_vertex_weights(1.0, 1.1, 0.9, 1.2, 0.0, 0.0, 1.3)
+    w = city_vertex_weights(1.0, 1.1, 0.9, 1.2, 0.0, 0.0, 1.3)
     assert w[0] == 0.0
 
 
@@ -252,13 +335,13 @@ def test_face_walks_reject_non_matchings():
     g = dm.cube_graph()
     d0 = dm.enumerate_matchings(g)[0]
     with pytest.raises(Inconsistent, match="composition cycles do not close up"):
-        dm.relative_height(g, frozenset(), d0)
+        relative_height(g, frozenset(), d0)
     with pytest.raises(Inconsistent, match="height steps do not close up"):
         dm.trivalent_height(g, frozenset())
 
 
 def test_single_edge_height_step():
-    g = dm.single_edge_graph()
+    g = single_edge_graph()
     theta = dm.trivalent_height(g, frozenset({0}), ref_face=1, ref_value=0.0)
     assert theta[0] - theta[1] == 1.0
 
@@ -273,7 +356,7 @@ def test_trivalent_gauge_freedom():
 
 
 def test_not_trivalent_raises():
-    g = dm.composition_figure_graph()   # has vertices of valence 2 and 4
+    g = composition_figure_graph()   # has vertices of valence 2 and 4
     d = dm.enumerate_matchings(g)[0]
     with pytest.raises(NotTrivalent):
         dm.trivalent_height(g, d)
@@ -301,13 +384,18 @@ def test_hexagonal_five_vertex_weights():
 # height dictionaries
 # ---------------------------------------------------------------------------
 
+def height_relation_6v_dimer(theta_6v, x, y):
+    """Dimer height from the six-vertex height: add (x + y) / 2."""
+    return np.asarray(theta_6v) + (np.asarray(x) + np.asarray(y)) / 2.0
+
+
 def test_height_relation_6v_dimer():
     xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
-    theta = dm.height_relation_6v_dimer(np.zeros_like(xs), xs, ys)
+    theta = height_relation_6v_dimer(np.zeros_like(xs), xs, ys)
     assert np.array_equal(theta, (xs + ys) / 2.0)
     rng = np.random.default_rng(14)
     t6 = rng.standard_normal(xs.shape)
-    td = dm.height_relation_6v_dimer(t6, xs, ys)
+    td = height_relation_6v_dimer(t6, xs, ys)
     assert np.max(np.abs((td - (xs + ys) / 2.0) - t6)) < 1e-15
 
 
@@ -316,7 +404,7 @@ def test_w2_row_of_the_city_dictionary():
     # values of the dictionary example, equal modulo a global constant
     six = {(0.5, -0.5): 0.5, (0.5, 0.5): 1.0, (-0.5, -0.5): 0.0, (-0.5, 0.5): 0.5}
     city = {(0.5, -0.5): 0.0, (0.5, 0.5): 1.0, (-0.5, -0.5): -1.0, (-0.5, 0.5): 0.0}
-    diffs = {round(city[k] - float(dm.height_relation_6v_dimer(six[k], *k)), 12)
+    diffs = {round(city[k] - float(height_relation_6v_dimer(six[k], *k)), 12)
              for k in six}
     assert len(diffs) == 1
 

@@ -9,10 +9,54 @@ from hypothesis import strategies as st
 
 from icelab import sixvertex as sv
 from icelab.errors import DimensionMismatch, Inconsistent, OutOfRange, TooLarge
+from icelab.sixvertex import _SHAPES, LatticeHeight
 
 
 def ff_weights(u, H=0.0, V=0.0):
     return sv.VertexWeights(math.cos(u), math.sin(u), 1.0, H, V)
+
+
+# Delta of each Baxter family at gamma, as BaxterParam's docstring states it
+_BAXTER_DELTA = {"A1": math.cosh, "A2": math.cosh, "B1": math.cos,
+                 "B2": lambda g: -math.cos(g), "C": lambda g: -math.cosh(g)}
+
+
+def baxter_delta(regime: str, gamma: float) -> float:
+    """Delta of a Baxter family (sign as computed from the weights)."""
+    return _BAXTER_DELTA[regime](gamma)
+
+
+def field_matrix(h: float) -> np.ndarray:
+    """D^h = diag(exp(h/2), exp(-h/2))."""
+    return np.diag([math.exp(h / 2.0), math.exp(-h / 2.0)])
+
+
+def height_to_state(h: LatticeHeight) -> frozenset:
+    """Invert state_to_height; raises Inconsistent on bad increments."""
+    spec = h.spec
+    occ = set()
+    for i in range(spec.m + 1):
+        for j in range(spec.n):
+            d = h.values[(i, j + 1)] - h.values[(i, j)]
+            if abs(abs(d) - 0.5) > 1e-9:
+                raise Inconsistent(f"horizontal increment {d} at face ({i},{j})")
+            if d > 0:
+                occ.add(spec.h_edge(i, j))
+    for j in range(spec.n + 1):
+        if spec.kind == "cylinder" and j == spec.n:
+            continue
+        for i in range(spec.m):
+            d = h.values[(i + 1, j)] - h.values[(i, j)]
+            if abs(abs(d) - 0.5) > 1e-9:
+                raise Inconsistent(f"vertical increment {d} at face ({i},{j})")
+            if d > 0:
+                occ.add(spec.v_edge(i, j))
+    state = frozenset(occ)
+    for x, y in spec.vertices():
+        shape = tuple(int(e in state) for e in spec.vertex_edges(x, y))
+        if shape not in _SHAPES:
+            raise Inconsistent(f"faces around vertex ({x},{y}) violate the ice rule")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +104,7 @@ def test_baxter_delta_signs_match_computation():
              ("B2", 0.4, 0.9), ("C", 0.4, 1.1)]
     for regime, u, g in cases:
         w = sv.weights_from_baxter(sv.BaxterParam(regime, u, g))
-        assert abs(sv.anisotropy_delta(w) - sv.baxter_delta(regime, g)) < 1e-12
+        assert abs(sv.anisotropy_delta(w) - baxter_delta(regime, g)) < 1e-12
 
 
 def test_baxter_windows_raise():
@@ -79,7 +123,7 @@ def test_baxter_windows_raise():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(regime=st.sampled_from(sv.REGIMES), u=st.floats(0.0, 3.0), g=st.floats(0.0, 3.0))
 def test_weights_are_positive_inside_each_family_window(regime, u, g):
-    assume(sv._FAMILIES[regime][2](u, g))
+    assume(sv._FAMILIES[regime][1](u, g))
     assert min(sv._baxter_abc(regime, u, g)) > 0.0
     w = sv.weights_from_baxter(sv.BaxterParam(regime, u, g))
     assert min(w.a, w.b, w.c) > 0.0
@@ -135,7 +179,7 @@ def test_r_matrix_field_factorization():
         a, b, c = rng.uniform(0.2, 2.0, 3)
         H, V = rng.uniform(-1, 1, 2)
         lhs = sv.r_matrix(sv.VertexWeights(a, b, c, H, V))
-        d = np.kron(sv.field_matrix(H), sv.field_matrix(V))
+        d = np.kron(field_matrix(H), field_matrix(V))
         rhs = d @ sv.r_matrix(sv.VertexWeights(a, b, c)) @ d
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
@@ -270,7 +314,7 @@ def test_transfer_field_factorization_ctm():
     w0 = sv.VertexWeights(1.1, 0.8, 1.3, 0.0, 0.4)
     wH = sv.VertexWeights(1.1, 0.8, 1.3, 0.6, 0.4)
     n = 3
-    d = sv.field_matrix(0.6)
+    d = field_matrix(0.6)
     dn = d
     for _ in range(n - 1):
         dn = np.kron(dn, d)
@@ -452,7 +496,7 @@ def test_height_round_trip(kind, m, n):
     spec = sv.LatticeSpec(kind, m, n)
     for state in sv.enumerate_states(spec):
         h = sv.state_to_height(spec, state)
-        assert sv.height_to_state(h) == state
+        assert height_to_state(h) == state
 
 
 def _random_plane_state(spec, rng):
@@ -484,7 +528,7 @@ def test_height_round_trip_property(m, n, seed, ref, ref_value):
     assert sv.state_weight(spec, state, sv.VertexWeights(1.0, 1.0, 1.0)) == 1.0  # ice rule
     ref_face = (min(ref[0], m), min(ref[1], n))
     h = sv.state_to_height(spec, state, ref_face=ref_face, ref_value=ref_value)
-    assert sv.height_to_state(h) == state
+    assert height_to_state(h) == state
 
 
 def test_cylinder_monodromy_is_column_independent():
@@ -500,7 +544,7 @@ def test_height_to_state_inconsistent():
     h = sv.state_to_height(spec, frozenset())
     h.values[(1, 1)] += 1.0
     with pytest.raises(Inconsistent):
-        sv.height_to_state(h)
+        height_to_state(h)
 
 
 # ---------------------------------------------------------------------------

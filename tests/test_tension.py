@@ -427,6 +427,26 @@ def test_a_curve_real_on_a_torus_arc_raises_singular_locus():
     assert np.all(np.isfinite(hess)) and abs(gh - 1.0 / 3.0) < 1e-3 and gv == 0.0
 
 
+def test_an_exact_zero_root_of_the_resultant_is_no_crossing(monkeypatch):
+    # at this generic point R's lowest coefficient is exactly 0, so the
+    # companion solve returns a zero root; its log is -inf, which warned
+    # (and raised under the RuntimeWarning filter) before it was masked
+    H, V = -1.192938600107985, 0.3911097044178169
+    roots, companion = [], tn._companion_roots
+
+    def recording(c):
+        roots.append(companion(c))
+        return roots[-1]
+
+    monkeypatch.setattr(tn, "_companion_roots", recording)
+    (gh, gv), hess = tn.grad_free_energy(_ARC_CURVE, H, V)
+    assert any((r == 0).any() for r in roots)
+    assert abs(gh + 0.5707255037055619) < 1e-14 and abs(gv - 0.0841962660344433) < 1e-14
+    assert np.all(np.isfinite(hess))
+    value, info = tn.free_energy(_ARC_CURVE, H, V, return_info=True)
+    assert abs(value - 1.3107785429273253) < 1e-12 and info["converged"]
+
+
 @pytest.mark.parametrize("curve", [tn.hex_curve(), tn.ff_curve(0.9), _DEGREE_TWO],
                          ids=["hex", "ff", "degree2"])
 def test_no_singular_alarm_on_generic_points(curve):
