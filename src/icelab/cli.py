@@ -9,12 +9,18 @@ flow     Hamiltonian / characteristic evolution (trajectory CSV + JSON)
 dimer    dimer utilities: matchings, curves, height checks
 sixv     six-vertex utilities: weights, R-matrices, partitions
 
-Common flags: --out DIR, --config FILE, --tol X, --seed N.  A flag beats
-the config-file key of its name, which beats the command's one stated
-default; a config value is converted as the flag's text would be.  The
-``resolved`` block of the solve, flow and sixv reports records the value
-every parameter took.  Exit codes: 0 pass, 1 configuration error (a
-malformed or unknown flag included, reported in one ``error:`` line),
+Each command's parameters are declared once, in the ``_PARAMS`` table,
+which builds the parser, checks config values and fills the ``resolved``
+block of the solve, flow and sixv reports (the value every parameter
+took).  A flag beats the config-file key of its name, which beats the
+table default; a config value is converted as the flag's text would be,
+and a config key the command does not read is ignored.  Common flags:
+--out DIR, --config FILE, --tol X, --seed N; a command whose table lists
+no ``tol`` or ``seed`` refuses that flag.  A flag that would otherwise be
+ignored is refused too: a second ``--u`` to solve, flow or sixv, and
+``sixv --ybe-v`` without ``--regime`` or ``--eta1``/``--eta2`` without
+``--cylinder``.  Exit codes: 0 pass, 1 configuration error (a malformed,
+unknown or refused flag included, reported in one ``error:`` line),
 2 verification failure, 3 solver non-convergence, 4 shock before the
 requested horizon.  ``flow`` also exits 1 when the worst drift of
 I_1..I_4 exceeds ``--tol`` (default 1e-6).  A ``--tol`` that a command
@@ -138,48 +144,101 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _config_value(action: argparse.Action, value):
+# Every parameter of every command, declared once: name -> (kind, default[,
+# help]), where kind is a type, a tuple of choices, [type] for a repeatable
+# flag or bool for an on/off switch, and the flag is --name with "-" for "_".
+# Every command takes the _COMMON flags and reads --out and --config; it
+# reads --tol or --seed only where its own table lists the name.
+_COMMON = {"out": (str, ".", "output directory"), "config": (str, None, "JSON config file"),
+           "tol": (float, None),
+           "seed": (int, 1234, "seed for randomized test-point selection")}
+_PARAMS = {
+    "verify": {"suite": (("all", *SUITES), "all",
+                         f"suite name or 'all' ({', '.join(SUITES)})"),
+               "seed": _COMMON["seed"]},
+    "tension": {"variant": (("hex", "ff", "numeric"), "hex"),
+                "u": ([float], None, "spectral parameter (repeatable for ff)"),
+                "lo": (float, 0.15), "hi": (float, 0.45), "n": (int, 5),
+                "tol": _COMMON["tol"]},
+    "solve": {"T": (float, 1.0), "L": (float, 1.0), "V": (float, 0.0),
+              "t_left": (float, 1.0 / 3.0), "t_right": (float, 1.0 / 3.0),
+              "nx": (int, 33), "ny": (int, 32), "left_csv": (str, None),
+              "right_csv": (str, None), "tension": (("hex", "ff"), "hex"),
+              "u": ([float], None), "mesh_study": (bool, False), "svg": (bool, False),
+              "tol": (float, 1e-9)},
+    "flow": {"variant": (("hex", "ff"), "hex"), "u": ([float], [1.1]),
+             "L": (float, 1.0), "horizon": (float, 0.25), "tbar": (float, None),
+             "pbar": (float, 0.0), "amp": (float, 0.03), "ny": (int, 128),
+             "steps": (int, 128), "mode": (int, 1), "t0_csv": (str, None),
+             "p0_csv": (str, None), "method": (("hamilton", "burgers", "both"), "both"),
+             "compare_variational": (bool, False), "tol": (float, 1e-6)},
+    "dimer": {"graph": (str, None, "adjacency-listing file"), "cell": (("hex", "city"), None),
+              "weights": (str, "1", "comma-separated cell weights"),
+              "check": (bool, False, "verify the height-weight identity on the graph")},
+    "sixv": {"regime": (sv.REGIMES, None), "u": ([float], None), "gamma": (float, None),
+             "r": (float, 1.0), "H": (float, 0.0), "V": (float, 0.0),
+             "ybe_v": (float, None), "transfer": (int, None), "torus": (str, None, "M,N"),
+             "cylinder": (str, None, "M,N"), "eta1": (str, None, "bit string, row 0 first"),
+             "eta2": (str, None)},
+}
+
+
+def _config_value(name: str, kind, value):
     """A config-file value checked against the flag it stands in for.
 
     A scalar for a repeatable flag becomes a one-element list.  Each item
-    is converted as argparse converts the flag's text (``type``, else str);
-    any value the flag could not have produced raises ValueError.
+    is converted as the flag's text would be; any value the flag could not
+    have produced, an empty list included, raises ValueError.
     """
-    repeatable = isinstance(action, argparse._AppendAction)
+    repeatable = isinstance(kind, list)
     items = value if repeatable and isinstance(value, list) else [value]
+    kind = kind[0] if repeatable else kind
     converted = []
-    for item in items:
-        if action.nargs == 0:                      # on/off switch
+    for item in items or [None]:                   # None fails every check
+        if kind is bool:                           # on/off switch
             ok = isinstance(item, bool)
         else:
-            allowed = (str, int) if action.type is int else (str, int, float)
+            allowed = (str, int) if kind is int else (str, int, float)
             ok = isinstance(item, allowed) and not isinstance(item, bool)
             if ok:
                 try:
-                    item = (action.type or str)(item)
+                    item = (str if isinstance(kind, tuple) else kind)(item)
                 except ValueError:
                     ok = False
-        ok = ok and (action.choices is None or item in action.choices)
+            ok = ok and (not isinstance(kind, tuple) or item in kind)
         if not ok:
-            raise ValueError(f"config value {action.dest!r} is not one its flag "
+            raise ValueError(f"config value {name!r} is not one its flag "
                              f"accepts: {json.dumps(value)}")
         converted.append(item)
     return converted if repeatable else converted[0]
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, defaults: dict) -> dict:
-    """Flag > config file > ``defaults[name]`` for each name in ``defaults``.
+def _resolve(args: argparse.Namespace, cfg: dict) -> dict:
+    """Flag > config file > table default for each parameter of the command.
 
     The result holds the value each parameter takes, so commands echo it
-    as their ``resolved`` block.
+    as their ``resolved`` block.  A --tol or --seed flag that the command's
+    table does not list is refused; a config key it does not read is ignored.
     """
+    params = _PARAMS[args.command]
+    for name in ("tol", "seed"):
+        if getattr(args, name) is not None and name not in params:
+            noun = "tolerance" if name == "tol" else name
+            raise ValueError(f"{args.command} takes no {noun} (--{name})")
     resolved = {}
-    for name, default in defaults.items():
+    for name, (kind, default, *_) in {"out": _COMMON["out"], **params}.items():
         val = getattr(args, name)
         if val is None and name in cfg:
-            val = _config_value(args.options[name], cfg[name])
+            val = _config_value(name, kind, cfg[name])
         resolved[name] = default if val is None else val
     return resolved
+
+
+def _one_u(args: argparse.Namespace, opts: dict) -> float | None:
+    """The spectral parameter of a command that reads a single --u."""
+    if args.u and len(args.u) > 1:
+        raise ValueError(f"{args.command} reads one --u, got {len(args.u)}")
+    return opts["u"][0] if opts["u"] else None
 
 
 def _check_tol(tol: float) -> None:
@@ -192,11 +251,9 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
         return tn.numeric_tension(tn.hex_curve(), **({} if tol is None else {"tol": tol}))
     if variant == "hex":
         return tn.hex_tension()
-    if variant == "ff":
-        if u is None:
-            raise ValueError("variant ff needs --u")
-        return tn.ff_tension(u)
-    raise ValueError(f"unknown tension variant {variant!r}")
+    if u is None:
+        raise ValueError("variant ff needs --u")
+    return tn.ff_tension(u)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +261,8 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, cfg) -> int:
-    if args.tol is not None:
-        raise ValueError("verify takes no tolerance (--tol); each check carries its own")
-    opts = _resolve(args, cfg, {"suite": "all", "out": ".", "seed": 1234})
+    opts = _resolve(args, cfg)
     names = list(SUITES) if opts["suite"] == "all" else [opts["suite"]]
-    for name in names:
-        if name not in SUITES:
-            print(f"unknown suite {name!r}; available: {', '.join(SUITES)}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     all_checks = []
     for name in names:
         checks = run_suite(name, seed=opts["seed"])
@@ -232,8 +282,7 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_tension(args, cfg) -> int:
-    opts = _resolve(args, cfg, {"variant": "hex", "u": None, "lo": 0.15, "hi": 0.45,
-                                "n": 5, "out": ".", "tol": None})
+    opts = _resolve(args, cfg)
     variant = opts["variant"]
     if variant != "numeric" and args.tol is not None:
         raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
@@ -259,14 +308,10 @@ def cmd_tension(args, cfg) -> int:
 
 
 def cmd_solve(args, cfg) -> int:
-    opts = _resolve(args, cfg, {
-        "T": 1.0, "L": 1.0, "nx": 33, "ny": 32, "tension": "hex", "u": None,
-        "V": 0.0, "tol": 1e-9, "left_csv": None, "right_csv": None,
-        "t_left": 1.0 / 3.0, "t_right": 1.0 / 3.0, "out": ".", "mesh_study": False,
-        "svg": False})
+    opts = _resolve(args, cfg)
     T, L, nx, ny, V, tol, out = (opts[k] for k in ("T", "L", "nx", "ny", "V", "tol", "out"))
     _check_tol(tol)
-    sigma = _tension_bundle(opts["tension"], opts["u"][0] if opts["u"] else None)
+    sigma = _tension_bundle(opts["tension"], _one_u(args, opts))
     grid = sh.CylinderGrid(T, L, nx, ny)
 
     def profile(csv_path, const):
@@ -341,11 +386,8 @@ def cmd_solve(args, cfg) -> int:
 
 
 def cmd_flow(args, cfg) -> int:
-    opts = _resolve(args, cfg, {
-        "variant": "hex", "u": [1.1], "L": 1.0, "ny": 128, "horizon": 0.25,
-        "steps": 128, "t0_csv": None, "p0_csv": None, "tbar": None, "pbar": 0.0,
-        "amp": 0.03, "mode": 1, "method": "both", "compare_variational": False,
-        "out": ".", "tol": 1e-6})
+    opts = _resolve(args, cfg)
+    u = _one_u(args, opts)
     variant, L, ny, horizon, steps, method, out, drift_tol = (opts[k] for k in (
         "variant", "L", "ny", "horizon", "steps", "method", "out", "tol"))
     if not math.isfinite(horizon):
@@ -353,12 +395,7 @@ def cmd_flow(args, cfg) -> int:
     _check_tol(drift_tol)
     if opts["tbar"] is None:
         opts["tbar"] = 0.6 if variant == "hex" else 0.5
-    if variant == "hex":
-        dens = fl.hex_density()
-    elif variant == "ff":
-        dens = fl.ff_density(opts["u"][0])
-    else:
-        raise ValueError(f"unknown flow variant {variant!r}")
+    dens = fl.hex_density() if variant == "hex" else fl.ff_density(u)
 
     ys = fl.sample_points(L, ny)
     if not opts["t0_csv"] and not 2 * abs(opts["mode"]) < ny:
@@ -438,19 +475,12 @@ def cmd_flow(args, cfg) -> int:
 
 
 def cmd_dimer(args, cfg) -> int:
-    opts = _resolve(args, cfg, {"graph": None, "cell": None, "weights": "1", "out": ".",
-                                "check": False})
+    opts = _resolve(args, cfg)
     out = opts["out"]
     if opts["cell"]:
         w = [float(x) for x in opts["weights"].split(",")]
-        if opts["cell"] == "hex":
-            vals = (w + [1.0, 1.0, 1.0])[:3]
-            cell = dm.hexagonal_cell(*vals)
-        elif opts["cell"] == "city":
-            vals = (w + [1.0] * 7)[:7]
-            cell = dm.dimer_city_cell(*vals)
-        else:
-            raise ValueError(f"unknown cell {opts['cell']!r}")
+        n, build = (3, dm.hexagonal_cell) if opts["cell"] == "hex" else (7, dm.dimer_city_cell)
+        cell = build(*(w + [1.0] * n)[:n])
         curve = dm.characteristic_polynomial(cell)
         _write_csv(os.path.join(out, "curve.csv"), ["i", "j", "coeff"],
                    [(i, j, c) for (i, j), c in curve.coeffs])
@@ -480,16 +510,17 @@ def cmd_dimer(args, cfg) -> int:
 
 
 def cmd_sixv(args, cfg) -> int:
-    opts = _resolve(args, cfg, {
-        "regime": None, "u": None, "gamma": None, "r": 1.0, "H": 0.0, "V": 0.0,
-        "ybe_v": None, "transfer": None, "torus": None, "cylinder": None,
-        "eta1": None, "eta2": None, "out": "."})
+    opts = _resolve(args, cfg)
+    u = _one_u(args, opts)
+    for flag, needs in (("ybe_v", "regime"), ("eta1", "cylinder"), ("eta2", "cylinder")):
+        if getattr(args, flag) is not None and not opts[needs]:
+            raise ValueError(f"sixv --{flag.replace('_', '-')} needs --{needs}")
     H, V, out = opts["H"], opts["V"], opts["out"]
     payload = {"version": __version__, "command": "sixv", "resolved": opts}
     if opts["regime"]:
-        if opts["u"] is None or opts["gamma"] is None:
+        if u is None or opts["gamma"] is None:
             raise ValueError("sixv --regime needs a spectral point: give --u and --gamma")
-        u, gamma = opts["u"][0], opts["gamma"]
+        gamma = opts["gamma"]
         par = sv.BaxterParam(opts["regime"], u, gamma, opts["r"])
         w = sv.weights_from_baxter(par, H, V)
         payload["weights"] = {"a": w.a, "b": w.b, "c": w.c, "H": H, "V": V}
@@ -540,76 +571,22 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="icelab", description="six-vertex / dimer limit-shape laboratory")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int,
-                       help="seed for randomized test-point selection")
-
-    def typed(p, kind, *names):   # plain --name flags of one type
-        for name in names:
-            p.add_argument(f"--{name}", type=kind)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p)
-    p.add_argument("--suite", help=f"suite name or 'all' ({', '.join(SUITES)})")
-
-    p = sub.add_parser("tension", help="tabulate a surface tension")
-    common(p)
-    p.add_argument("--variant", choices=["hex", "ff", "numeric"])
-    p.add_argument("--u", type=float, action="append",
-                   help="spectral parameter (repeatable for ff)")
-    typed(p, float, "lo", "hi")
-    typed(p, int, "n")
-
-    p = sub.add_parser("solve", help="variational limit-shape solve")
-    common(p)
-    typed(p, float, "T", "L", "V", "t-left", "t-right")
-    typed(p, int, "nx", "ny")
-    typed(p, None, "left-csv", "right-csv")
-    p.add_argument("--tension", choices=["hex", "ff"])
-    p.add_argument("--u", type=float, action="append")
-    p.add_argument("--mesh-study", dest="mesh_study", action="store_const", const=True)
-    p.add_argument("--svg", action="store_const", const=True)
-
-    p = sub.add_parser("flow", help="evolve the Hamiltonian flow")
-    common(p)
-    p.add_argument("--variant", choices=["hex", "ff"])
-    p.add_argument("--u", type=float, action="append")
-    typed(p, float, "L", "horizon", "tbar", "pbar", "amp")
-    typed(p, int, "ny", "steps", "mode")
-    typed(p, None, "t0-csv", "p0-csv")
-    p.add_argument("--method", choices=["hamilton", "burgers", "both"])
-    p.add_argument("--compare-variational", dest="compare_variational",
-                   action="store_const", const=True)
-
-    p = sub.add_parser("dimer", help="dimer utilities")
-    common(p)
-    p.add_argument("--graph", help="adjacency-listing file")
-    p.add_argument("--cell", choices=["hex", "city"])
-    p.add_argument("--weights", help="comma-separated cell weights")
-    p.add_argument("--check", action="store_const", const=True,
-                   help="verify the height-weight identity on the graph")
-
-    p = sub.add_parser("sixv", help="six-vertex utilities")
-    common(p)
-    p.add_argument("--regime", choices=list(sv.REGIMES))
-    p.add_argument("--u", type=float, action="append")
-    typed(p, float, "gamma", "r", "H", "V", "ybe-v")
-    typed(p, int, "transfer")
-    p.add_argument("--torus", help="M,N")
-    p.add_argument("--cylinder", help="M,N")
-    p.add_argument("--eta1", help="bit string, row 0 first")
-    p.add_argument("--eta2")
-    for p in sub.choices.values():
-        p.set_defaults(options={a.dest: a for a in p._actions})
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (kind, _, *doc) in {**_COMMON, **_PARAMS[command]}.items():
+            how = ({"action": "store_const", "const": True} if kind is bool
+                   else {"type": kind[0], "action": "append"} if isinstance(kind, list)
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(f"--{name.replace('_', '-')}", help=doc[0] if doc else None, **how)
     return ap
 
 
-_COMMANDS = {"verify": cmd_verify, "tension": cmd_tension, "solve": cmd_solve,
-             "flow": cmd_flow, "dimer": cmd_dimer, "sixv": cmd_sixv}
+_COMMANDS = {"verify": (cmd_verify, "run verification suites"),
+             "tension": (cmd_tension, "tabulate a surface tension"),
+             "solve": (cmd_solve, "variational limit-shape solve"),
+             "flow": (cmd_flow, "evolve the Hamiltonian flow"),
+             "dimer": (cmd_dimer, "dimer utilities"),
+             "sixv": (cmd_sixv, "six-vertex utilities")}
 
 
 def main(argv=None) -> int:
@@ -623,7 +600,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    handler = _COMMANDS[args.command]
+    handler, _ = _COMMANDS[args.command]
     try:
         return handler(args, cfg)
     except ShockDetected as err:

@@ -3,7 +3,8 @@
 Each suite runs a bundle of checks at pinned tolerances and returns a list
 of Check records; a suite covers one or two of the numbered acceptance
 criteria (noted in each docstring), and every criterion is covered by
-exactly one suite.
+exactly one suite: the criterion -> suite table is ``CRITERIA`` in
+tests/test_acceptance.py.
 """
 
 from __future__ import annotations
@@ -444,24 +445,24 @@ def suite_fivevertex() -> list:
 
 
 SUITES = {
-    "ybe": (suite_ybe, [1]),
-    "commute": (suite_commute, [2]),
-    "oracle": (suite_oracle, [3]),
-    "legendre": (suite_legendre, [4]),
-    "hessian": (suite_hessian, [5, 6]),
-    "poisson": (suite_poisson, [7]),
-    "conserve": (suite_conserve, [8]),
-    "equivalence": (suite_equivalence, [9]),
-    "solver": (suite_solver, [10]),
-    "appendixD": (suite_appendix_d, [11]),
-    "fivevertex": (suite_fivevertex, [12]),
+    "ybe": suite_ybe,
+    "commute": suite_commute,
+    "oracle": suite_oracle,
+    "legendre": suite_legendre,
+    "hessian": suite_hessian,
+    "poisson": suite_poisson,
+    "conserve": suite_conserve,
+    "equivalence": suite_equivalence,
+    "solver": suite_solver,
+    "appendixD": suite_appendix_d,
+    "fivevertex": suite_fivevertex,
 }
 
 
 def run_suite(name: str, **kwargs) -> list:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    fn, _ = SUITES[name]
+    fn = SUITES[name]
     import inspect
 
     sig = inspect.signature(fn)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from icelab import cli
+from icelab import dimers as dm
 from icelab import flow as fl
 from icelab import shapes as sh
+from icelab import sixvertex as sv
 from icelab import tension as tn
 from icelab.errors import NonConvergence, ShockDetected
 from icelab.suites import el_mesh_study
@@ -48,6 +50,32 @@ def test_version_and_help_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 0 and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dimer", "--cell", "hex", "--tol", "1e-3"], "dimer takes no tolerance (--tol)"),
+    (["sixv", "--torus", "1,1", "--tol", "1e-3"], "sixv takes no tolerance (--tol)"),
+    (["tension", "--seed", "3"], "tension takes no seed (--seed)"),
+    (["solve", "--nx", "9", "--ny", "8", "--seed", "3"], "solve takes no seed (--seed)"),
+    (["flow", "--ny", "16", "--steps", "8", "--seed", "3"], "flow takes no seed (--seed)"),
+    (["dimer", "--cell", "hex", "--seed", "3"], "dimer takes no seed (--seed)"),
+    (["sixv", "--torus", "1,1", "--seed", "3"], "sixv takes no seed (--seed)"),
+    (["sixv", "--torus", "1,1", "--ybe-v", "0.3"], "sixv --ybe-v needs --regime"),
+    (["sixv", "--eta1", "01"], "sixv --eta1 needs --cylinder"),
+    (["sixv", "--torus", "1,1", "--eta2", "10"], "sixv --eta2 needs --cylinder"),
+    (["solve", "--nx", "9", "--ny", "8", "--tension", "ff", "--u", "1.0", "--u", "0.5"],
+     "solve reads one --u, got 2"),
+    (["flow", "--variant", "ff", "--u", "1.0", "--u", "1.1", "--ny", "16", "--steps", "8"],
+     "flow reads one --u, got 2"),
+    (["sixv", "--regime", "A1", "--u", "0.5", "--u", "0.6", "--gamma", "0.5"],
+     "sixv reads one --u, got 2"),
+])
+def test_flags_nothing_reads_exit_1_without_output(tmp_path, capsys, argv, message):
+    # each of these ran to exit 0 with the flag, or its second value, unread
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_precedence(tmp_path):
@@ -274,6 +302,7 @@ def test_config_scalar_u_for_solve(tmp_path, monkeypatch):
     (["tension", "--variant", "ff"], {"u": {"value": 0.5}}),
     (["flow"], {"ny": {"n": 32}}),
     (["flow"], {"method": "bogus"}),
+    (["flow", "--variant", "ff"], {"u": []}),
 ])
 def test_config_wrongly_typed_value_is_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
@@ -454,8 +483,6 @@ def test_dimer_cell_curve(tmp_path):
 
 
 def test_dimer_graph_file(tmp_path):
-    from icelab import dimers as dm
-
     cube = dm.cube_graph(list(np.linspace(0.5, 2.0, 12)))
     lines = []
     listed = set()
@@ -586,3 +613,54 @@ def test_flow_ff_compare_variational(tmp_path):
     report = json.loads((tmp_path / "conservation.json").read_text())
     assert report["compare_variational"]["sup"] <= 1e-3
     assert report["resolved"]["tbar"] == 0.5 and report["resolved"]["u"] == [1.1]
+
+
+def test_flow_burgers_method_writes_the_characteristic_solution(tmp_path):
+    code = run(["flow", "--method", "burgers", "--ny", "32", "--horizon", "0.1",
+                "--tol", "1e-12", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    assert set(report["conservation"]) == {"I1", "I2", "I3", "I4"}
+    assert "filter_modes" not in report and report["drift_tol"] == 1e-12
+    assert all(report["conservation"][f"I{n}"]["max_rel_drift"] <= 1e-12 for n in range(1, 5))
+    ys = np.arange(32) / 32
+    end = fl.burgers_evolve(fl.FlowState(1.0, np.zeros(32), 0.6 + 0.03 * np.sin(2 * np.pi * ys)),
+                            fl.hex_density().burgers, 0.1)
+    rows = [[float(v) for v in ln.split(",")]
+            for ln in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+    last = np.array([r for r in rows if r[0] == 0.1])
+    assert len(rows) == 9 * 32 and np.array_equal(last[:, 3], end.t)
+    assert np.array_equal(last[:, 4] + 1j * last[:, 5], end.l)
+
+
+@pytest.mark.parametrize("flags, words, expected", [
+    ([], ("00", "00"), 8.0),
+    (["--eta1", "01", "--eta2", "10"], ("01", "10"), 13.0)])
+def test_sixv_cylinder_partition(tmp_path, flags, words, expected):
+    assert run(["sixv", "--cylinder", "3,2", *flags, "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "sixv.json").read_text())
+    e1, e2 = (sv.BoundaryWord(tuple(map(int, w))) for w in words)
+    z = sv.cylinder_partition(3, 2, sv.VertexWeights(1.0, 1.0, 1.0, 0.0, 0.0), e1, e2)
+    assert data["cylinder_partition"] == z == expected
+
+
+def test_sixv_yang_baxter_residual(tmp_path):
+    assert run(["sixv", "--regime", "A1", "--u", "0.5", "--gamma", "0.5", "--ybe-v", "0.3",
+                "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "sixv.json").read_text())
+    assert data["ybe_residual"] == sv.yang_baxter_residual(0.5, 0.3, "A1", 0.5) <= 1e-12
+
+
+def test_dimer_city_cell_with_defaulted_weights(tmp_path):
+    assert run(["dimer", "--cell", "city", "--weights", "1,2,3", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "curve.csv").read_text().strip().splitlines()[1:]
+    coeffs = [(int(float(a)), int(float(b)), float(c))
+              for a, b, c in (ln.split(",") for ln in lines)]
+    curve = dm.characteristic_polynomial(dm.dimer_city_cell(1, 2, 3, 1, 1, 1, 1))
+    assert coeffs == [(i, j, c) for (i, j), c in curve.coeffs]
+
+
+def test_tilted_solve_matches_the_partial_legendre_slope(tmp_path):
+    assert run(["solve", "--nx", "17", "--ny", "16", "--V", "-3", "--out", str(tmp_path)]) == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["analytic-match"] is True and log["backtracks"] > 0

@@ -227,6 +227,22 @@ def test_minimize_actions_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(info.actions, info.actions[1:]))
 
 
+def test_tilted_solve_backtracks_to_the_affine_minimizer():
+    # V = -3 tilts the optimal x-slope to nu* = 0.6526..., and on the way
+    # there the Armijo line search rejects some full Newton steps
+    t0 = 1.0 / 3.0
+    grid = sh.CylinderGrid(1.0, 1.0, 17, 16)
+    bd = sh.BoundaryData(np.full(16, t0), np.full(16, t0))
+    hf, info = sh.minimize_action(grid, HEX, bd, V=-3.0, tol=1e-9)
+    assert info.backtracks > 0
+    assert all(b <= a for a, b in zip(info.actions, info.actions[1:]))
+    nu = tn.partial_legendre(HEX, 3.0, t0).nu_star
+    xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    diff = hf.values - (nu * xs + t0 * ys)
+    diff -= diff[0, 0]
+    assert np.max(np.abs(diff)) <= 1e-8      # the solver-affine-recovery tolerance
+
+
 def test_minimize_two_start_uniqueness():
     grid = sh.CylinderGrid(1.0, 1.0, 17, 16)
     bd = sh.BoundaryData(np.full(16, 1 / 3), np.full(16, 1 / 3))
