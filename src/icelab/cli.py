@@ -1,39 +1,36 @@
-"""Command-line front door.
-
-Commands
---------
-verify   run verification suites, write a JSON report (exit 2 on failure)
-tension  tabulate a surface tension on a slope grid (CSV)
-solve    variational limit-shape solve on a cylinder (CSV grid + SVG)
-flow     Hamiltonian / characteristic evolution (trajectory CSV + JSON)
-dimer    dimer utilities: matchings, curves, height checks
-sixv     six-vertex utilities: weights, R-matrices, partitions
+"""Command-line front door: the commands of ``_COMMANDS`` (``icelab --help``).
 
 Each command's parameters are declared once, in the ``_PARAMS`` table,
-which builds the parser, checks config values and fills the ``resolved``
+which builds the parser, checks config values, fills the ``resolved``
 block of the solve, flow and sixv reports (the value every parameter
-took).  A flag beats the config-file key of its name, which beats the
-table default; a config value is converted as the flag's text would be,
-and a config key the command does not read is ignored.  Common flags:
---out DIR, --config FILE, --tol X, --seed N; a command whose table lists
-no ``tol`` or ``seed`` refuses that flag.  A flag that would otherwise be
-ignored is refused too: a second ``--u`` to solve, flow or sixv, and
-``sixv --ybe-v`` without ``--regime`` or ``--eta1``/``--eta2`` without
-``--cylinder``.  Exit codes: 0 pass, 1 configuration error (a malformed,
-unknown or refused flag included, reported in one ``error:`` line),
-2 verification failure, 3 solver non-convergence, 4 shock before the
-requested horizon.  ``flow`` also exits 1 when the worst drift of
-I_1..I_4 exceeds ``--tol`` (default 1e-6).  A ``--tol`` that a command
-reads must be finite and positive, and ``flow --mode m`` needs
-2|m| < ny; otherwise the command exits 1.
+took) and says when the run reads each flag.  A flag beats the config-file
+key of its name, which beats the table default; a config value is
+converted as the flag's text would be, and a config key the run does not
+read is ignored.  Common flags: --out DIR, --config FILE, --tol X, --seed N.
+
+One rule refuses, before any file is written, a command-line flag that the
+run would not read or that is given more often than the run reads it (once;
+for ``tension --u`` once per value).  A command reads --tol and --seed only
+where its table lists them, and every other flag it takes except:
+
+    verify   --seed unless --suite is all or a suite that takes a seed
+    tension  --u unless --variant ff; --tol unless --variant numeric
+    solve    --u unless --tension ff; --t-left/--t-right with --left-csv/--right-csv
+    flow     --u unless --variant ff; --steps with --method burgers;
+             --tbar, --amp, --mode with --t0-csv; --pbar with --p0-csv
+    dimer    --weights without --cell; --graph, --check with it
+    sixv     --u, --gamma, --r, --ybe-v without --regime; --eta1/--eta2 without --cylinder
+
+Exit codes: 0 pass, 1 configuration error (a malformed, unknown or refused
+flag included, reported in one ``error:`` line), 2 verification failure,
+3 solver non-convergence, 4 shock before the requested horizon.  ``flow``
+also exits 1 when the worst drift of I_1..I_4 exceeds ``--tol`` (default
+1e-6).  A ``--tol`` that a command reads must be finite and positive, and
+``flow --mode m`` needs 2|m| < ny; otherwise the command exits 1.
 
 ``flow --compare-variational`` and ``solve --mesh-study`` call the
 criterion-9 and criterion-10 helpers of ``suites``; a mesh-study order is
 null when the coarse residual is already at or below ``--tol``.
-
-Boundary and initial profiles are CSV files with a header row followed by
-``y,value`` lines; they are resampled onto the grid by periodic linear
-interpolation, shifted to keep the samples' periodic trapezoid mean.
 
 Graph files for ``dimer --graph`` are plain-text adjacency listings, one
 vertex per line::
@@ -54,6 +51,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +62,7 @@ from . import shapes as sh
 from . import sixvertex as sv
 from . import tension as tn
 from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected, TooLarge
-from .suites import (FLOW_VARIATIONAL_TOL, SUITES, el_mesh_study,
+from .suites import (FLOW_VARIATIONAL_TOL, SEEDED, SUITES, el_mesh_study,
                      flow_variational_gap, run_suite)
 
 EXIT_OK = 0
@@ -105,8 +103,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _read_profile(path: str, L: float):
-    """The profile CSV at ``path`` as a function of n: its samples resampled
-    onto n rows, so that every grid resamples the original samples."""
+    """The profile CSV at ``path`` (a header row, then ``y,value`` lines) as a
+    function of n: its samples resampled onto n rows by
+    `shapes.resample_profile`, so that every grid resamples the original samples."""
     with open(path) as fh:
         rows = [line.split(",")[:2] for line in fh.read().splitlines()[1:] if line.strip()]
     if not rows:
@@ -134,9 +133,7 @@ def _svg_heatmap(path: str, values: np.ndarray) -> None:
     _atomic_write(path, "\n".join(out) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -144,43 +141,74 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-# Every parameter of every command, declared once: name -> (kind, default[,
-# help]), where kind is a type, a tuple of choices, [type] for a repeatable
-# flag or bool for an on/off switch, and the flag is --name with "-" for "_".
-# Every command takes the _COMMON flags and reads --out and --config; it
-# reads --tol or --seed only where its own table lists the name.
-_COMMON = {"out": (str, ".", "output directory"), "config": (str, None, "JSON config file"),
-           "tol": (float, None),
-           "seed": (int, 1234, "seed for randomized test-point selection")}
+class _Param(NamedTuple):                 # given as the flag `_flag(name)`
+    kind: object                          # type, tuple of choices, [type] (list) or bool (switch)
+    default: object = None
+    help: str | None = None
+    reads: tuple = (lambda o: True, "")   # test of the resolved values, refusal template
+    many: bool = False                    # reads every use of the flag, not just one
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _when(name: str, *values) -> tuple:
+    """Read only when --name is given or takes one of ``values`` (None: not given)."""
+    if not values:
+        return lambda o: bool(o[name]), f"{{flag}} needs {_flag(name)}"
+    return (lambda o: (o[name] or None) in values,
+            f"{{flag}} is not read with {_flag(name)} {{{name}}}")
+
+
+# Every parameter of every command, declared once: name -> its _Param, or the
+# leading fields of one.  Every command takes the _COMMON flags; it reads
+# --tol or --seed only where its own table lists them.
+_COMMON = {"out": _Param(str, ".", "output directory"),
+           "config": _Param(str, None, "JSON config file"),
+           "tol": _Param(float, None, None, (lambda o: False, "takes no tolerance (--tol)")),
+           "seed": _Param(int, 1234, "seed for randomized test-point selection",
+                          (lambda o: False, "takes no seed (--seed)"))}
 _PARAMS = {
-    "verify": {"suite": (("all", *SUITES), "all",
-                         f"suite name or 'all' ({', '.join(SUITES)})"),
-               "seed": _COMMON["seed"]},
+    "verify": {"suite": (("all", *SUITES), "all", f"suite name or 'all' ({', '.join(SUITES)})"),
+               "seed": _COMMON["seed"]._replace(reads=_when("suite", "all", *SEEDED))},
     "tension": {"variant": (("hex", "ff", "numeric"), "hex"),
-                "u": ([float], None, "spectral parameter (repeatable for ff)"),
+                "u": ([float], None, "spectral parameter (repeatable for ff)",
+                      _when("variant", "ff"), True),
                 "lo": (float, 0.15), "hi": (float, 0.45), "n": (int, 5),
-                "tol": _COMMON["tol"]},
+                "tol": (float, None, None, (lambda o: o["variant"] == "numeric", "--variant "
+                        "{variant} is closed-form and takes no tolerance (--tol)"))},
     "solve": {"T": (float, 1.0), "L": (float, 1.0), "V": (float, 0.0),
-              "t_left": (float, 1.0 / 3.0), "t_right": (float, 1.0 / 3.0),
+              "t_left": (float, 1.0 / 3.0, None, _when("left_csv", None)),
+              "t_right": (float, 1.0 / 3.0, None, _when("right_csv", None)),
               "nx": (int, 33), "ny": (int, 32), "left_csv": (str, None),
               "right_csv": (str, None), "tension": (("hex", "ff"), "hex"),
-              "u": ([float], None), "mesh_study": (bool, False), "svg": (bool, False),
-              "tol": (float, 1e-9)},
-    "flow": {"variant": (("hex", "ff"), "hex"), "u": ([float], [1.1]),
-             "L": (float, 1.0), "horizon": (float, 0.25), "tbar": (float, None),
-             "pbar": (float, 0.0), "amp": (float, 0.03), "ny": (int, 128),
-             "steps": (int, 128), "mode": (int, 1), "t0_csv": (str, None),
+              "u": ([float], None, None, _when("tension", "ff")), "mesh_study": (bool, False),
+              "svg": (bool, False), "tol": (float, 1e-9)},
+    "flow": {"variant": (("hex", "ff"), "hex"),
+             "u": ([float], [1.1], None, _when("variant", "ff")), "L": (float, 1.0),
+             "horizon": (float, 0.25), "tbar": (float, None, None, _when("t0_csv", None)),
+             "pbar": (float, 0.0, None, _when("p0_csv", None)),
+             "amp": (float, 0.03, None, _when("t0_csv", None)), "ny": (int, 128),
+             "steps": (int, 128, None, _when("method", "hamilton", "both")),
+             "mode": (int, 1, None, _when("t0_csv", None)), "t0_csv": (str, None),
              "p0_csv": (str, None), "method": (("hamilton", "burgers", "both"), "both"),
              "compare_variational": (bool, False), "tol": (float, 1e-6)},
-    "dimer": {"graph": (str, None, "adjacency-listing file"), "cell": (("hex", "city"), None),
-              "weights": (str, "1", "comma-separated cell weights"),
-              "check": (bool, False, "verify the height-weight identity on the graph")},
-    "sixv": {"regime": (sv.REGIMES, None), "u": ([float], None), "gamma": (float, None),
-             "r": (float, 1.0), "H": (float, 0.0), "V": (float, 0.0),
-             "ybe_v": (float, None), "transfer": (int, None), "torus": (str, None, "M,N"),
-             "cylinder": (str, None, "M,N"), "eta1": (str, None, "bit string, row 0 first"),
-             "eta2": (str, None)},
+    "dimer": {"graph": (str, None, "adjacency-listing file", _when("cell", None)),
+              "cell": (("hex", "city"), None),
+              "weights": (str, "1", "comma-separated cell weights", _when("cell")),
+              "check": (bool, False, "verify the height-weight identity on the graph",
+                        _when("cell", None))},
+    "sixv": {"regime": (sv.REGIMES, None), "u": ([float], None, None, _when("regime")),
+             "gamma": (float, None, None, _when("regime")),
+             "r": (float, 1.0, None, _when("regime")), "H": (float, 0.0), "V": (float, 0.0),
+             "ybe_v": (float, None, None, _when("regime")), "transfer": (int, None),
+             "torus": (str, None, "M,N"), "cylinder": (str, None, "M,N"),
+             "eta1": (str, None, "bit string, row 0 first", _when("cylinder")),
+             "eta2": (str, None, None, _when("cylinder"))},
 }
+_PARAMS = {command: {name: _Param(*spec) for name, spec in table.items()}
+           for command, table in _PARAMS.items()}
 
 
 def _config_value(name: str, kind, value):
@@ -217,28 +245,26 @@ def _resolve(args: argparse.Namespace, cfg: dict) -> dict:
     """Flag > config file > table default for each parameter of the command.
 
     The result holds the value each parameter takes, so commands echo it
-    as their ``resolved`` block.  A --tol or --seed flag that the command's
-    table does not list is refused; a config key it does not read is ignored.
+    as their ``resolved`` block.  A command-line flag that fails its read
+    condition on those values, or is given more often than it is read, is
+    refused; a config key the command does not read is ignored.
     """
     params = _PARAMS[args.command]
-    for name in ("tol", "seed"):
-        if getattr(args, name) is not None and name not in params:
-            noun = "tolerance" if name == "tol" else name
-            raise ValueError(f"{args.command} takes no {noun} (--{name})")
     resolved = {}
-    for name, (kind, default, *_) in {"out": _COMMON["out"], **params}.items():
-        val = getattr(args, name)
+    for name, par in {"out": _COMMON["out"], **params}.items():
+        val = getattr(args, name)                  # every flag appends
         if val is None and name in cfg:
-            val = _config_value(name, kind, cfg[name])
-        resolved[name] = default if val is None else val
+            val = _config_value(name, par.kind, cfg[name])
+        elif val is not None and not isinstance(par.kind, list):
+            val = val[-1]
+        resolved[name] = par.default if val is None else val
+    for name, par in {**_COMMON, **params}.items():
+        given, (reads, refusal) = getattr(args, name) or [], par.reads
+        if given and not reads(resolved):
+            raise ValueError(f"{args.command} " + refusal.format(flag=_flag(name), **resolved))
+        if len(given) > 1 and not par.many:
+            raise ValueError(f"{args.command} reads one {_flag(name)}, got {len(given)}")
     return resolved
-
-
-def _one_u(args: argparse.Namespace, opts: dict) -> float | None:
-    """The spectral parameter of a command that reads a single --u."""
-    if args.u and len(args.u) > 1:
-        raise ValueError(f"{args.command} reads one --u, got {len(args.u)}")
-    return opts["u"][0] if opts["u"] else None
 
 
 def _check_tol(tol: float) -> None:
@@ -256,12 +282,7 @@ def _tension_bundle(variant: str, u: float | None, tol: float | None = None):
     return tn.ff_tension(u)
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-def cmd_verify(args, cfg) -> int:
-    opts = _resolve(args, cfg)
+def cmd_verify(opts) -> int:
     names = list(SUITES) if opts["suite"] == "all" else [opts["suite"]]
     all_checks = []
     for name in names:
@@ -281,11 +302,8 @@ def cmd_verify(args, cfg) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_tension(args, cfg) -> int:
-    opts = _resolve(args, cfg)
+def cmd_tension(opts) -> int:
     variant = opts["variant"]
-    if variant != "numeric" and args.tol is not None:
-        raise ValueError(f"tension --variant {variant} is closed-form and takes no tolerance (--tol)")
     if variant == "numeric" and opts["tol"] is not None:
         _check_tol(opts["tol"])
     grid = np.linspace(opts["lo"], opts["hi"], opts["n"])
@@ -307,11 +325,10 @@ def cmd_tension(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args, cfg) -> int:
-    opts = _resolve(args, cfg)
+def cmd_solve(opts) -> int:
     T, L, nx, ny, V, tol, out = (opts[k] for k in ("T", "L", "nx", "ny", "V", "tol", "out"))
     _check_tol(tol)
-    sigma = _tension_bundle(opts["tension"], _one_u(args, opts))
+    sigma = _tension_bundle(opts["tension"], (opts["u"] or [None])[0])
     grid = sh.CylinderGrid(T, L, nx, ny)
 
     def profile(csv_path, const):
@@ -336,10 +353,8 @@ def cmd_solve(args, cfg) -> int:
         code = EXIT_NONCONVERGENCE
 
     xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    const_left = float(np.max(t_left) - np.min(t_left)) < 1e-14
-    const_right = float(np.max(t_right) - np.min(t_right)) < 1e-14
-    if const_left and const_right and abs(t_left[0] - t_right[0]) < 1e-14 \
-            and log.get("converged"):
+    if np.ptp(t_left) < 1e-14 and np.ptp(t_right) < 1e-14 \
+            and abs(t_left[0] - t_right[0]) < 1e-14 and log.get("converged"):
         t0 = float(t_left[0])
         pl = tn.partial_legendre(sigma, -V, t0)
         affine = pl.nu_star * xs + t0 * ys
@@ -385,9 +400,7 @@ def cmd_solve(args, cfg) -> int:
     return code
 
 
-def cmd_flow(args, cfg) -> int:
-    opts = _resolve(args, cfg)
-    u = _one_u(args, opts)
+def cmd_flow(opts) -> int:
     variant, L, ny, horizon, steps, method, out, drift_tol = (opts[k] for k in (
         "variant", "L", "ny", "horizon", "steps", "method", "out", "tol"))
     if not math.isfinite(horizon):
@@ -395,7 +408,7 @@ def cmd_flow(args, cfg) -> int:
     _check_tol(drift_tol)
     if opts["tbar"] is None:
         opts["tbar"] = 0.6 if variant == "hex" else 0.5
-    dens = fl.hex_density() if variant == "hex" else fl.ff_density(u)
+    dens = fl.hex_density() if variant == "hex" else fl.ff_density(opts["u"][0])
 
     ys = fl.sample_points(L, ny)
     if not opts["t0_csv"] and not 2 * abs(opts["mode"]) < ny:
@@ -424,10 +437,8 @@ def cmd_flow(args, cfg) -> int:
             states = [state] + [fl.burgers_evolve(state, dens.burgers, float(x))
                                 for x in xs_out[1:]]
             xs_traj = xs_out
-        rows = []
-        for x, st in zip(xs_traj, states):
-            for y, p, t, lc in zip(st.ys, st.p, st.t, st.l):
-                rows.append((x, y, p, t, lc.real, lc.imag))
+        rows = [(x, y, p, t, lc.real, lc.imag) for x, st in zip(xs_traj, states)
+                for y, p, t, lc in zip(st.ys, st.p, st.t, st.l)]
         _write_csv(os.path.join(out, "trajectory.csv"),
                    ["x", "y", "p", "t", "re_l", "im_l"], rows)
         for n in range(1, 5):
@@ -474,14 +485,15 @@ def cmd_flow(args, cfg) -> int:
     return code
 
 
-def cmd_dimer(args, cfg) -> int:
-    opts = _resolve(args, cfg)
+def cmd_dimer(opts) -> int:
     out = opts["out"]
     if opts["cell"]:
         w = [float(x) for x in opts["weights"].split(",")]
         n, build = (3, dm.hexagonal_cell) if opts["cell"] == "hex" else (7, dm.dimer_city_cell)
-        cell = build(*(w + [1.0] * n)[:n])
-        curve = dm.characteristic_polynomial(cell)
+        if len(w) > n:
+            raise ValueError(f"dimer --cell {opts['cell']} reads at most {n} --weights, "
+                             f"got {len(w)}")
+        curve = dm.characteristic_polynomial(build(*w, *[1.0] * (n - len(w))))
         _write_csv(os.path.join(out, "curve.csv"), ["i", "j", "coeff"],
                    [(i, j, c) for (i, j), c in curve.coeffs])
         print("characteristic polynomial:",
@@ -509,12 +521,8 @@ def cmd_dimer(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_sixv(args, cfg) -> int:
-    opts = _resolve(args, cfg)
-    u = _one_u(args, opts)
-    for flag, needs in (("ybe_v", "regime"), ("eta1", "cylinder"), ("eta2", "cylinder")):
-        if getattr(args, flag) is not None and not opts[needs]:
-            raise ValueError(f"sixv --{flag.replace('_', '-')} needs --{needs}")
+def cmd_sixv(opts) -> int:
+    u = (opts["u"] or [None])[0]
     H, V, out = opts["H"], opts["V"], opts["out"]
     payload = {"version": __version__, "command": "sixv", "resolved": opts}
     if opts["regime"]:
@@ -555,10 +563,6 @@ def cmd_sixv(args, cfg) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
 class _Parser(argparse.ArgumentParser):
     """Raises its usage errors (a bad or unknown flag) as ValueError, which
     `main` reports in one line with EXIT_CONFIG; subparsers inherit it."""
@@ -573,36 +577,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (_, summary) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        for name, (kind, _, *doc) in {**_COMMON, **_PARAMS[command]}.items():
-            how = ({"action": "store_const", "const": True} if kind is bool
-                   else {"type": kind[0], "action": "append"} if isinstance(kind, list)
-                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            p.add_argument(f"--{name.replace('_', '-')}", help=doc[0] if doc else None, **how)
+        for name, par in {**_COMMON, **_PARAMS[command]}.items():
+            kind = par.kind[0] if isinstance(par.kind, list) else par.kind
+            # every flag appends, so that `_resolve` sees each use
+            how = ({"action": "append_const", "const": True} if kind is bool
+                   else {"action": "append", "choices": kind} if isinstance(kind, tuple)
+                   else {"action": "append", "type": kind})
+            p.add_argument(_flag(name), help=par.help, **how)
     return ap
 
 
-_COMMANDS = {"verify": (cmd_verify, "run verification suites"),
-             "tension": (cmd_tension, "tabulate a surface tension"),
-             "solve": (cmd_solve, "variational limit-shape solve"),
-             "flow": (cmd_flow, "evolve the Hamiltonian flow"),
-             "dimer": (cmd_dimer, "dimer utilities"),
-             "sixv": (cmd_sixv, "six-vertex utilities")}
+_COMMANDS = {
+    "verify": (cmd_verify, "run verification suites, write a JSON report (exit 2 on failure)"),
+    "tension": (cmd_tension, "tabulate a surface tension on a slope grid (CSV)"),
+    "solve": (cmd_solve, "variational limit-shape solve on a cylinder (CSV grid + SVG)"),
+    "flow": (cmd_flow, "Hamiltonian / characteristic evolution (trajectory CSV + JSON)"),
+    "dimer": (cmd_dimer, "dimer utilities: matchings, curves, height checks"),
+    "sixv": (cmd_sixv, "six-vertex utilities: weights, R-matrices, partitions")}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    handler, _ = _COMMANDS[args.command]
-    try:
-        return handler(args, cfg)
+        try:
+            cfg = _load_config(args.config[0]) if args.config else {}
+        except (OSError, ValueError) as err:         # a JSONDecodeError is a ValueError
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        return _COMMANDS[args.command][0](_resolve(args, cfg))
     except ShockDetected as err:
         print(f"shock detected: {err}", file=sys.stderr)
         return EXIT_SHOCK

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,48 @@ def test_version_and_help_exit_0(argv, capsys):
     assert exc.value.code == 0 and capsys.readouterr().out
 
 
+# Uses that exited 0 with a flag unread: the argv without the flag, the flag
+# with its values, and the refusal.  profile.csv is a constant mean-1/3 profile.
+NEWLY_UNREAD = [
+    (["solve", "--nx", "9", "--ny", "8"], ["--u", "0.5"],
+     "solve --u is not read with --tension hex"),
+    (["flow", "--variant", "hex", "--ny", "16", "--steps", "8", "--tol", "1"], ["--u", "0.5"],
+     "flow --u is not read with --variant hex"),
+    (["tension", "--variant", "hex", "--n", "1"], ["--u", "0.2"],
+     "tension --u is not read with --variant hex"),
+    (["tension", "--variant", "numeric", "--n", "1", "--lo", "0.3", "--hi", "0.3"],
+     ["--u", "0.5"], "tension --u is not read with --variant numeric"),
+    (["sixv", "--torus", "1,1"], ["--u", "0.5"], "sixv --u needs --regime"),
+    (["sixv", "--torus", "1,1"], ["--gamma", "0.5", "--r", "2"], "sixv --gamma needs --regime"),
+    (["dimer", "--cell", "hex"], ["--graph", "nosuch.txt", "--check"],
+     "dimer --graph is not read with --cell hex"),
+    (["dimer", "--graph", "/dev/null"], ["--weights", "1,2"], "dimer --weights needs --cell"),
+    (["dimer", "--cell", "hex"], ["--weights", "1,2,3,4,5"],
+     "dimer --cell hex reads at most 3 --weights, got 5"),
+    (["dimer", "--cell", "city"], ["--weights", "1,2,3,4,5,6,7,8"],
+     "dimer --cell city reads at most 7 --weights, got 8"),
+    (["flow", "--ny", "16", "--method", "burgers", "--tol", "1"], ["--steps", "64"],
+     "flow --steps is not read with --method burgers"),
+    *((["flow", "--ny", "16", "--steps", "8", "--tol", "1", "--t0-csv", "profile.csv"], flag,
+       f"flow {flag[0]} is not read with --t0-csv profile.csv")
+      for flag in (["--tbar", "0.4"], ["--amp", "0.5"], ["--mode", "3"])),
+    (["flow", "--ny", "16", "--steps", "8", "--tol", "1", "--p0-csv", "profile.csv"],
+     ["--pbar", "0.4"], "flow --pbar is not read with --p0-csv profile.csv"),
+    *((["solve", "--nx", "9", "--ny", "8", f"--{end}-csv", "profile.csv"], [f"--t-{end}", "0.2"],
+       f"solve --t-{end} is not read with --{end}-csv profile.csv") for end in ("left", "right")),
+    (["verify", "--suite", "commute"], ["--seed", "3"],
+     "verify --seed is not read with --suite commute"),
+    (["solve", "--nx", "9", "--ny", "8"], ["--nx", "17"], "solve reads one --nx, got 2"),
+]
+
+
+@pytest.fixture
+def in_profile_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.csv").write_text(
+        "y,value\n" + "".join(f"{k / 16},{1 / 3}\n" for k in range(16)))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dimer", "--cell", "hex", "--tol", "1e-3"], "dimer takes no tolerance (--tol)"),
     (["sixv", "--torus", "1,1", "--tol", "1e-3"], "sixv takes no tolerance (--tol)"),
@@ -69,13 +113,32 @@ def test_version_and_help_exit_0(argv, capsys):
      "flow reads one --u, got 2"),
     (["sixv", "--regime", "A1", "--u", "0.5", "--u", "0.6", "--gamma", "0.5"],
      "sixv reads one --u, got 2"),
+    *((argv + flag, message) for argv, flag, message in NEWLY_UNREAD),
 ])
-def test_flags_nothing_reads_exit_1_without_output(tmp_path, capsys, argv, message):
+def test_flags_nothing_reads_exit_1_without_output(tmp_path, capsys, in_profile_dir, argv,
+                                                   message):
     # each of these ran to exit 0 with the flag, or its second value, unread
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in NEWLY_UNREAD],
+                         ids=[message for _, _, message in NEWLY_UNREAD])
+def test_same_uses_without_the_unread_flag_exit_0(tmp_path, in_profile_dir, argv):
+    # the rule refuses only the flag, not the run
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def test_readme_usages_pass_the_read_rule():
+    # each documented `icelab ...` line is parsed and resolved, not run
+    blocks = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+    usages = [line.split("#")[0] for block in blocks
+              for line in block.replace("\\\n", " ").splitlines() if line.startswith("icelab ")]
+    for usage in usages:
+        cli._resolve(cli._build_parser().parse_args(shlex.split(usage)[1:]), {})
+    assert {shlex.split(u)[1] for u in usages} == set(cli._COMMANDS)
 
 
 def test_config_file_precedence(tmp_path):
@@ -405,7 +468,7 @@ def test_flow_bad_sample_count_or_u_is_config_error(tmp_path, capsys, args, mess
     (["--horizon", "nan", "--method", "burgers"], "horizon must be finite"),
     (["--horizon", "inf"], "horizon must be finite")])
 def test_flow_bad_period_or_horizon_is_config_error(tmp_path, capsys, args, message):
-    assert run(["flow", *args, "--steps", "8", "--out", str(tmp_path)]) == 1
+    assert run(["flow", *args, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
     assert not (tmp_path / "conservation.json").exists()
