@@ -19,7 +19,8 @@ where its table lists them, and every other flag it takes except:
     flow     --u unless --variant ff; --steps with --method burgers;
              --tbar, --amp, --mode with --t0-csv; --pbar with --p0-csv
     dimer    --weights without --cell; --graph, --check with it
-    sixv     --u, --gamma, --r, --ybe-v without --regime; --eta1/--eta2 without --cylinder
+    sixv     --u, --gamma, --r, --ybe-v without --regime; --eta1/--eta2 without --cylinder;
+             --H, --V without any of --regime, --transfer, --torus, --cylinder
 
 Exit codes: 0 pass, 1 configuration error (a malformed, unknown or refused
 flag included, reported in one ``error:`` line), 2 verification failure,
@@ -201,7 +202,10 @@ _PARAMS = {
                         _when("cell", None))},
     "sixv": {"regime": (sv.REGIMES, None), "u": ([float], None, None, _when("regime")),
              "gamma": (float, None, None, _when("regime")),
-             "r": (float, 1.0, None, _when("regime")), "H": (float, 0.0), "V": (float, 0.0),
+             "r": (float, 1.0, None, _when("regime")),
+             **dict.fromkeys(("H", "V"), (float, 0.0, None, (   # read by the weights
+                 lambda o: any(o[k] for k in ("regime", "transfer", "torus", "cylinder")),
+                 "{flag} needs --regime, --transfer, --torus or --cylinder"))),
              "ybe_v": (float, None, None, _when("regime")), "transfer": (int, None),
              "torus": (str, None, "M,N"), "cylinder": (str, None, "M,N"),
              "eta1": (str, None, "bit string, row 0 first", _when("cylinder")),
@@ -262,8 +266,9 @@ def _resolve(args: argparse.Namespace, cfg: dict) -> dict:
         given, (reads, refusal) = getattr(args, name) or [], par.reads
         if given and not reads(resolved):
             raise ValueError(f"{args.command} " + refusal.format(flag=_flag(name), **resolved))
-        if len(given) > 1 and not par.many:
-            raise ValueError(f"{args.command} reads one {_flag(name)}, got {len(given)}")
+        uses = resolved[name] if isinstance(par.kind, list) and reads(resolved) else given
+        if len(uses or []) > 1 and not par.many:    # a config list counts as its flag's uses
+            raise ValueError(f"{args.command} reads one {_flag(name)}, got {len(uses)}")
     return resolved
 
 
@@ -522,13 +527,12 @@ def cmd_dimer(opts) -> int:
 
 
 def cmd_sixv(opts) -> int:
-    u = (opts["u"] or [None])[0]
+    u, gamma = (opts["u"] or [None])[0], opts["gamma"]
     H, V, out = opts["H"], opts["V"], opts["out"]
     payload = {"version": __version__, "command": "sixv", "resolved": opts}
     if opts["regime"]:
-        if u is None or opts["gamma"] is None:
+        if u is None or gamma is None:
             raise ValueError("sixv --regime needs a spectral point: give --u and --gamma")
-        gamma = opts["gamma"]
         par = sv.BaxterParam(opts["regime"], u, gamma, opts["r"])
         w = sv.weights_from_baxter(par, H, V)
         payload["weights"] = {"a": w.a, "b": w.b, "c": w.c, "H": H, "V": V}

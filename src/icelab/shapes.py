@@ -23,6 +23,7 @@ blow-up of the tension at the domain boundary act as a natural barrier.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -192,6 +193,23 @@ _CELL_COMBOS = ((0, 0), (1, 1), (0, 1), (1, 0))   # (x-edge, y-edge) pairings
 # (i+1, j+1), in edge_slopes order: bottom and top x, left and right y.
 _EDGE_STENCILS = np.array([[-1, 1, 0, 0], [0, 0, -1, 1], [-1, 0, 1, 0], [0, -1, 0, 1]],
                           dtype=float)
+_UPPER = np.triu_indices(4)   # a symmetric cell matrix's entries r <= c, numbered by _ENTRY
+_ENTRY = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])   # r > c: twin
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_stencils(hx: float, hy: float) -> list:
+    """Per _CELL_COMBOS pairing, read-only entry-first columns: stencils x and y
+    on a cell's nodes, then outer(x, x), xy + xy.T and outer(y, y) at _UPPER."""
+    cols = []
+    for a, b in _CELL_COMBOS:
+        x, y = _EDGE_STENCILS[a] / hx, _EDGE_STENCILS[2 + b] / hy
+        xy = np.outer(x, y)
+        cols.append([m[:, None, None] for m in (x, y, *(p[_UPPER] for p in (
+            np.outer(x, x), xy + xy.T, np.outer(y, y))))])
+        for m in cols[-1]:
+            m.flags.writeable = False
+    return cols
 
 
 def _pairings(edges):
@@ -234,14 +252,13 @@ def action_gradient(hf: HeightField, sigma: SurfaceTension, V: float = 0.0,
     g = hf.grid
     xs, ys = _pairings(hf.edge_slopes() if edges is None else edges)
     ga, gb = (np.asarray(d) for d in sigma.grad(xs, ys))
-    cell = np.zeros(xs.shape[1:] + (4,))    # per cell, on its four nodes
-    for k, (a, b) in enumerate(_CELL_COMBOS):
-        cell += ((ga[k] + V)[..., None] * (_EDGE_STENCILS[a] / g.hx)
-                 + gb[k][..., None] * (_EDGE_STENCILS[2 + b] / g.hy))
+    cell = np.zeros((4,) + xs.shape[1:])    # per cell, on its four nodes
+    for k, (x, y, *_) in enumerate(_cell_stencils(g.hx, g.hy)):
+        cell += (ga[k] + V) * x + gb[k] * y
     cell *= 0.25 * g.hx * g.hy
     out = np.zeros((g.nx, g.ny))
-    out[:-1] += cell[..., 0] + np.roll(cell[..., 2], 1, axis=1)
-    out[1:] += cell[..., 1] + np.roll(cell[..., 3], 1, axis=1)
+    out[:-1] += cell[0] + np.roll(cell[2], 1, axis=1)
+    out[1:] += cell[1] + np.roll(cell[3], 1, axis=1)
     return out
 
 
@@ -284,31 +301,25 @@ def _hessian_blocks(g: CylinderGrid, edges, sigma: SurfaceTension):
     Returns (diag, upper): diag[i] couples column i with itself and
     upper[i] couples column i (rows) with column i + 1; both are dense
     (ny, ny) blocks, periodic in y.  Each cell adds, per combo,
-    q [x_a; y_b]^T [[h11, h12], [h12, h22]] [x_a; y_b].
+    q [x_a; y_b]^T [[h11, h12], [h12, h22]] [x_a; y_b], summed entry-first into
+    one (10, nx-1, ny) array of _UPPER entries from products cached per (hx, hy).
     """
     xs, ys = _pairings(edges)
-    hess = [np.asarray(h)[..., None, None] for h in sigma.hess(xs, ys)]
-    cell = np.zeros(xs.shape[1:] + (4, 4))
-    for k, (a, b) in enumerate(_CELL_COMBOS):
-        h11, h12, h22 = (h[k] for h in hess)
-        x, y = _EDGE_STENCILS[a] / g.hx, _EDGE_STENCILS[2 + b] / g.hy
-        xy = np.outer(x, y)
-        cell += h11 * np.outer(x, x) + h12 * (xy + xy.T) + h22 * np.outer(y, y)
+    h11, h12, h22 = (np.asarray(h) for h in sigma.hess(xs, ys))
+    cell = np.zeros((10,) + xs.shape[1:])
+    for k, (*_, xx, xy, yy) in enumerate(_cell_stencils(g.hx, g.hy)):
+        cell += h11[k] * xx + h12[k] * xy + h22[k] * yy
     cell *= 0.25 * g.hx * g.hy
 
     j = np.arange(g.ny)
-    pairs = (j, (j + 1) % g.ny)
-
-    def scatter(block, rows, cols):   # a cell's nodes (j, j+1) in two columns
-        for r, jr in zip(rows, pairs):
-            for c, jc in zip(cols, pairs):
-                block[:, jr, jc] += cell[:, :, r, c]
-
+    pairs = (j, (j + 1) % g.ny)   # a cell's nodes (j, j+1) in each of its two columns
     diag = np.zeros((g.nx, g.ny, g.ny))
     upper = np.zeros((g.nx - 1, g.ny, g.ny))
-    scatter(diag[:-1], (0, 2), (0, 2))
-    scatter(diag[1:], (1, 3), (1, 3))
-    scatter(upper, (0, 2), (1, 3))
+    for block, rows, cols in ((diag[:-1], (0, 2), (0, 2)), (diag[1:], (1, 3), (1, 3)),
+                              (upper, (0, 2), (1, 3))):
+        for r, jr in zip(rows, pairs):
+            for c, jc in zip(cols, pairs):
+                block[:, jr, jc] += cell[_ENTRY[r, c]]
     return diag, upper
 
 

@@ -114,6 +114,8 @@ def in_profile_dir(tmp_path, monkeypatch):
     (["sixv", "--regime", "A1", "--u", "0.5", "--u", "0.6", "--gamma", "0.5"],
      "sixv reads one --u, got 2"),
     *((argv + flag, message) for argv, flag, message in NEWLY_UNREAD),
+    (["sixv", "--H", "0.5", "--V", "0.2"],
+     "sixv --H needs --regime, --transfer, --torus or --cylinder"),
 ])
 def test_flags_nothing_reads_exit_1_without_output(tmp_path, capsys, in_profile_dir, argv,
                                                    message):
@@ -124,8 +126,10 @@ def test_flags_nothing_reads_exit_1_without_output(tmp_path, capsys, in_profile_
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in NEWLY_UNREAD],
-                         ids=[message for _, _, message in NEWLY_UNREAD])
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in NEWLY_UNREAD]
+                         + [["sixv", "--torus", "1,1", "--H", "0.5", "--V", "0.2"]],
+                         ids=[message for _, _, message in NEWLY_UNREAD]
+                         + ["sixv --H with --torus 1,1"])
 def test_same_uses_without_the_unread_flag_exit_0(tmp_path, in_profile_dir, argv):
     # the rule refuses only the flag, not the run
     assert run(argv + ["--out", str(tmp_path / "out")]) == 0
@@ -356,6 +360,40 @@ def test_config_scalar_u_for_solve(tmp_path, monkeypatch):
     assert seen["variant"] == "FFClosed(u=0.5)"
     log = json.loads((tmp_path / "solve_log.json").read_text())
     assert log["resolved"]["u"] == [0.5]
+
+
+CONFIG_U_READ_ONCE = [
+    (["solve", "--nx", "9", "--ny", "8"], {"tension": "ff"}),
+    (["flow", "--ny", "16", "--steps", "8", "--tol", "1"], {"variant": "ff"}),
+    (["sixv"], {"regime": "A1", "gamma": 0.5}),
+]
+
+
+@pytest.mark.parametrize("argv, cfg", CONFIG_U_READ_ONCE, ids=["solve", "flow", "sixv"])
+def test_config_list_of_several_u_exits_1_where_one_is_read(tmp_path, capsys, argv, cfg):
+    # each solved, flowed or weighed at the first u and exited 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"u": [0.25, 0.5], **cfg}))
+    assert run(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {argv[0]} reads one --u, got 2\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, cfg", CONFIG_U_READ_ONCE, ids=["solve", "flow", "sixv"])
+def test_config_list_of_one_u_is_read(tmp_path, argv, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"u": [1.1] if argv[0] == "flow" else [0.25], **cfg}))
+    assert run(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_config_list_of_several_u_is_read_in_full_by_ff_tension(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"u": [0.25, 0.5], "variant": "ff", "tension": "ff"}))
+    assert run(["tension", "--config", str(path), "--lo", "0.3", "--hi", "0.3", "--n", "1",
+                "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("tension-*.csv")) == [
+        "tension-ff-u0.25.csv", "tension-ff-u0.5.csv"]
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -138,13 +138,23 @@ def _per_pairing(hf, sigma, V):
     return total * quarter, grad, diag, upper
 
 
+# (T, L, nx, ny): ny = 2 and 3, where the periodic neighbours j - 1 and j + 1
+# coincide or wrap onto each other; the benchmark's cold and warm grids; and
+# a grid with hx != hy and T != L
+ORACLE_GRIDS = {"9x8": (1.0, 1.0, 9, 8), "5x2": (1.0, 1.0, 5, 2), "4x3": (1.0, 1.0, 4, 3),
+                "17x16": (1.0, 1.0, 17, 16), "32x32": (0.25, 1.0, 32, 32),
+                "11x6-T0.7-L1.3": (0.7, 1.3, 11, 6)}
+
+
+@pytest.mark.parametrize("shape", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
 @pytest.mark.parametrize("sigma", [HEX, tn.ff_tension(1.0), tn.quadratic_tension(1.0, 0.3, 2.0)],
                          ids=["hex", "ff", "quadratic"])
-def test_stacked_pairings_equal_the_per_pairing_loop(sigma):
-    grid = sh.CylinderGrid(1.0, 1.0, 9, 8)
+def test_stacked_pairings_equal_the_per_pairing_loop(sigma, shape):
+    grid = sh.CylinderGrid(*shape)
     rng = np.random.default_rng(12)
-    base = affine_field(grid, 0.3, 0.35).values + 0.004 * rng.standard_normal((9, 8))
-    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35)
+    noise = 0.032 * min(grid.hx, grid.hy)   # keeps the edge slopes 0.3 and 0.35 +- ~0.1
+    base = affine_field(grid, 0.3, 0.35).values + noise * rng.standard_normal(shape[2:])
+    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35 * grid.L)
     V = 0.4
     total, grad, diag, upper = _per_pairing(hf, sigma, V)
     assert sh.action(hf, sigma, V) == total
