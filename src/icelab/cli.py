@@ -350,7 +350,8 @@ def cmd_solve(opts) -> int:
         hf, info = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000)
         log.update(converged=True, iterations=info.iterations, grad_norm=info.grad_norm,
                    evals=info.evals, backtracks=info.backtracks,
-                   start_checks=info.start_checks, phase_s=info.phase_s)
+                   start_checks=info.start_checks, factorizations=info.factorizations,
+                   chord_steps=info.chord_steps, phase_s=info.phase_s)
     except NonConvergence as err:
         hf = err.best
         log["converged"] = False

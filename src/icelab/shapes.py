@@ -34,6 +34,7 @@ from .errors import Inconsistent, NonConvergence, SlopeOutOfDomain
 from .tension import SurfaceTension, coarse_to_fine
 
 BOX_INSET = 1e-6   # how far inside the tension's slope box the solver stays
+CHORD_MARGIN = 0.1   # a chord step is taken when predicted to land this far under tol
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,8 @@ class SolveInfo:
     evals: int = 0         # objective (action plus gradient) evaluations
     backtracks: int = 0    # line-search trials rejected
     start_checks: int = 0  # feasibility checks choosing the default start
+    factorizations: int = 0   # steps along a fresh Hessian assembly and block sweep
+    chord_steps: int = 0      # steps along the last sweep's kept factorization
     phase_s: dict = field(default_factory=dict)   # seconds per solver phase
 
 
@@ -326,18 +329,25 @@ def _hessian_blocks(g: CylinderGrid, edges, sigma: SurfaceTension):
 def _block_tridiag_solve(diag, upper, rhs):
     """Block Thomas sweep for the symmetric block-tridiagonal system with
     diagonal blocks diag[k] and super-diagonal blocks upper[k] (the last
-    one is not used); rhs has shape (m, ny, k)."""
+    one is not used); rhs has shape (m, ny, k).  Returns the solution and
+    cp[k] = S_k^-1 upper[k]; diag[k] is overwritten by the Schur complement
+    S_k, so the pair is the factorization a chord direction reuses."""
     ny = diag.shape[1]
     cp = np.empty_like(upper)
     rp = np.empty_like(rhs)
     for k in range(len(diag)):
         s, r = diag[k], rhs[k]
         if k > 0:
-            s = s - upper[k - 1].T @ cp[k - 1]
+            s -= upper[k - 1].T @ cp[k - 1]   # in place: diag[k] becomes S_k
             r = r - upper[k - 1].T @ rp[k - 1]
         sol = np.linalg.solve(s, np.concatenate([upper[k], r], axis=1))
         cp[k], rp[k] = sol[:, :ny], sol[:, ny:]
-    for k in range(len(diag) - 2, -1, -1):
+    return _back_substitute(cp, rp), cp
+
+
+def _back_substitute(cp, rp):
+    """The sweep's back substitution x_k = rp_k - cp_k x_{k+1}, in place on rp."""
+    for k in range(len(cp) - 2, -1, -1):
         rp[k] -= cp[k] @ rp[k + 1]
     return rp
 
@@ -375,22 +385,53 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
     return candidate(first + (last - first + 1) // 2), checks
 
 
+@dataclass(frozen=True)
+class _Factorization:
+    """A full Newton direction's block sweep, kept for one chord direction:
+    the Schur complements S_k, cp and upper blocks of the interior system,
+    the c_t border row, its solution and the c_t Schur denominator."""
+
+    schur: np.ndarray
+    cp: np.ndarray
+    upper: np.ndarray
+    border: np.ndarray
+    border_sol: np.ndarray
+    denom: float
+
+    def direction(self, gvec):
+        """Solve the kept Hessian's H d = -g: one 1-column solve per S_k."""
+        rhs = -gvec[:-1].reshape(self.cp.shape[:2])
+        rp = np.empty_like(rhs)
+        for k, s in enumerate(self.schur):
+            r = rhs[k] if k == 0 else rhs[k] - self.upper[k - 1].T @ rp[k - 1]
+            rp[k] = np.linalg.solve(s, r)
+        return self.eliminate(gvec, _back_substitute(self.cp, rp).ravel())
+
+    def eliminate(self, gvec, sol):
+        """The direction from the interior solution for -g: the Schur step on c_t."""
+        c = (-gvec[-1] - self.border @ sol) / self.denom
+        return np.append(sol - c * self.border_sol, c)
+
+
 def _newton_direction(grid: CylinderGrid, edges, sigma: SurfaceTension, gvec):
     """Solve H d = -g over the free variables (interior nodes, then c_t).
 
     c_t moves the whole right column, so its Hessian row is the column sum
     of that column's couplings: it borders the last interior block and is
-    eliminated by a Schur step on a second right-hand side.
+    eliminated by a Schur step on a second right-hand side.  Returns d and
+    the _Factorization a chord direction can reuse.
     """
     diag, upper = _hessian_blocks(grid, edges, sigma)
     m, ny = grid.nx - 2, grid.ny
     border = np.zeros((m, ny))
     border[-1:] = np.sum(upper[-1], axis=1)
     rhs = np.stack([-gvec[:-1].reshape(m, ny), border], axis=2)
-    sol = _block_tridiag_solve(diag[1:-1], upper[1:], rhs).reshape(-1, 2)
+    sol, cp = _block_tridiag_solve(diag[1:-1], upper[1:], rhs)
+    sol = sol.reshape(-1, 2)
     b = border.ravel()
-    c = (-gvec[-1] - b @ sol[:, 0]) / (np.sum(diag[-1]) - b @ sol[:, 1])
-    return np.append(sol[:, 0] - c * sol[:, 1], c)
+    kept = _Factorization(diag[1:-1], cp, upper[1:], b, sol[:, 1],
+                          np.sum(diag[-1]) - b @ sol[:, 1])
+    return kept.eliminate(gvec, sol[:, 0]), kept
 
 
 def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
@@ -405,6 +446,14 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     steps are taken, and every edge slope stays BOX_INSET inside the
     tension's slope box.  Raises NonConvergence (carrying the best iterate)
     if the gradient criterion is not met.
+
+    Chord rule: after a full Newton step accepted at step 1 that took the
+    gradient norm from g0 to g1, quadratic convergence predicts g1^2 / g0
+    next; when that is under CHORD_MARGIN * tol, the next direction is a
+    chord direction on the factorization of the step just taken, without a
+    new Hessian.  It is used once, so a chord step that misses tol is
+    followed by a full step; chord steps count against max_iter, and
+    SolveInfo counts them apart from the factorizations.
     """
     if boundary.t_left.size != grid.ny:
         raise Inconsistent("boundary profiles must match the grid")
@@ -469,17 +518,27 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     # damped Newton with Armijo backtracking; infeasible trials are
     # rejected, so every accepted iterate satisfies the slope box
     actions: list[float] = []
-    n_iter = backtracks = 0
+    n_iter = backtracks = factorizations = chord_steps = 0
+    kept = None                     # the last full step's factorization, while reusable
     while gnorm > tol and n_iter < max_iter:
+        chord, kept = kept, None    # a kept factorization serves one chord direction
         try:
             with timed("newton_direction"):
-                d = _newton_direction(grid, edges, sigma, gvec)
+                if chord is not None:
+                    d = chord.direction(gvec)
+                else:
+                    d, kept = _newton_direction(grid, edges, sigma, gvec)
             slope = float(gvec @ d)
         except np.linalg.LinAlgError:
             slope = np.nan
         if not slope < 0:           # not a descent direction
             d = -gvec
             slope = -float(gvec @ gvec)
+            kept = None
+        elif chord is not None:
+            chord_steps += 1
+        else:
+            factorizations += 1
         step = 1.0
         for _ in range(50):
             cand = v + step * d
@@ -494,6 +553,9 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
             step *= 0.5
         else:
             break                   # no acceptable step: stalled
+        # g1^2 / g0 < CHORD_MARGIN tol, written without dividing by g0
+        if step < 1.0 or not gnc * gnc < CHORD_MARGIN * tol * gnorm:
+            kept = None
         v, f, gvec, gnorm, edges = cand, fc, gc, gnc, ec
         actions.append(f)
         n_iter += 1
@@ -501,9 +563,12 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     hf = field_of(unpack(v))
     info = SolveInfo(iterations=n_iter, grad_norm=gnorm, actions=actions,
                      converged=gnorm <= tol, evals=evals, backtracks=backtracks,
-                     start_checks=checks, phase_s=phase_s)
+                     start_checks=checks, factorizations=factorizations,
+                     chord_steps=chord_steps, phase_s=phase_s)
     if not info.converged:
         raise NonConvergence("projected gradient criterion not met", best=hf,
                              diagnostics={"grad_norm": gnorm, "iterations": n_iter,
-                                          "evals": evals, "backtracks": backtracks})
+                                          "evals": evals, "backtracks": backtracks,
+                                          "factorizations": factorizations,
+                                          "chord_steps": chord_steps})
     return hf, info

@@ -262,6 +262,14 @@ def test_solve_log_reports_evals_and_backtracks(tmp_path):
     assert log["evals"] >= log["iterations"] >= 1
 
 
+def test_solve_log_reports_factorizations_and_chord_steps(tmp_path):
+    code = run(["solve", "--nx", "9", "--ny", "8", "--out", str(tmp_path)])
+    assert code == 0
+    log = json.loads((tmp_path / "solve_log.json").read_text())
+    assert log["factorizations"] >= 1 and log["chord_steps"] >= 0
+    assert log["factorizations"] + log["chord_steps"] <= log["iterations"]
+
+
 def test_solve_log_reports_start_checks_and_phase_seconds(tmp_path):
     code = run(["solve", "--nx", "17", "--ny", "16", "--out", str(tmp_path)])
     assert code == 0

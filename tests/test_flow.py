@@ -311,6 +311,15 @@ def test_default_filter_keeps_roundoff_out(ny):
     assert np.max(np.abs(traj.states[-1].l - endB.l)) <= 1e-10
 
 
+@pytest.mark.xfail(strict=True, reason="the default cutoff bounds roundoff growth and cuts "
+                   "solution modes at x = 0.25 (4.8e-4 off burgers_evolve); ROADMAP item 3")
+def test_default_filter_keeps_the_solution_modes():
+    st = sine_state(128, amp=0.1)
+    endB = fl.burgers_evolve(st, fl.hex_burgers(), 0.25)
+    traj = fl.hamilton_evolve(st, fl.hex_density(), (0.0, 0.25), 512)
+    assert np.max(np.abs(traj.states[-1].l - endB.l)) <= 1e-6
+
+
 def test_default_filter_modes_from_growth():
     st = sine_state(128)
     # max Im F(e^l0) = cot(0.285 pi) / 2 on this data: growth 1e4 at k = 14.6

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icelab import flow as fl
 from icelab import shapes as sh
 from icelab import tension as tn
 from icelab.errors import Inconsistent, NonConvergence, SlopeOutOfDomain
@@ -273,6 +275,7 @@ def test_minimize_nonconvergence_carries_best():
     assert isinstance(err.value.best, sh.HeightField)
     assert "grad_norm" in err.value.diagnostics
     assert err.value.diagnostics["iterations"] <= 3
+    assert err.value.diagnostics["factorizations"] + err.value.diagnostics["chord_steps"] <= 3
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -390,8 +393,170 @@ def test_hessian_blocks_match_gradient_differences():
     proj[16:, 12] = 1.0
     g = sh.action_gradient(field(base), HEX)
     gvec = np.append(g[1:-1].ravel(), g[-1].sum())
-    newton = sh._newton_direction(grid, field(base).edge_slopes(), HEX, gvec)
+    newton, _ = sh._newton_direction(grid, field(base).edge_slopes(), HEX, gvec)
     assert np.max(np.abs(newton - np.linalg.solve(proj.T @ dense @ proj, -gvec))) < 1e-12
+
+
+def _parent_block_tridiag_solve(diag, upper, rhs):
+    """The block Thomas sweep before the chord step, kept as the oracle."""
+    ny = diag.shape[1]
+    cp = np.empty_like(upper)
+    rp = np.empty_like(rhs)
+    for k in range(len(diag)):
+        s, r = diag[k], rhs[k]
+        if k > 0:
+            s = s - upper[k - 1].T @ cp[k - 1]
+            r = r - upper[k - 1].T @ rp[k - 1]
+        sol = np.linalg.solve(s, np.concatenate([upper[k], r], axis=1))
+        cp[k], rp[k] = sol[:, :ny], sol[:, ny:]
+    for k in range(len(diag) - 2, -1, -1):
+        rp[k] -= cp[k] @ rp[k + 1]
+    return rp
+
+
+def _parent_newton_direction(grid, edges, sigma, gvec):
+    """The Newton direction before the chord step, kept as the oracle."""
+    diag, upper = sh._hessian_blocks(grid, edges, sigma)
+    m, ny = grid.nx - 2, grid.ny
+    border = np.zeros((m, ny))
+    border[-1:] = np.sum(upper[-1], axis=1)
+    rhs = np.stack([-gvec[:-1].reshape(m, ny), border], axis=2)
+    sol = _parent_block_tridiag_solve(diag[1:-1], upper[1:], rhs).reshape(-1, 2)
+    b = border.ravel()
+    c = (-gvec[-1] - b @ sol[:, 0]) / (np.sum(diag[-1]) - b @ sol[:, 1])
+    return np.append(sol[:, 0] - c * sol[:, 1], c)
+
+
+TENSIONS = {"hex": HEX, "ff": tn.ff_tension(1.0), "quadratic": tn.quadratic_tension(1.0, 0.3, 2.0)}
+
+
+@pytest.mark.parametrize("shape", ORACLE_GRIDS.values(), ids=ORACLE_GRIDS.keys())
+@pytest.mark.parametrize("variant", TENSIONS)
+def test_full_newton_direction_equals_the_parent_sweep(variant, shape):
+    sigma = TENSIONS[variant]
+    grid = sh.CylinderGrid(*shape)
+    rng = np.random.default_rng(13)
+    noise = 0.032 * min(grid.hx, grid.hy)
+    base = affine_field(grid, 0.3, 0.35).values + noise * rng.standard_normal(shape[2:])
+    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35 * grid.L)
+    gfull = sh.action_gradient(hf, sigma, 0.4)
+    gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
+    edges = hf.edge_slopes()
+    d, kept = sh._newton_direction(grid, edges, sigma, gvec)
+    assert np.array_equal(d, _parent_newton_direction(grid, edges, sigma, gvec))
+    # a chord direction on the same gradient is the same solve, up to roundoff
+    scale = float(np.max(np.abs(d)))
+    assert np.max(np.abs(kept.direction(gvec) - d)) <= 1e-12 * scale
+
+
+def _spied_solve(*args, **kwargs):
+    """minimize_action's result and, per direction it formed, its kind
+    ("full" or "chord") and whether it was a descent direction."""
+    kinds = []
+
+    def spy(kind, fn):
+        def formed(*a):
+            try:
+                out = fn(*a)
+            except np.linalg.LinAlgError:
+                kinds.append((kind, False))
+                raise
+            d = out[0] if kind == "full" else out
+            kinds.append((kind, float(a[-1] @ d) < 0))
+            return out
+        return formed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sh, "_newton_direction", spy("full", sh._newton_direction))
+        mp.setattr(sh._Factorization, "direction", spy("chord", sh._Factorization.direction))
+        hf, info = sh.minimize_action(*args, **kwargs)
+    return hf, info, kinds
+
+
+def _check_counters(info, kinds):
+    fallbacks = sum(not descent for _, descent in kinds)
+    assert info.factorizations == kinds.count(("full", True))
+    assert info.chord_steps == kinds.count(("chord", True))
+    assert info.iterations == info.factorizations + info.chord_steps + fallbacks
+    # a chord step ends the solve or is followed by a new factorization
+    assert all(b[0] == "full" for a, b in zip(kinds, kinds[1:]) if a[0] == "chord")
+
+
+def _anchored_gap(a, b):
+    diff = a - b
+    return float(np.max(np.abs(diff - diff[0, 0])))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(sorted(TENSIONS)), n=st.sampled_from([8, 12, 16, 24]),
+       tbar=st.floats(0.3, 0.45),
+       amps=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+       phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+       mode=st.sampled_from([1, 2]), log_tol=st.floats(-10.0, -8.0))
+def test_chord_steps_agree_with_full_newton_property(variant, n, tbar, amps, phases, mode,
+                                                     log_tol):
+    sigma, tol = TENSIONS[variant], 10.0 ** log_tol
+    grid = sh.CylinderGrid(1.0, 1.0, n + 1, n)
+    yj = grid.ys() + grid.hy / 2
+    bd = sh.BoundaryData(*(tbar + a * np.sin(2 * np.pi * mode * yj + p)
+                           for a, p in zip(amps, phases)))
+    hf, info, kinds = _spied_solve(grid, sigma, bd, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sh, "CHORD_MARGIN", 0.0)
+        hf0, info0, kinds0 = _spied_solve(grid, sigma, bd, tol=tol)
+    assert info0.chord_steps == 0
+    for i, k in ((info, kinds), (info0, kinds0)):
+        assert i.converged and i.grad_norm <= tol
+        assert all(b <= a + 1e-12 for a, b in zip(i.actions, i.actions[1:]))
+        _check_counters(i, k)
+    assert _anchored_gap(hf.values, hf0.values) <= 1e-8
+
+
+@pytest.mark.parametrize("variant", ["hex", "ff"])   # a quadratic action takes one step
+def test_a_chord_step_that_misses_tol_is_followed_by_a_factorization(variant, monkeypatch):
+    # with a huge margin every full step accepted at step 1 is followed by a
+    # chord step, and the first one misses tol
+    sigma = TENSIONS[variant]
+    grid = sh.CylinderGrid(1.0, 1.0, 17, 16)
+    yj = grid.ys() + grid.hy / 2
+    bd = sh.BoundaryData(0.4 + 0.05 * np.sin(2 * np.pi * yj), 0.4 - 0.04 * np.sin(2 * np.pi * yj))
+    hf0, _ = sh.minimize_action(grid, sigma, bd, tol=1e-10)
+    monkeypatch.setattr(sh, "CHORD_MARGIN", 1e12)
+    hf, info, kinds = _spied_solve(grid, sigma, bd, tol=1e-10)
+    assert info.converged and info.grad_norm <= 1e-10
+    assert all(b <= a + 1e-12 for a, b in zip(info.actions, info.actions[1:]))
+    _check_counters(info, kinds)
+    assert any(kind == "chord" for kind, _ in kinds[:-1])
+    assert _anchored_gap(hf.values, hf0.values) <= 1e-8
+
+
+def _warm_benchmark_solve(seed):
+    """The first warm 32x32 solve of the variational benchmark round at seed:
+    the solve starts from the Hamiltonian-flow heights of smooth data."""
+    rng = random.Random(f"variational:{seed}")
+    rng.uniform(0.33, 0.40)   # the cold solve's end slope
+    ys = np.arange(32) / 32
+    tbar, amp = rng.uniform(0.55, 0.65), rng.uniform(0.02, 0.035)
+    state = fl.FlowState(1.0, np.zeros(32),
+                         tbar + amp * np.sin(2 * np.pi * ys + rng.uniform(0.0, 2 * np.pi)))
+    traj = fl.hamilton_evolve(state, fl.hex_density(), (0.0, 0.25), 62, keep_every=2)
+    grid = sh.CylinderGrid(0.25, 1.0, 32, 32)
+    bd = sh.BoundaryData(fl.spectral_shift(state.t, grid.hy / 2, 1.0),
+                         fl.spectral_shift(traj.states[-1].t, grid.hy / 2, 1.0))
+    return grid, bd, np.array(traj.heights)
+
+
+def test_warm_benchmark_solve_takes_one_chord_step():
+    grid, bd, start = _warm_benchmark_solve(9931)
+    hf, info, kinds = _spied_solve(grid, HEX, bd, tol=1e-8, max_iter=40000, start=start)
+    assert info.converged and info.grad_norm <= 1e-8
+    assert (info.iterations, info.factorizations, info.chord_steps) == (2, 1, 1)
+    assert kinds == [("full", True), ("chord", True)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sh, "CHORD_MARGIN", 0.0)
+        hf0, info0 = sh.minimize_action(grid, HEX, bd, tol=1e-8, max_iter=40000, start=start)
+    assert (info0.factorizations, info0.chord_steps) == (2, 0)
+    assert _anchored_gap(hf.values, hf0.values) <= 1e-8
 
 
 def test_facet_mask_flags_box_slopes():
