@@ -198,7 +198,7 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
     SingularBranch.  df is the central difference with step 1e-6.
     """
     w0 = complex(probe[1])
-    layout = tension._fiber_layout(curve.transformed(swap=True))
+    layout = tension._fiber_layout(curve, swap=True)
 
     def f(z):
         z = np.asarray(z, dtype=complex)
@@ -212,7 +212,7 @@ def burgers_from_curve(curve: SpectralCurve, probe: tuple[complex, complex]) -> 
             raise BranchAmbiguous(f"branches equally near the probe at z={z.flat[close.argmax()]}")
         w = np.take_along_axis(roots, np.argmin(dist, axis=1)[:, None], axis=1)[:, 0]
         w_dw, z_dz = tension._log_partials(layout, w, z.ravel())
-        if np.any(np.abs(w_dw) < 1e-13 * np.abs(w) ** (1 - layout[0])):
+        if np.any(np.abs(w_dw) < 1e-13 * np.abs(w) ** (1 - layout.i_min)):
             raise SingularBranch("dP/dw vanished on the branch")
         return (z_dz / w_dw).reshape(z.shape)
 

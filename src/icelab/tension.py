@@ -37,6 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -118,15 +119,37 @@ def lobachevsky_fast(x):
 # free energy of a spectral curve
 # ---------------------------------------------------------------------------
 
-def _fiber_layout(curve: SpectralCurve):
-    """(i_min, z-degree, terms) of a curve read as a z-polynomial.
+class _Layout(NamedTuple):
+    """A curve read as a z-polynomial, with what its crossings and partials reuse."""
 
-    Each term is (row, j, c): c w^j adds to the coefficient of z^(i_min + row).
+    i_min: int
+    deg: int            # z-degree
+    terms: tuple        # (row, j, c): c w^j adds to the coefficient of z^(i_min + row)
+    de: int             # degree of the crossing resultant: deg times the w-span
+    z_dz: tuple         # (row, j, c row) for row != 0: the terms of z dP/dz
+    w_dw: tuple         # (row, j, c j) for j != 0: the terms of w dP/dw
+    z_powers: tuple     # the rows != 0 those terms use
+    w_powers: tuple     # the j != 0 those terms use
+
+
+@functools.lru_cache(maxsize=64)
+def _fiber_layout(curve: SpectralCurve, swap: bool = False) -> _Layout:
+    """The curve, or with ``swap`` the curve with z and w swapped, read as
+    a z-polynomial.
+
+    Built once per curve and reading: a bounded cache keyed on the frozen
+    curve holds it, and nothing in it depends on the torus (H, V).
     """
-    i_all = [i for (i, _), _ in curve.coeffs]
-    i_min = min(i_all)
+    if swap:
+        curve = curve.transformed(swap=True)
+    i_all, j_all = zip(*(k for k, _ in curve.coeffs))
+    i_min, deg = min(i_all), max(i_all) - min(i_all)
     terms = tuple((i - i_min, j, c) for (i, j), c in curve.coeffs)
-    return i_min, max(i_all) - i_min, terms
+    z_dz = tuple((row, j, c * row) for row, j, c in terms if row)
+    w_dw = tuple((row, j, c * j) for row, j, c in terms if j)
+    return _Layout(i_min, deg, terms, deg * (max(j_all) - min(j_all)), z_dz, w_dw,
+                   tuple({row for row, _, _ in z_dz + w_dw} - {0}),
+                   tuple({j for _, j, _ in z_dz + w_dw} - {0}))
 
 
 def _fiber_coeffs(layout, w: np.ndarray) -> np.ndarray:
@@ -135,9 +158,8 @@ def _fiber_coeffs(layout, w: np.ndarray) -> np.ndarray:
     Terms in w^0 and w^1 add c and c w, which is what c w^j gives there
     bit for bit, without forming the power.
     """
-    _, deg, terms = layout
-    coeffs = np.zeros((deg + 1, w.size), dtype=complex)
-    for row, j, c in terms:
+    coeffs = np.zeros((layout.deg + 1, w.size), dtype=complex)
+    for row, j, c in layout.terms:
         coeffs[row] += c if j == 0 else c * w if j == 1 else c * w ** j
     return coeffs
 
@@ -158,25 +180,28 @@ def _fiber_roots(coeffs: np.ndarray):
     Columns are laid out lowest degree first.  Where a column's leading
     coefficient has dropped to roundoff, the column is trimmed to its true
     degree: the escaped roots are returned as inf and the leading
-    coefficient as that of the trimmed polynomial.
+    coefficient as that of the trimmed polynomial.  The trimming runs only
+    when some column needs it.
     """
     deg = coeffs.shape[0] - 1
     n = coeffs.shape[1]
     if deg == 0:
         return np.zeros((n, 0), dtype=complex), coeffs[0]
     lead = coeffs[-1].copy()
-    scale = np.abs(coeffs).max(axis=0)
-    bad = np.abs(lead) < 1e-13 * np.maximum(scale, 1e-300)
+    mag = np.abs(coeffs)
+    bad = mag[-1] < 1e-13 * np.maximum(mag.max(axis=0), 1e-300)
+    dropped = bad.any()
     if deg == 1:
         # the eigenvalue of the 1x1 companion matrix, bit for bit
-        roots = (-coeffs[0] / np.where(bad, 1.0, lead))[:, None]
-    else:
+        roots = (-coeffs[0] / (np.where(bad, 1.0, lead) if dropped else lead))[:, None]
+    elif dropped:
         roots = np.full((n, deg), np.nan, dtype=complex)
         good = ~bad
-        comp = np.zeros((int(good.sum()), deg, deg), dtype=complex)
-        comp[:, 1:, :-1] = np.eye(deg - 1)
-        comp[:, 0, :] = (-coeffs[deg - 1::-1, good] / lead[good]).T
-        roots[good] = np.linalg.eigvals(comp)
+        roots[good] = np.linalg.eigvals(_companions(coeffs[:, good], lead[good]))
+    else:
+        roots = np.linalg.eigvals(_companions(coeffs, lead))
+    if not dropped:
+        return roots, lead
     for k in bad.nonzero()[0]:
         col = coeffs[:, k]
         nz = np.nonzero(np.abs(col) > 1e-13 * max(np.max(np.abs(col)), 1e-300))[0]
@@ -189,13 +214,22 @@ def _fiber_roots(coeffs: np.ndarray):
     return roots, lead
 
 
+def _companions(coeffs: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """The stack of companion matrices of the column polynomials."""
+    deg = coeffs.shape[0] - 1
+    comp = np.zeros((coeffs.shape[1], deg, deg), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, 0, :] = (-coeffs[deg - 1::-1] / lead).T
+    return comp
+
+
 def _jensen_inner(layout, H: float, V: float, psi: np.ndarray) -> np.ndarray:
     """Exact inner-circle mean of log|P| at each w = e^(V + i psi)."""
     roots, lead = _fiber_roots(_fiber_coeffs(layout, np.exp(V + 1j * psi)))
     finite = np.isfinite(roots)
     logmod = np.log(np.maximum(np.abs(np.where(finite, roots, 1.0)), 1e-300))
     # roots that escaped a trimmed fiber contribute nothing
-    return layout[0] * H + np.log(np.abs(lead)) + np.where(
+    return layout.i_min * H + np.log(np.abs(lead)) + np.where(
         finite, np.maximum(H, logmod), 0.0).sum(axis=1)
 
 
@@ -252,29 +286,56 @@ def free_energy(curve: SpectralCurve, H: float, V: float, tol: float = 1e-8,
 
 
 def _log_partials(layout, z, w):
-    """(z dP/dz, w dP/dw) times z^-i_min at points (z, w) of the curve."""
-    z_pow = {row: z ** row for row in {row for row, _, _ in layout[2]}}
-    w_pow = {j: w ** j for j in {j for _, j, _ in layout[2]}}
-    z_dz = sum(c * row * z_pow[row] * w_pow[j] for row, j, c in layout[2])
-    w_dw = sum(c * j * z_pow[row] * w_pow[j] for row, j, c in layout[2])
-    return z_dz, w_dw
+    """(z dP/dz, w dP/dw) times z^-i_min at points (z, w) of the curve.
+
+    Each sums only the layout's derivative terms (c row z^row w^j for
+    row != 0, c j z^row w^j for j != 0), with each power formed once,
+    z^1 and w^1 read as z and w, and z^0 and w^0 not multiplied in.  At
+    finite (z, w) that is the sum over every term bit for bit, up to the
+    sign of a zero (an exact zero partial is a singular point of the curve).
+    """
+    z_pow = {row: z if row == 1 else z ** row for row in layout.z_powers}
+    w_pow = {j: w if j == 1 else w ** j for j in layout.w_powers}
+    return (_term_sum(layout.z_dz, z_pow, w_pow, z, w),
+            _term_sum(layout.w_dw, z_pow, w_pow, z, w))
+
+
+def _term_sum(terms, z_pow, w_pow, z, w):
+    """The sum of c z^row w^j over terms, in their order; zeros if none."""
+    total = None
+    for row, j, c in terms:
+        term = c * z_pow[row] if row else c * w_pow[j]
+        if row and j:
+            term *= w_pow[j]
+        if total is None:
+            total = term
+        else:
+            total += term
+    return np.zeros(np.broadcast(z, w).shape, dtype=complex) if total is None else total
 
 
 def _near_root(layout, H: float, V: float, psi: np.ndarray):
     """g = log|Z| - H (slope -Im rho), rho = -(w dP/dw) / (z dP/dz) at (Z, w) and
-    Z, the root of P(., w = e^(V + i psi)) nearest |z| = e^H; psi mod 2 pi's argsort;
-    and the root moduli at the arcs' midpoints (`_arc_midpoints`): one fiber solve."""
-    m, order = psi.size, (psi % _TWO_PI).argsort()
-    w = np.exp(V + 1j * np.concatenate((psi, _arc_midpoints(psi[order] % _TWO_PI))))
+    Z, the root of P(., w = e^(V + i psi)) nearest |z| = e^H; psi mod 2 pi's argsort
+    and psi mod 2 pi in that order; and the root moduli at the arcs' midpoints
+    (`_arc_midpoints`): one fiber solve.
+
+    The layout comes built (`_fiber_layout`, once per curve) and rho from its
+    derivative terms only (`_log_partials`); psi mod 2 pi is formed once.
+    """
+    m, wrapped = psi.size, psi % _TWO_PI
+    order = wrapped.argsort()
+    wrapped = wrapped[order]
+    w = np.exp(V + 1j * np.concatenate((psi, _arc_midpoints(wrapped))))
     roots = _fiber_roots(_fiber_coeffs(layout, w))[0]
     moduli = np.abs(roots)
     if not m:       # no angle (at z-degree 0 there is no root to pick)
-        return psi, psi + 0j, psi + 0j, order, moduli
+        return psi, psi + 0j, psi + 0j, order, wrapped, moduli
     gap = np.log(moduli[:m]) - H
-    near = np.abs(gap).argmin(axis=1)
-    z, g = roots[np.arange(m), near], gap[np.arange(m), near]
+    near, rows = np.abs(gap).argmin(axis=1), np.arange(m)
+    z, g = roots[rows, near], gap[rows, near]
     z_dz, w_dw = _log_partials(layout, z, w[:m])
-    return g, -w_dw / z_dz, z, order, moduli[m:]
+    return g, -w_dw / z_dz, z, order, wrapped, moduli[m:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,19 +367,20 @@ def _crossings(layout, H: float, V: float):
     (Z, e^(V + i psi)) is the point where the curve meets the torus; and
     the largest |log|Z| - H| left by the polish.
     """
-    _, deg, terms = layout
-    j_all = [j for _, j, _ in terms]
-    de = deg * (max(j_all) - min(j_all))
+    deg, de = layout.deg, layout.de
     omega, dft = _unit_dft(de)
     a = _fiber_coeffs(layout, math.exp(V) * omega) * np.exp(H * np.arange(deg + 1))[:, None]
     sylvester = np.zeros((omega.size, 2 * deg, 2 * deg), dtype=complex)
+    a_conj = a.conj()
     for k in range(deg):
         sylvester[:, k, k:k + deg + 1] = a[::-1].T
-        sylvester[:, deg + k, k:k + deg + 1] = a.conj().T
+        sylvester[:, deg + k, k:k + deg + 1] = a_conj.T
     samples = np.linalg.det(sylvester)
     # R = 0 where p is real on a torus arc: every sample at roundoff of its
     # Hadamard bound, the product of its row norms, which is |a|^(2 deg)
-    if (np.abs(samples) < 1e-12 * np.linalg.norm(a, axis=0) ** (2 * deg)).all():
+    # (the column norms as np.linalg.norm forms them, without its wrapper)
+    norms = np.sqrt(np.add.reduce((a_conj * a).real, axis=0))
+    if (np.abs(samples) < 1e-12 * norms ** (2 * deg)).all():
         raise SingularLocus(f"the curve meets the torus at ({H}, {V}) along an arc")
     r = dft @ samples
     omega = _companion_roots(np.concatenate((r[de::-1], r[:de:-1])))
@@ -326,8 +388,9 @@ def _crossings(layout, H: float, V: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         # near a tangency two roots merge and the eigenvalues keep them to
         # ~sqrt(eps); an exact zero root (R's lowest coefficient 0) logs to -inf
-        psi = np.angle(omega[np.abs(np.log(np.abs(omega))) < 1e-6])
-        g, rho, z, order, moduli = _near_root(layout, H, V, psi)
+        omega = omega[np.abs(np.log(np.abs(omega))) < 1e-6]
+        psi = np.arctan2(omega.imag, omega.real)       # np.angle, without its wrapper
+        g, rho, z, order, wrapped, moduli = _near_root(layout, H, V, psi)
         last = np.inf
         for _ in range(16):
             step = g / rho.imag
@@ -337,9 +400,9 @@ def _crossings(layout, H: float, V: float):
             if size <= ulps or size >= last:
                 break
             psi, last = psi + step, size
-            g, rho, z, order, moduli = _near_root(layout, H, V, psi)
+            g, rho, z, order, wrapped, moduli = _near_root(layout, H, V, psi)
     count = _arc_counts(moduli, math.exp(H), H, V)
-    return psi[order] % _TWO_PI, count, rho[order], z[order], float(np.abs(g).max(initial=0.0))
+    return wrapped, count, rho[order], z[order], float(np.abs(g).max(initial=0.0))
 
 
 def _arc_midpoints(psi: np.ndarray) -> np.ndarray:
@@ -394,17 +457,17 @@ def grad_free_energy(curve: SpectralCurve, H: float, V: float):
     layout = _fiber_layout(curve)
     psi, count, rho, z, _ = _crossings(layout, H, V)
     mean_h, delta = _arc_mean(psi, count)
-    theta = np.angle(z) % _TWO_PI
+    theta = np.arctan2(z.imag, z.real) % _TWO_PI
     order = theta.argsort()
     theta, rho_w = theta[order], rho[order]
-    layout_w = _fiber_layout(curve.transformed(swap=True))
+    layout_w = _fiber_layout(curve, swap=True)
     w = np.exp(H + 1j * _arc_midpoints(theta))
     moduli_w = np.abs(_fiber_roots(_fiber_coeffs(layout_w, w))[0])
     mean_v, delta_w = _arc_mean(theta, _arc_counts(moduli_w, math.exp(V), H, V))
     hh = float(delta @ (-1.0 / rho.imag)) / _TWO_PI
     hv = float(delta @ (rho.real / rho.imag)) / _TWO_PI
     vv = float(delta_w @ ((rho_w.real ** 2 + rho_w.imag ** 2) / rho_w.imag)) / _TWO_PI
-    return (layout[0] + mean_h, layout_w[0] + mean_v), np.array([[hh, hv], [hv, vv]])
+    return (layout.i_min + mean_h, layout_w.i_min + mean_v), np.array([[hh, hv], [hv, vv]])
 
 
 @dataclass
@@ -420,11 +483,19 @@ class FreeEnergyField:
 
     def value(self, H: float, V: float) -> float:
         """`free_energy` at tol; a miss raises NonConvergence with (H, V) as best."""
+        return self._value_info(H, V)[0]
+
+    def _value_info(self, H: float, V: float):
+        """`value` and the free energy's info."""
         f, info = free_energy(self.curve, H, V, tol=self.tol, return_info=True)
         if not info["converged"]:
             raise NonConvergence(f"free energy missed tol {self.tol}", best=(H, V),
-                                 diagnostics={k: info[k] for k in ("estimate", "n")})
-        return f
+                                 diagnostics={k: info[k] for k in _FREE_ENERGY_FIELDS})
+        return f, info
+
+
+# what a free energy's info passes on to its callers' diagnostics
+_FREE_ENERGY_FIELDS = ("estimate", "n", "crossing_residual", "crossing_condition")
 
 
 def _newton_polygon_contains(curve: SpectralCurve, s, t, margin: float = 1e-9):
@@ -446,7 +517,8 @@ def _newton_polygon_contains(curve: SpectralCurve, s, t, margin: float = 1e-9):
     return inside
 
 
-def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
+def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
+                   return_info: bool = False):
     """sigma(s, t) = max over (H, V) of sH + tV - f(H, V).
 
     Solved as the root of grad f = (s, t) by a guarded Newton iteration
@@ -454,27 +526,40 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
     (`grad_free_energy`); an accepted line-search
     trial hands its Hessian on to the next step, and the Newton step off the
     last residual is taken before returning.  It starts from (0, 0) and
-    takes at most 60 steps.  Returns (sigma, (H, V)).
+    takes at most 60 steps.  Returns (sigma, (H, V)), and with
+    ``return_info`` (sigma, (H, V), info): the Newton ``iterations``, the
+    ``grad_calls``, the last gradient ``residual`` and the final free
+    energy's ``n``, ``estimate``, ``crossing_residual`` and
+    ``crossing_condition``.
     A free energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
     if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
         raise DomainBoundary(f"slope ({s}, {t}) not strictly inside the Newton polygon")
     H, V = 0.0, 0.0
+    grad_calls = 0
 
     def residual(H, V):
+        nonlocal grad_calls
+        grad_calls += 1
         (gh, gv), hess = grad_free_energy(fef.curve, H, V)
         return np.array([gh - s, gv - t]), hess
 
     r, jac = residual(H, V)
     prev = None
-    for _ in range(60):
+    for iterations in range(60):
         if np.abs(r).max() <= tol:
             # the residual bounds (H, V)'s error only by |Hess sigma| tol;
             # one last Newton step on the Hessian in hand removes it
             if abs(np.linalg.det(jac)) >= 1e-14:
                 delta = np.linalg.solve(jac, -r)
                 H, V = H + delta[0], V + delta[1]
-            return s * H + t * V - fef.value(H, V), (H, V)
+            f, f_info = fef._value_info(H, V)
+            if not return_info:
+                return s * H + t * V - f, (H, V)
+            info = {"iterations": iterations, "grad_calls": grad_calls,
+                    "residual": float(np.abs(r).max())}
+            info.update((k, f_info[k]) for k in _FREE_ENERGY_FIELDS)
+            return s * H + t * V - f, (H, V), info
         if abs(np.linalg.det(jac)) < 1e-14:
             # stepped onto a facet of the gradient map; back toward the
             # last liquid point (or probe inward from the start)
@@ -497,13 +582,15 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9):
                 break
             scale *= 0.5
         else:
-            raise NonConvergence("line search stalled in the Legendre solve",
-                                 best=(H, V), diagnostics={"residual": float(base)})
+            raise NonConvergence("line search stalled in the Legendre solve", best=(H, V),
+                                 diagnostics={"residual": float(base), "iterations": iterations,
+                                              "grad_calls": grad_calls})
         prev = (H, V)
         H, V = H + scale * delta[0], V + scale * delta[1]
         r, jac = rn, jn
-    raise NonConvergence("Legendre solve did not reach tolerance",
-                         best=(H, V), diagnostics={"residual": float(np.max(np.abs(r)))})
+    raise NonConvergence("Legendre solve did not reach tolerance", best=(H, V),
+                         diagnostics={"residual": float(np.max(np.abs(r))), "iterations": 60,
+                                      "grad_calls": grad_calls})
 
 
 # ---------------------------------------------------------------------------
