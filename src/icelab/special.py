@@ -18,19 +18,19 @@ from .errors import BranchCut
 
 PI2_6 = np.pi ** 2 / 6.0
 
-# Bernoulli numbers B_0..B_48 as scipy.special.bernoulli(48) rounds them, so
-# that dilog keeps its values without importing scipy; these differ from the
-# exact rationals (B_4 by 1.7e-12 relative).  Odd ones beyond B_1 vanish.
+# Bernoulli numbers B_0..B_48, each the float nearest the exact rational
+# (scipy's bernoulli(48) is not: its B_4 is off by 1.7e-12 relative).  Odd
+# ones beyond B_1 vanish.
 _BERN = np.zeros(49)
 _BERN[:2] = 1.0, -0.5
 _BERN[2::2] = (
-    0.16666666666666666, -0.033333333333275914, 0.02380952380952236,
-    -0.03333333333333301, 0.07575757575757562, -0.253113553113553, 1.1666666666666672,
-    -7.092156862745103, 54.97117794486221, -529.124242424243, 6192.123188405805,
-    -86580.25311355322, 1425517.1666666688, -27298231.067816135, 601580873.9006432,
-    -15116315767.092178, 429614643061.1673, -13711655205088.354, 488332318973593.94,
-    -1.92965793419401e+16, 8.416930475736838e+17, -4.033807185405952e+19,
-    2.115074863808203e+21, -1.208662652229655e+23)
+    0.16666666666666666, -0.03333333333333333, 0.023809523809523808, -0.03333333333333333,
+    0.07575757575757576, -0.2531135531135531, 1.1666666666666667, -7.092156862745098,
+    54.971177944862156, -529.1242424242424, 6192.123188405797, -86580.25311355312,
+    1425517.1666666667, -27298231.067816094, 601580873.9006424, -15116315767.092157,
+    429614643061.1667, -13711655205088.332, 488332318973593.2, -1.9296579341940068e+16,
+    8.416930475736826e+17, -4.0338071854059454e+19, 2.1150748638081993e+21,
+    -1.2086626522296526e+23)
 _FACT = np.array([float(math.factorial(k + 1)) for k in range(49)])
 _SQUARES = np.arange(1, 40, dtype=float) ** 2
 

@@ -34,9 +34,17 @@ def test_action_affine_exact():
 
 def test_action_constant_shift_invariance():
     grid = sh.CylinderGrid(1.0, 1.0, 9, 8)
+    # dyadic heights plus a dyadic shift: the edge slopes are bit-identical,
+    # so the actions are too
+    hf = affine_field(grid, 0.3125, 0.375)
+    hf2 = sh.HeightField(grid, hf.values + 3.75, 0.0, 1.0, kappa=hf.kappa)
+    assert np.array_equal(hf2.edge_slopes(), hf.edge_slopes())
+    assert sh.action(hf2, HEX) == sh.action(hf, HEX)
+    # an inexact shift rounds the heights, so the slopes move in their last bits
     hf = affine_field(grid, 0.3, 0.35)
     hf2 = sh.HeightField(grid, hf.values + 3.7, 0.0, 1.0, kappa=hf.kappa)
-    assert sh.action(hf2, HEX) == sh.action(hf, HEX)
+    a = sh.action(hf, HEX)
+    assert abs(sh.action(hf2, HEX) - a) <= 4 * np.spacing(abs(a))
 
 
 def test_action_v_term_telescopes():

@@ -1,20 +1,24 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import bernoulli
 
 from icelab.errors import BranchCut
 from icelab import special
 from icelab.special import dilog, lobachevsky
-from icelab.tension import _LOB_CHEB, lobachevsky_fast
+from icelab.tension import _LOB_Q, lobachevsky_fast
 
 
-def test_bernoulli_table_is_scipys():
-    # the table replaces scipy.special.bernoulli(48), rounding included
-    assert np.array_equal(special._BERN, bernoulli(48))
+def test_bernoulli_table_is_exact():
+    # B_0..B_48 from sum_{k<=m} C(m+1, k) B_k = 0 in exact rationals, each
+    # rounded once (scipy's bernoulli(48) is off by 1.7e-12 relative at B_4)
+    b = [Fraction(1)]
+    for m in range(1, 49):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    assert np.array_equal(special._BERN, [float(v) for v in b])
 
 
 def test_dilog_trivials():
@@ -61,6 +65,15 @@ def test_dilog_on_arrays_matches_mpmath_in_every_branch():
     assert np.array_equal(dilog(z[:20].reshape(4, 5)), got[:20].reshape(4, 5))
 
 
+def test_dilog_bernoulli_branch_against_mpmath():
+    # 0.4 < |z| <= 1 away from the reflection disc: the series in -log(1 - z)
+    rng = np.random.default_rng(4243)
+    z = rng.uniform(0.4, 1.0, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    z = z[(np.abs(z) > 0.4) & (np.abs(1.0 - z) > 0.26)]
+    want = np.array([complex(mp.polylog(2, complex(v))) for v in z])
+    assert np.max(np.abs(dilog(z) - want)) <= 8e-15
+
+
 def test_dilog_branch_cut_raises():
     for z in (1.0, 1.5, 7.0, np.array([0.5j, 0.3, 2.0])):
         with pytest.raises(BranchCut):
@@ -94,6 +107,24 @@ def test_lobachevsky_fast_matches_reference():
     assert np.max(np.abs(lobachevsky_fast(xs) - ref)) < 1e-12
 
 
+def _clausen_lobachevsky(xs):
+    # L(x) = Cl_2(2x) / 2
+    with mp.workdps(30):
+        return np.array([float(mp.clsin(2, 2 * mp.mpf(x)) / 2) for x in xs])
+
+
+def test_lobachevsky_fast_against_mpmath_on_the_reduced_range():
+    # geometric runs toward 0 and toward pi/2 from both sides; beyond
+    # pi - 1e-6 the rounding of pi in the reduction sets the error
+    half = np.pi / 2
+    runs = np.geomspace(1e-12, 0.5, 60)
+    below = np.concatenate([np.linspace(0.0, half, 401), np.geomspace(1e-300, 0.5, 60),
+                            half - runs])
+    above = np.concatenate([np.linspace(half, np.pi - 1e-6, 401), half + runs])
+    assert np.max(np.abs(lobachevsky_fast(below) - _clausen_lobachevsky(below))) <= 1e-15
+    assert np.max(np.abs(lobachevsky_fast(above) - _clausen_lobachevsky(above))) <= 2e-15
+
+
 def _lobachevsky_fast_by_temporaries(x):
     """lobachevsky_fast as written with one temporary per step: the reference
     its in-place evaluation must match bit for bit."""
@@ -102,8 +133,11 @@ def _lobachevsky_fast_by_temporaries(x):
     flip = r > np.pi / 2
     r = np.where(flip, np.pi - r, r)
     r_safe = np.where(r > 0, r, 1.0)
-    smooth = _LOB_CHEB(r)
-    core = smooth + r - r * np.log(2.0 * r_safe)
+    u = r * r
+    q = _LOB_Q[-1]
+    for c in _LOB_Q[-2::-1]:
+        q = q * u + c
+    core = q * r + r - r * np.log(2.0 * r_safe)
     core = np.where(r > 0, core, 0.0)
     return np.where(flip, -core, core)
 
