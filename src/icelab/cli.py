@@ -373,7 +373,7 @@ def cmd_solve(opts) -> int:
     res = sh.el_residual(hf, sigma)                # on the interior x nodes
     _write_csv(os.path.join(out, "el_residual.csv"), ["x", "y", "residual"],
                zip(xs[1:-1].ravel(), ys[1:-1].ravel(), res.ravel()))
-    mask = sh.facet_mask(hf)
+    mask = sh.facet_mask(hf, sigma)
     _write_csv(os.path.join(out, "facets.csv"), ["i", "j", "facet"],
                [(i, j, int(m)) for (i, j), m in np.ndenumerate(mask)])
     log["max_el_residual"] = float(np.max(np.abs(res)))

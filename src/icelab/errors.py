@@ -54,7 +54,7 @@ class Unbounded(IceLabError):
 
 
 class SlopeOutOfDomain(IceLabError):
-    """A discrete slope left the admissible gradient box."""
+    """A discrete slope left the inset slope polygon."""
 
 
 class NonConvergence(IceLabError):

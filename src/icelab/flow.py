@@ -287,8 +287,7 @@ def density_from_tension(sigma: SurfaceTension, tag: str | None = None) -> Hamil
 
 def hamiltonian(state: FlowState, dens: HamiltonianDensity, V: float = 0.0) -> float:
     """Periodic-trapezoid value of int tau(p + V, dh/dy) dy."""
-    if not dens.sigma.feasible(
-            dens.d1(state.p + V, state.t), state.t, margin=0.0):
+    if not dens.sigma.feasible(dens.d1(state.p + V, state.t), state.t):
         raise DomainBoundary("state leaves the tension domain")
     return float(np.mean(dens.value(state.p + V, state.t))) * state.L
 

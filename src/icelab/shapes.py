@@ -16,8 +16,8 @@ The minimizer is damped Newton over the free node values.  The Hessian
 comes in closed form from the tension's second derivatives; ordered by
 x-column it is block tridiagonal with dense periodic (ny, ny) blocks, and
 a block Thomas sweep solves it.  Every accepted iterate is feasible: the
-Armijo line search rejects trial points whose cell slopes leave the inset
-slope box (or the tension's own domain), which is what makes the gradient
+Armijo line search rejects trial points whose cell slopes leave the
+tension's slope polygon inset by BOX_INSET, which is what makes the gradient
 blow-up of the tension at the domain boundary act as a natural barrier.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import Inconsistent, NonConvergence, SlopeOutOfDomain
 from .tension import SurfaceTension, coarse_to_fine
 
-BOX_INSET = 1e-6   # how far inside the tension's slope box the solver stays
+BOX_INSET = 1e-6   # how far inside each edge of the slope polygon the solver stays
 CHORD_MARGIN = 0.1   # a chord step is taken when predicted to land this far under tol
 
 
@@ -69,12 +69,10 @@ class CylinderGrid:
 
 @dataclass
 class HeightField:
-    """Node values plus slope box and y-monodromy."""
+    """Node values plus y-monodromy."""
 
     grid: CylinderGrid
     values: np.ndarray
-    lo: float = -0.5
-    hi: float = 0.5
     kappa: float = 0.0
 
     def __post_init__(self):
@@ -90,8 +88,8 @@ class HeightField:
         """Forward differences on the four edges of each (nx-1, ny) cell.
 
         Returns the bottom-x, top-x, left-y and right-y difference fields
-        stacked in one (4, nx-1, ny) array; the slope box constrains them
-        directly and no checkerboard mode can hide from them.
+        stacked in one (4, nx-1, ny) array; the slope polygon constrains
+        their pairings directly and no checkerboard mode can hide from them.
         """
         h = self.wrapped()
         g = self.grid
@@ -219,12 +217,6 @@ def _pairings(edges):
     return edges[[a for a, _ in _CELL_COMBOS]], edges[[2 + b for _, b in _CELL_COMBOS]]
 
 
-def _feasible_slopes(edges, sigma: SurfaceTension, lo, hi) -> bool:
-    if np.min(edges) <= lo or np.max(edges) >= hi:
-        return False
-    return sigma.feasible(*_pairings(edges), margin=0.0)
-
-
 def _raw_action(grid: CylinderGrid, edges, sigma: SurfaceTension, V: float) -> float:
     xs, ys = _pairings(edges)
     quarter = 0.25 * grid.hx * grid.hy
@@ -240,10 +232,9 @@ def action(hf: HeightField, sigma: SurfaceTension, V: float = 0.0) -> float:
     the four forward edge differences.  Convex in the node values, exact
     on affine fields, and symmetric under both grid reflections.
     """
-    lo, hi = sigma.lo + BOX_INSET, sigma.hi - BOX_INSET
     edges = hf.edge_slopes()
-    if not _feasible_slopes(edges, sigma, lo - BOX_INSET / 2, hi + BOX_INSET / 2):
-        raise SlopeOutOfDomain("cell edge slopes leave the admissible box")
+    if not sigma.feasible(*_pairings(edges), margin=BOX_INSET / 2):
+        raise SlopeOutOfDomain("cell edge slopes leave the inset slope polygon")
     return _raw_action(hf.grid, edges, sigma, V)
 
 
@@ -277,11 +268,11 @@ def el_residual(hf: HeightField, sigma: SurfaceTension) -> np.ndarray:
     return h11 * hxx + 2.0 * h12 * hxy + h22 * hyy
 
 
-def facet_mask(hf: HeightField, eps: float = BOX_INSET, tol: float = 1e-9) -> np.ndarray:
-    """Cells whose slopes sit on the inset box after convergence."""
-    lo, hi = hf.lo + eps, hf.hi - eps
-    edges = hf.edge_slopes()
-    return np.any((np.abs(edges - lo) <= tol) | (np.abs(edges - hi) <= tol), axis=0)
+def facet_mask(hf: HeightField, sigma: SurfaceTension, eps: float = BOX_INSET,
+               tol: float = 1e-9) -> np.ndarray:
+    """Cells with a slope pairing within eps + tol of an edge of the slope
+    polygon: after convergence, the cells on the polygon the solver keeps to."""
+    return np.any(sigma.margins(*_pairings(hf.edge_slopes())) <= eps + tol, axis=(0, 1))
 
 
 @dataclass
@@ -352,7 +343,7 @@ def _back_substitute(cp, rp):
     return rp
 
 
-def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
+def _default_start(grid: CylinderGrid, x1, x2, kappa: float, sigma: SurfaceTension):
     """Affine interpolation of the end columns at the median feasible one of
     63 constant x-slopes s, and the feasibility checks spent finding it.
 
@@ -361,7 +352,7 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
     member is found coarse to fine (middle, quarter points, eighth points,
     ...), then both ends by bisection."""
     frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
-    slopes = np.linspace(box_lo, box_hi, 65)
+    slopes = np.linspace(sigma.lo + BOX_INSET, sigma.hi - BOX_INSET, 65)
     checks = 0
 
     def candidate(k):
@@ -370,7 +361,8 @@ def _default_start(grid: CylinderGrid, x1, x2, feasible, box_lo, box_hi):
     def ok(k):
         nonlocal checks
         checks += 1
-        return feasible(candidate(k))
+        edges = HeightField(grid, candidate(k), kappa).edge_slopes()
+        return sigma.feasible(*_pairings(edges), margin=BOX_INSET)
 
     def end(bad, good):   # bisect between an index outside and one inside
         while abs(good - bad) > 1:
@@ -443,9 +435,9 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     Returns (HeightField, SolveInfo).  Boundary tangential derivatives are
     matched exactly by construction; the interior nodes and the offset of
     the right end column are the free variables.  At most max_iter Newton
-    steps are taken, and every edge slope stays BOX_INSET inside the
-    tension's slope box.  Raises NonConvergence (carrying the best iterate)
-    if the gradient criterion is not met.
+    steps are taken, and every cell's slope pairings stay BOX_INSET inside
+    each edge of the tension's slope polygon.  Raises NonConvergence
+    (carrying the best iterate) if the gradient criterion is not met.
 
     Chord rule: after a full Newton step accepted at step 1 that took the
     gradient norm from g0 to g1, quadratic convergence predicts g1^2 / g0
@@ -457,15 +449,8 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     """
     if boundary.t_left.size != grid.ny:
         raise Inconsistent("boundary profiles must match the grid")
-    box_lo, box_hi = sigma.lo + BOX_INSET, sigma.hi - BOX_INSET
     kappa = boundary.monodromy(grid.hy)
     x1, x2 = boundary.profiles(grid.hy)
-
-    def field_of(h):
-        return HeightField(grid, h, sigma.lo, sigma.hi, kappa)
-
-    def feasible(h):
-        return _feasible_slopes(field_of(h).edge_slopes(), sigma, box_lo, box_hi)
 
     phase_s = dict.fromkeys(("start", "objective", "newton_direction"), 0.0)
 
@@ -480,7 +465,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     checks = 0
     with timed("start"):
         if start is None:
-            h0, checks = _default_start(grid, x1, x2, feasible, box_lo, box_hi)
+            h0, checks = _default_start(grid, x1, x2, kappa, sigma)
         else:
             h0 = np.asarray(start, dtype=float).copy()
             if h0.shape != (grid.nx, grid.ny):
@@ -493,7 +478,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     def unpack(vec):
         h = np.empty((grid.nx, grid.ny))
         h[0], h[1:-1], h[-1] = x1, vec[:-1].reshape(grid.nx - 2, grid.ny), x2 + vec[-1]
-        return h
+        return HeightField(grid, h, kappa)
 
     evals = 0
 
@@ -501,9 +486,9 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
         nonlocal evals
         evals += 1
         with timed("objective"):
-            hf = field_of(unpack(vec))
+            hf = unpack(vec)
             edges = hf.edge_slopes()
-            if not _feasible_slopes(edges, sigma, box_lo, box_hi):
+            if not sigma.feasible(*_pairings(edges), margin=BOX_INSET):
                 return np.inf, None, None
             gfull = action_gradient(hf, sigma, V, edges)
             gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
@@ -516,7 +501,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     gnorm = float(np.max(np.abs(gvec)))
 
     # damped Newton with Armijo backtracking; infeasible trials are
-    # rejected, so every accepted iterate satisfies the slope box
+    # rejected, so every accepted iterate stays in the inset polygon
     actions: list[float] = []
     n_iter = backtracks = factorizations = chord_steps = 0
     kept = None                     # the last full step's factorization, while reusable
@@ -560,7 +545,7 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
         actions.append(f)
         n_iter += 1
 
-    hf = field_of(unpack(v))
+    hf = unpack(v)
     info = SolveInfo(iterations=n_iter, grad_norm=gnorm, actions=actions,
                      converged=gnorm <= tol, evals=evals, backtracks=backtracks,
                      start_checks=checks, factorizations=factorizations,

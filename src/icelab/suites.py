@@ -374,7 +374,7 @@ def suite_solver() -> list:
     hf2, _ = sh.minimize_action(grid, hexT, bd, tol=1e-10, start=hf.values + pert)
     checks.append(Check.le("solver-two-start-uniqueness",
                            float(np.max(np.abs(hf.values - hf2.values))), 1e-8))
-    checks.append(Check.true("solver-facet-mask-empty", not np.any(sh.facet_mask(hf))))
+    checks.append(Check.true("solver-facet-mask-empty", not np.any(sh.facet_mask(hf, hexT))))
 
     def problem(n):
         g = sh.CylinderGrid(0.7, 1.0, n + 1, n)

@@ -50,6 +50,7 @@ from .special import dilog
 _TWO_PI = 2.0 * np.pi
 N0 = 256            # free_energy's Gauss-Legendre order when no crossing is found
 N_MAX = 16384       # free_energy's cap on outer nodes
+LEGENDRE_INSET = 1e-7   # how far inside the Newton polygon legendre_sigma takes slopes
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +490,45 @@ class FreeEnergyField:
 _FREE_ENERGY_FIELDS = ("estimate", "n", "crossing_residual", "crossing_condition")
 
 
-def _newton_polygon_contains(curve: SpectralCurve, s, t, margin: float = 1e-9):
-    """Whether each (s, t) is inside the Newton polygon by margin, on arrays.
+def newton_polygon(exponents: list) -> np.ndarray:
+    """The convex hull of the exponents as read-only rows (a, b, h), one per
+    edge in counterclockwise order: the open polygon is where a s + b t < h
+    on every row.
 
     Each edge is a line a i + b j = h through two exponents with every
-    exponent on the side a i + b j <= h, (a, b) primitive; (s, t) must have
-    a s + b t <= h - margin on all of them.  Exponents on one line give both
-    sides of it, so nothing passes.
+    exponent on the side a i + b j <= h, (a, b) primitive.  A hull without
+    interior (one exponent, or all on one line) is the row (0, 0, 0), which
+    admits nothing.
     """
-    pts = [k for k, _ in curve.coeffs]
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    inside = np.full(np.broadcast(s, t).shape, len(pts) > 1)
-    for (i0, j0), (i1, j1) in itertools.permutations(pts, 2):
+    rows = {}
+    for (i0, j0), (i1, j1) in itertools.permutations(exponents, 2):
         g = math.gcd(j1 - j0, i1 - i0)
         a, b = (j1 - j0) // g, (i0 - i1) // g
-        if all(a * (i - i0) + b * (j - j0) <= 0 for i, j in pts):
-            inside &= s * a + t * b <= a * i0 + b * j0 - margin
-    return inside
+        if all(a * (i - i0) + b * (j - j0) <= 0 for i, j in exponents):
+            rows[a, b, a * i0 + b * j0] = None
+    rows = sorted(rows, key=lambda row: math.atan2(row[1], row[0]))
+    polygon = np.array(rows if len(rows) > 2 else [(0, 0, 0)], dtype=float)
+    polygon.flags.writeable = False
+    return polygon
+
+
+def _legendre_polygon(curve: SpectralCurve) -> np.ndarray:
+    """The curve's Newton polygon inset by LEGENDRE_INSET."""
+    return newton_polygon([k for k, _ in curve.coeffs]) - [0.0, 0.0, LEGENDRE_INSET]
+
+
+def _inside(polygon, s, t, margin=0.0) -> bool:
+    """Whether a s + b t < h - margin on every edge at every (s, t); False for NaN."""
+    st = np.array(np.broadcast_arrays(s, t) if np.shape(s) != np.shape(t) else (s, t), dtype=float)
+    return bool((polygon[:, :2] @ st.reshape(2, -1) < polygon[:, 2:] - margin).all())
+
+
+def _check_domain(polygon, s, t, message):
+    """s and t as float arrays, or DomainBoundary(message) unless all are inside."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if not _inside(polygon, s, t):
+        raise DomainBoundary(message)
+    return s, t
 
 
 def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
@@ -524,8 +547,8 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
     ``crossing_condition``.
     A free energy that misses ``fef.tol`` there raises `NonConvergence`.
     """
-    if not _newton_polygon_contains(fef.curve, s, t, margin=1e-7):
-        raise DomainBoundary(f"slope ({s}, {t}) not strictly inside the Newton polygon")
+    _check_domain(_legendre_polygon(fef.curve), s, t,
+                  f"slope ({s}, {t}) not strictly inside the Newton polygon")
     H, V = 0.0, 0.0
     grad_calls = 0
 
@@ -588,36 +611,29 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
 # closed-form tensions
 # ---------------------------------------------------------------------------
 
-def _hex_inside(s, t, margin=0.0):
-    """Whether (s, t) is inside the hexagonal triangle by margin, on arrays;
-    False for NaN."""
-    return (s > margin) & (t > margin) & (s + t < 1.0 - margin)
-
-
-def _check_hex_domain(s, t):
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not _hex_inside(s, t).all():
-        raise DomainBoundary("hexagonal tension needs s, t > 0 and s + t < 1")
-    return s, t
+_HEX_POLYGON = newton_polygon([k for k, _ in hex_curve().coeffs])
+# the unit square for every u: built once, so that no coefficient can shrink it
+_FF_POLYGON = newton_polygon([k for k, _ in ff_curve(math.pi / 4).coeffs])
+_HEX_DOMAIN = "hexagonal tension needs s, t > 0 and s + t < 1"
+_FF_DOMAIN = "free-fermion tension needs s, t in (0, 1)"
 
 
 def sigma_hex(s, t):
     """-(1/pi) (L(pi s) + L(pi t) + L(pi (1 - s - t)))."""
-    s, t = np.broadcast_arrays(*_check_hex_domain(s, t))
+    s, t = np.broadcast_arrays(*_check_domain(_HEX_POLYGON, s, t, _HEX_DOMAIN))
     lob = lobachevsky_fast(np.pi * np.stack([s, t, 1.0 - s - t]))
     return -(lob[0] + lob[1] + lob[2]) / np.pi
 
 
 def grad_sigma_hex(s, t):
-    s, t = _check_hex_domain(s, t)
+    s, t = _check_domain(_HEX_POLYGON, s, t, _HEX_DOMAIN)
     gs = np.log(np.sin(np.pi * s) / np.sin(np.pi * (s + t)))
     gt = np.log(np.sin(np.pi * t) / np.sin(np.pi * (s + t)))
     return gs, gt
 
 
 def hess_sigma_hex(s, t):
-    s, t = _check_hex_domain(s, t)
+    s, t = _check_domain(_HEX_POLYGON, s, t, _HEX_DOMAIN)
     cst = 1.0 / np.tan(np.pi * (s + t))
     h11 = np.pi * (1.0 / np.tan(np.pi * s) - cst)
     h22 = np.pi * (1.0 / np.tan(np.pi * t) - cst)
@@ -631,21 +647,6 @@ def check_spectral_parameter(u: float) -> None:
         raise OutOfRange("spectral parameter u must lie in (0, pi/2)")
 
 
-def _ff_inside(s, t, margin=0.0):
-    """Whether (s, t) is inside the free-fermion square by margin, on
-    arrays; False for NaN."""
-    return (s > margin) & (t > margin) & (s < 1.0 - margin) & (t < 1.0 - margin)
-
-
-def _check_ff_domain(s, t, u):
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    check_spectral_parameter(u)
-    if not _ff_inside(s, t).all():
-        raise DomainBoundary("free-fermion tension needs s, t in (0, 1)")
-    return s, t
-
-
 def _ff_q(s, t, u):
     return (np.sin(np.pi * t) / np.tan(np.pi * s)
             - np.cos(2 * u) * np.cos(np.pi * t)) / np.sin(2 * u)
@@ -657,7 +658,8 @@ def grad_sigma_ff(s, t, u):
     The second component is the s <-> t mirror of the first; together they
     invert the closed-form free-energy gradient exactly.
     """
-    s, t = _check_ff_domain(s, t, u)
+    check_spectral_parameter(u)
+    s, t = _check_domain(_FF_POLYGON, s, t, _FF_DOMAIN)
     return -np.arcsinh(_ff_q(s, t, u)), -np.arcsinh(_ff_q(t, s, u))
 
 
@@ -675,14 +677,16 @@ def sigma_ff(s, t, u):
     sigma = H s - Im[Li2(e^l tan u) - Li2(-e^l cot u)] / pi - t log tan u
     - log cos u, with l = H + i pi t and H = d sigma/ds from the gradient map.
     """
-    s, t = _check_ff_domain(s, t, u)
+    check_spectral_parameter(u)
+    s, t = _check_domain(_FF_POLYGON, s, t, _FF_DOMAIN)
     H = -np.arcsinh(_ff_q(s, t, u))
     return (H * s - _ff_dilogs(H + 1j * np.pi * t, u).imag / np.pi
             - t * math.log(math.tan(u)) - math.log(math.cos(u)))
 
 
 def hess_sigma_ff(s, t, u):
-    s, t = _check_ff_domain(s, t, u)
+    check_spectral_parameter(u)
+    s, t = _check_domain(_FF_POLYGON, s, t, _FF_DOMAIN)
     s2u = np.sin(2 * u)
     c2u = np.cos(2 * u)
     q = _ff_q(s, t, u)
@@ -714,38 +718,52 @@ def grad_free_energy_ff(H, V, u):
 
 @dataclass
 class SurfaceTension:
-    """Evaluator bundle (value, gradient, Hessian) on a slope box."""
+    """Evaluator bundle (value, gradient, Hessian) on a slope polygon: one row
+    (a, b, h) per edge, counterclockwise, inside which a s + b t < h on each."""
 
     variant: str
-    lo: float
-    hi: float
     value: object
     grad: object
     hess: object
-    feasible: object
+    polygon: np.ndarray
+
+    def margins(self, s, t) -> np.ndarray:
+        """The slack h - a s - b t of every edge at each (s, t): edges first."""
+        a, b, h = self.polygon.T.reshape(3, -1, *(1,) * np.broadcast(s, t).ndim)
+        return h - (a * s + b * t)
+
+    def feasible(self, s, t, margin: float = 0.0) -> bool:
+        """Whether every (s, t) has a s + b t < h - margin on every edge."""
+        return _inside(self.polygon, s, t, margin)
+
+    lo = property(lambda self: _bounding_box(self.polygon)[0], doc="The least vertex coordinate.")
+    hi = property(lambda self: _bounding_box(self.polygon)[1], doc="The largest vertex coordinate.")
+
+
+def _bounding_box(polygon):
+    """The least and largest coordinate of the vertices, where each edge meets
+    the next; NaN for a polygon without vertices."""
+    (a, b, h), (a1, b1, h1) = polygon.T, np.roll(polygon, -1, axis=0).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertices = np.array([h * b1 - h1 * b, a * h1 - a1 * h]) / (a * b1 - a1 * b)
+    return vertices.min() + 0.0, vertices.max() + 0.0
 
 
 def hex_tension() -> SurfaceTension:
-    def feasible(s, t, margin=0.0):
-        return bool(_hex_inside(np.asarray(s), np.asarray(t), margin).all())
-
-    return SurfaceTension("HexClosed", 0.0, 1.0, sigma_hex, grad_sigma_hex,
-                          hess_sigma_hex, feasible)
+    return SurfaceTension("HexClosed", sigma_hex, grad_sigma_hex, hess_sigma_hex, _HEX_POLYGON)
 
 
 def ff_tension(u: float) -> SurfaceTension:
-    def feasible(s, t, margin=0.0):
-        return bool(_ff_inside(np.asarray(s), np.asarray(t), margin).all())
-
-    return SurfaceTension(f"FFClosed(u={u})", 0.0, 1.0,
+    return SurfaceTension(f"FFClosed(u={u})",
                           lambda s, t: sigma_ff(s, t, u),
                           lambda s, t: grad_sigma_ff(s, t, u),
-                          lambda s, t: hess_sigma_ff(s, t, u), feasible)
+                          lambda s, t: hess_sigma_ff(s, t, u), _FF_POLYGON)
 
 
 def quadratic_tension(qa: float, qb: float, qc: float,
                       box: float = 10.0) -> SurfaceTension:
-    """sigma = (qa s^2 + 2 qb s t + qc t^2) / 2; exact Legendre oracle."""
+    """sigma = (qa s^2 + 2 qb s t + qc t^2) / 2 on the box [-box, box]^2;
+    exact Legendre oracle."""
     if qa <= 0 or qa * qc - qb * qb <= 0:
         raise OutOfRange("quadratic tension must be positive definite")
 
@@ -763,8 +781,8 @@ def quadratic_tension(qa: float, qb: float, qc: float,
         shape = np.broadcast(np.asarray(s), np.asarray(t)).shape
         return (np.full(shape, qa), np.full(shape, qb), np.full(shape, qc))
 
-    return SurfaceTension(f"Quadratic({qa},{qb},{qc})", -box, box, value,
-                          grad, hess, lambda s, t, margin=0.0: True)
+    box_rows = np.array([(0, -1, box), (1, 0, box), (0, 1, box), (-1, 0, box)], dtype=float)
+    return SurfaceTension(f"Quadratic({qa},{qb},{qc})", value, grad, hess, box_rows)
 
 
 def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
@@ -773,8 +791,9 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
     One `legendre_sigma` solve per point gives sigma, the maximizer (H, V)
     as the gradient and Hess sigma as the inverse of Hess f there.  The
     last point's result is kept, so value, grad and hess at one point share
-    its solve; one np.vectorize lifts the solve to arrays.  ``feasible`` is
-    True when every point is strictly inside the Newton polygon.
+    its solve; one np.vectorize lifts the solve to arrays.  The polygon is
+    the curve's Newton polygon inset by LEGENDRE_INSET, the slopes
+    `legendre_sigma` takes.
     """
     fef = FreeEnergyField(curve)
 
@@ -785,14 +804,10 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
         return sig, H, V, h11, h12, h22
 
     lifted = np.vectorize(lambda s, t: solve(float(s), float(t)), otypes=[float] * 6)
-
-    def feasible(s, t, margin=0.0):
-        return bool(_newton_polygon_contains(curve, s, t, max(margin, 1e-9)).all())
-
-    return SurfaceTension("NumericLegendre", 0.0, 1.0,
+    return SurfaceTension("NumericLegendre",
                           lambda s, t: lifted(s, t)[0],
                           lambda s, t: lifted(s, t)[1:3],
-                          lambda s, t: lifted(s, t)[3:], feasible)
+                          lambda s, t: lifted(s, t)[3:], _legendre_polygon(curve))
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_solve_boundary_csv_profiles(tmp_path):
 def test_solve_nonconvergence_exit_code(tmp_path, monkeypatch):
     def fake_minimize(grid, sigma, bd, V=0.0, tol=1e-9, max_iter=0, **kw):
         xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-        hf = sh.HeightField(grid, xs / 3 + ys / 3, 0.0, 1.0, kappa=grid.L / 3)
+        hf = sh.HeightField(grid, xs / 3 + ys / 3, kappa=grid.L / 3)
         raise NonConvergence("stub", best=hf, diagnostics={"grad_norm": 1.0})
 
     monkeypatch.setattr(cli.sh, "minimize_action", fake_minimize)
@@ -356,7 +356,7 @@ def test_config_scalar_u_for_solve(tmp_path, monkeypatch):
     def fake_minimize(grid, sigma, bd, V=0.0, tol=1e-9, max_iter=0, **kw):
         seen["variant"] = sigma.variant
         xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-        hf = sh.HeightField(grid, xs / 3 + ys / 3, 0.0, 1.0, kappa=grid.L / 3)
+        hf = sh.HeightField(grid, xs / 3 + ys / 3, kappa=grid.L / 3)
         raise NonConvergence("stub", best=hf, diagnostics={"grad_norm": 1.0})
 
     monkeypatch.setattr(cli.sh, "minimize_action", fake_minimize)

@@ -238,7 +238,7 @@ def test_burgers_reconstruction_satisfies_hex_pde():
                                               * np.diff(xs))])
     h = hvals - hvals[:, :1] + anchor[:, None]
     grid = sh.CylinderGrid(T, L, nx, st.ny)
-    hf = sh.HeightField(grid, h, 0.0, 1.0, kappa=float(np.mean(st.t) * L))
+    hf = sh.HeightField(grid, h, kappa=float(np.mean(st.t) * L))
     res = np.max(np.abs(er.hex_el_residual(hf)))
     assert res < 0.05
     # the wrong transport sign violates the equation grossly
@@ -247,7 +247,7 @@ def test_burgers_reconstruction_satisfies_hex_pde():
         stx = fl.burgers_evolve(st, wrong_sign(F), float(x)) if x > 0 else st
         h_bad[k] = fl.spectral_antideriv(stx.t, L) + np.mean(stx.t) * st.ys
     h_bad = h_bad - h_bad[:, :1] + anchor[:, None]
-    hf_bad = sh.HeightField(grid, h_bad, 0.0, 1.0, kappa=float(np.mean(st.t) * L))
+    hf_bad = sh.HeightField(grid, h_bad, kappa=float(np.mean(st.t) * L))
     assert np.max(np.abs(er.hex_el_residual(hf_bad))) > 10 * res
 
 

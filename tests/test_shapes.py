@@ -16,9 +16,9 @@ import el_reference as er
 HEX = tn.hex_tension()
 
 
-def affine_field(grid, s0, t0, lo=0.0, hi=1.0):
+def affine_field(grid, s0, t0):
     xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    return sh.HeightField(grid, s0 * xs + t0 * ys, lo, hi, kappa=t0 * grid.L)
+    return sh.HeightField(grid, s0 * xs + t0 * ys, kappa=t0 * grid.L)
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +37,12 @@ def test_action_constant_shift_invariance():
     # dyadic heights plus a dyadic shift: the edge slopes are bit-identical,
     # so the actions are too
     hf = affine_field(grid, 0.3125, 0.375)
-    hf2 = sh.HeightField(grid, hf.values + 3.75, 0.0, 1.0, kappa=hf.kappa)
+    hf2 = sh.HeightField(grid, hf.values + 3.75, kappa=hf.kappa)
     assert np.array_equal(hf2.edge_slopes(), hf.edge_slopes())
     assert sh.action(hf2, HEX) == sh.action(hf, HEX)
     # an inexact shift rounds the heights, so the slopes move in their last bits
     hf = affine_field(grid, 0.3, 0.35)
-    hf2 = sh.HeightField(grid, hf.values + 3.7, 0.0, 1.0, kappa=hf.kappa)
+    hf2 = sh.HeightField(grid, hf.values + 3.7, kappa=hf.kappa)
     a = sh.action(hf, HEX)
     assert abs(sh.action(hf2, HEX) - a) <= 4 * np.spacing(abs(a))
 
@@ -53,7 +53,7 @@ def test_action_v_term_telescopes():
     vals = 0.3 * np.meshgrid(grid.xs(), grid.ys(), indexing="ij")[0] \
         + 0.35 * np.meshgrid(grid.xs(), grid.ys(), indexing="ij")[1] \
         + 0.004 * rng.standard_normal((9, 8))
-    hf = sh.HeightField(grid, vals, 0.0, 1.0, kappa=0.35 * grid.L)
+    hf = sh.HeightField(grid, vals, kappa=0.35 * grid.L)
     V = 0.7
     lhs = sh.action(hf, HEX, V) - sh.action(hf, HEX, 0.0)
     rhs = V * grid.L * (np.mean(vals[-1, :]) - np.mean(vals[0, :]))
@@ -64,7 +64,7 @@ def test_action_gradient_matches_finite_differences():
     grid = sh.CylinderGrid(1.0, 1.0, 7, 6)
     rng = np.random.default_rng(6)
     base = affine_field(grid, 0.3, 0.35).values + 0.004 * rng.standard_normal((7, 6))
-    hf = sh.HeightField(grid, base, 0.0, 1.0, kappa=0.35)
+    hf = sh.HeightField(grid, base, kappa=0.35)
     g = sh.action_gradient(hf, HEX, 0.4)
     d = 1e-6
     for (i, j) in [(0, 0), (3, 2), (6, 5), (2, 0)]:
@@ -72,8 +72,8 @@ def test_action_gradient_matches_finite_differences():
         hp[i, j] += d
         hm = base.copy()
         hm[i, j] -= d
-        fd = (sh.action(sh.HeightField(grid, hp, 0, 1, kappa=0.35), HEX, 0.4)
-              - sh.action(sh.HeightField(grid, hm, 0, 1, kappa=0.35), HEX, 0.4)) / (2 * d)
+        fd = (sh.action(sh.HeightField(grid, hp, kappa=0.35), HEX, 0.4)
+              - sh.action(sh.HeightField(grid, hm, kappa=0.35), HEX, 0.4)) / (2 * d)
         assert abs(fd - g[i, j]) < 1e-9
 
 
@@ -91,7 +91,7 @@ def test_action_midpoint_convexity_property(variant, s0, t0, V, seed):
     h1, h2 = (base + 0.01 * rng.uniform(-1.0, 1.0, base.shape) for _ in range(2))
 
     def act(vals):
-        return sh.action(sh.HeightField(grid, vals, sigma.lo, sigma.hi, kappa=t0), sigma, V)
+        return sh.action(sh.HeightField(grid, vals, kappa=t0), sigma, V)
 
     mean = 0.5 * (act(h1) + act(h2))
     assert act(0.5 * (h1 + h2)) <= mean + 1e-13 * max(1.0, abs(mean))
@@ -164,7 +164,7 @@ def test_stacked_pairings_equal_the_per_pairing_loop(sigma, shape):
     rng = np.random.default_rng(12)
     noise = 0.032 * min(grid.hx, grid.hy)   # keeps the edge slopes 0.3 and 0.35 +- ~0.1
     base = affine_field(grid, 0.3, 0.35).values + noise * rng.standard_normal(shape[2:])
-    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35 * grid.L)
+    hf = sh.HeightField(grid, base, kappa=0.35 * grid.L)
     V = 0.4
     total, grad, diag, upper = _per_pairing(hf, sigma, V)
     assert sh.action(hf, sigma, V) == total
@@ -326,7 +326,7 @@ def _median_scan_start(grid, sigma, bd, eps=1e-6):
     ok = []
     for s in np.linspace(box_lo, box_hi, 65)[1:-1]:
         h = (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * s)
-        slopes = sh.HeightField(grid, h, sigma.lo, sigma.hi, kappa).edge_slopes()
+        slopes = sh.HeightField(grid, h, kappa).edge_slopes()
         if all(np.min(e) > box_lo and np.max(e) < box_hi for e in slopes) and all(
                 sigma.feasible(slopes[a], slopes[2 + b]) for a, b in sh._CELL_COMBOS):
             ok.append(h)
@@ -378,7 +378,7 @@ def test_hessian_blocks_match_gradient_differences():
     base = 0.3 * xs + 0.35 * ys + 0.004 * rng.standard_normal((5, 4))
 
     def field(vals):
-        return sh.HeightField(grid, vals, 0, 1, kappa=0.35)
+        return sh.HeightField(grid, vals, kappa=0.35)
 
     diag, upper = sh._hessian_blocks(grid, field(base).edge_slopes(), HEX)
     dense = np.zeros((20, 20))
@@ -446,7 +446,7 @@ def test_full_newton_direction_equals_the_parent_sweep(variant, shape):
     rng = np.random.default_rng(13)
     noise = 0.032 * min(grid.hx, grid.hy)
     base = affine_field(grid, 0.3, 0.35).values + noise * rng.standard_normal(shape[2:])
-    hf = sh.HeightField(grid, base, sigma.lo, sigma.hi, kappa=0.35 * grid.L)
+    hf = sh.HeightField(grid, base, kappa=0.35 * grid.L)
     gfull = sh.action_gradient(hf, sigma, 0.4)
     gvec = np.concatenate([gfull[1:-1, :].ravel(), [float(np.sum(gfull[-1, :]))]])
     edges = hf.edge_slopes()
@@ -571,10 +571,17 @@ def test_facet_mask_flags_box_slopes():
     grid = sh.CylinderGrid(1.0, 1.0, 5, 4)
     eps = 1e-6
     xs, _ = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
-    hf = sh.HeightField(grid, (1.0 - eps) * xs, 0.0, 1.0, kappa=0.0)
-    assert np.all(sh.facet_mask(hf, eps=eps))
+    hf = sh.HeightField(grid, (1.0 - eps) * xs, kappa=0.0)
+    assert np.all(sh.facet_mask(hf, HEX, eps=eps))
     smooth = affine_field(grid, 0.4, 0.3)
-    assert not np.any(sh.facet_mask(smooth))
+    assert not np.any(sh.facet_mask(smooth, HEX))
+
+
+def test_facet_mask_flags_the_diagonal_edge():
+    # s + t = 1 - BOX_INSET is on hex's inset diagonal edge, with s and t
+    # both far inside the bounding box
+    grid = sh.CylinderGrid(1.0, 1.0, 5, 4)
+    assert np.all(sh.facet_mask(affine_field(grid, 0.5, 0.5 - sh.BOX_INSET), HEX))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +599,7 @@ def test_el_residual_affine_zero():
 def _wavy_field(grid, amp=0.03):
     xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     vals = xs / 3 + ys / 3 + amp * np.sin(2 * np.pi * ys) * np.sin(np.pi * xs)
-    return sh.HeightField(grid, vals, 0.0, 1.0, kappa=grid.L / 3)
+    return sh.HeightField(grid, vals, kappa=grid.L / 3)
 
 
 def test_hex_form_matches_generic_el():
@@ -670,5 +677,5 @@ def test_prolong_equals_the_pointwise_loop(n):
     fine = sh.CylinderGrid(0.7, 1.3, 2 * n + 1, 2 * n)
     rng = np.random.default_rng(n)
     base = affine_field(coarse, 0.3, 0.4).values + 0.01 * rng.standard_normal((n + 1, n))
-    hf = sh.HeightField(coarse, base, 0.0, 1.0, kappa=0.4 * coarse.L)
+    hf = sh.HeightField(coarse, base, kappa=0.4 * coarse.L)
     assert np.array_equal(sh.prolong(hf, fine), _prolong_loop(hf, fine))

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import re
@@ -997,7 +998,8 @@ def test_closed_forms_refuse_nan_slopes(s, t):
                      lambda s, t: tn.hess_sigma_ff(s, t, u)):
         with pytest.raises(DomainBoundary):
             evaluate(s, t)
-    for sigma in (tn.hex_tension(), tn.ff_tension(u)):
+    for sigma in (tn.hex_tension(), tn.ff_tension(u), tn.quadratic_tension(1.7, 0.4, 2.2),
+                  tn.numeric_tension(tn.hex_curve())):
         assert not sigma.feasible(s, t)
         assert not sigma.feasible(np.array([0.3, s]), np.array([0.3, t]))
 
@@ -1139,19 +1141,28 @@ def test_legendre_sigma_domain_boundary():
         tn.legendre_sigma(fef, 0.7, 0.7)
 
 
+def _polygon_contains(curve, s, t):
+    """Whether each (s, t) is strictly inside the curve's `newton_polygon`."""
+    polygon = tn.newton_polygon([k for k, _ in curve.coeffs])
+    return np.vectorize(lambda a, b: tn._inside(polygon, a, b))(s, t)
+
+
 def test_newton_polygon_is_the_hull_not_an_octagon():
     # 1 + z^2 + w: (1.5, 0.4) has s + 2t = 2.3 > 2, outside the triangle but
     # inside its bounding octagon
     curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (2, 0): 1.0, (0, 1): 1.0})
-    assert not tn._newton_polygon_contains(curve, 1.5, 0.4)
+    assert not _polygon_contains(curve, 1.5, 0.4)
     with pytest.raises(DomainBoundary):
         tn.legendre_sigma(tn.FreeEnergyField(curve), 1.5, 0.4)
     s, t = np.array([[1.5, 0.5], [0.2, 1.2]]), np.array([[0.4, 0.3], [0.5, 0.5]])
-    got = tn._newton_polygon_contains(curve, s, t)
+    got = _polygon_contains(curve, s, t)
     assert got.shape == (2, 2)
-    assert got.tolist() == [[bool(tn._newton_polygon_contains(curve, a, b))
+    assert got.tolist() == [[bool(_polygon_contains(curve, a, b))
                              for a, b in zip(rs, rt)] for rs, rt in zip(s, t)]
     assert got.tolist() == [[False, True], [True, False]]
+    # the margins say the same, edges first
+    sigma = tn.numeric_tension(curve)
+    assert np.array_equal((sigma.margins(s, t) > 0).all(axis=0), got)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -1172,7 +1183,122 @@ def test_newton_polygon_matches_a_convex_combination_reference(exps, a, b):
     # line, so it is interior exactly when four 1e-4 moves stay in the hull
     interior = all(in_hull(s + dx, t + dy)
                    for dx, dy in ((1e-4, 0), (-1e-4, 0), (0, 1e-4), (0, -1e-4)))
-    assert bool(tn._newton_polygon_contains(curve, s, t)) == interior
+    assert bool(_polygon_contains(curve, s, t)) == interior
+
+
+# The feasibility tests the slope polygon replaced, verbatim: the hex and ff
+# closures, the numeric tension's hull test, and the solver's box test (the
+# only one the quadratic tension had; its own closure was a constant True).
+def _parent_hex_inside(s, t, margin=0.0):
+    """Whether (s, t) is inside the hexagonal triangle by margin, on arrays;
+    False for NaN."""
+    return (s > margin) & (t > margin) & (s + t < 1.0 - margin)
+
+
+def _parent_ff_inside(s, t, margin=0.0):
+    """Whether (s, t) is inside the free-fermion square by margin, on
+    arrays; False for NaN."""
+    return (s > margin) & (t > margin) & (s < 1.0 - margin) & (t < 1.0 - margin)
+
+
+def _parent_newton_polygon_contains(curve, s, t, margin: float = 1e-9):
+    """Whether each (s, t) is inside the Newton polygon by margin, on arrays.
+
+    Each edge is a line a i + b j = h through two exponents with every
+    exponent on the side a i + b j <= h, (a, b) primitive; (s, t) must have
+    a s + b t <= h - margin on all of them.  Exponents on one line give both
+    sides of it, so nothing passes.
+    """
+    pts = [k for k, _ in curve.coeffs]
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    inside = np.full(np.broadcast(s, t).shape, len(pts) > 1)
+    for (i0, j0), (i1, j1) in itertools.permutations(pts, 2):
+        g = math.gcd(j1 - j0, i1 - i0)
+        a, b = (j1 - j0) // g, (i0 - i1) // g
+        if all(a * (i - i0) + b * (j - j0) <= 0 for i, j in pts):
+            inside &= s * a + t * b <= a * i0 + b * j0 - margin
+    return inside
+
+
+def _parent_box(edges, lo, hi):
+    return not (np.min(edges) <= lo or np.max(edges) >= hi)
+
+
+_BOX = 1.5
+_ORACLE_CURVES = {     # exponents; the last has an edge of normal (1, 2)
+    "hex": [(0, 0), (1, 0), (0, 1)], "inverse-z": [(0, 0), (-1, 0), (0, 1)],
+    "z-squared": [(0, 0), (2, 0), (0, 1)]}
+_ORACLE = {            # tension, its polygon's vertices in order, the parent's test
+    "hex": (tn.hex_tension(), [(0, 0), (1, 0), (0, 1)],
+            lambda s, t, m: bool(_parent_hex_inside(np.asarray(s), np.asarray(t), m).all())),
+    "ff": (tn.ff_tension(0.9), [(0, 0), (1, 0), (1, 1), (0, 1)],
+           lambda s, t, m: bool(_parent_ff_inside(np.asarray(s), np.asarray(t), m).all())),
+    "quadratic": (tn.quadratic_tension(1.7, 0.4, 2.2, box=_BOX),
+                  [(-_BOX, -_BOX), (_BOX, -_BOX), (_BOX, _BOX), (-_BOX, _BOX)],
+                  lambda s, t, m: _parent_box(np.stack(np.broadcast_arrays(s, t)),
+                                              -_BOX + m, _BOX - m))}
+# The parent's numeric feasible floored the margin at 1e-9 while legendre_sigma
+# refused slopes within 1e-7 of an edge; the polygon is inset by LEGENDRE_INSET,
+# so its reference is the parent's hull test at that inset plus the margin.
+for _name, _exps in _ORACLE_CURVES.items():
+    _curve = tn.SpectralCurve.from_dict({k: 1.0 for k in _exps})
+    _ORACLE["numeric-" + _name] = (
+        tn.numeric_tension(_curve), _exps,
+        lambda s, t, m, c=_curve: bool(_parent_newton_polygon_contains(
+            c, s, t, tn.LEGENDRE_INSET + m).all()))
+
+# a point of an edge's line (up to a quarter edge past its ends), then one
+# step off it: from ulps to 0.3, at the inset and the margins, or NaN
+_NEAR_EDGE = st.tuples(
+    st.integers(0, 3), st.floats(-0.25, 1.25),
+    st.sampled_from([0.0, 5e-324, 1e-16, 1e-10, 1e-9, 2e-9, 1e-7 - 1e-12, 1e-7, 1e-7 + 1e-12,
+                     1.01e-7, 1e-6, 1e-3, 0.3, math.nan]),
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+
+
+@pytest.mark.parametrize("name", _ORACLE)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(margin=st.sampled_from([0.0, 1e-9]), points=st.lists(_NEAR_EDGE, min_size=1, max_size=8))
+def test_polygon_decides_as_the_parent_tests(name, margin, points):
+    sigma, vertices, parent = _ORACLE[name]
+    s, t = [], []
+    for edge, lam, step, (ds, dt) in points:
+        (s0, t0), (s1, t1) = vertices[edge % len(vertices)], vertices[(edge + 1) % len(vertices)]
+        s.append(s0 + lam * (s1 - s0) + ds * step)
+        t.append(t0 + lam * (t1 - t0) + dt * step)
+    cases = [(a, b) for a, b in zip(s, t)] + [(np.array(s), np.array(t))]
+    if name == "quadratic":    # the box test passed NaN on to a constant True
+        cases = [(a, b) for a, b in cases if not np.isnan(np.add(a, b)).any()]
+    for a, b in cases:
+        got, want = sigma.feasible(a, b, margin), parent(a, b, margin)
+        if name.startswith("numeric") and got != want:
+            # the parent took a s + b t <= h - (inset + margin); the polygon
+            # takes a s + b t < (h - inset) - margin: they part only at a tie
+            assert (np.abs(sigma.margins(a, b) - margin) <= 1e-15).any(), (a, b)
+        else:
+            assert got == want, (a, b)
+
+
+def test_numeric_tension_box_comes_from_its_polygon():
+    # 1 + 1/z + w has s in [-1, 0]: the [0, 1] box the numeric tension used
+    # to carry left partial_legendre no feasible grid point at xi = 0.3
+    curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0})
+    sigma = tn.numeric_tension(curve)
+    assert sigma.feasible(-0.3, 0.3)
+    assert (sigma.lo, sigma.hi) == pytest.approx((-1.0, 1.0), abs=1e-6)
+    pl = tn.partial_legendre(sigma, 0.0, 0.3)
+    assert -0.7 < pl.nu_star < 0.0
+    assert abs(float(sigma.grad(pl.nu_star, 0.3)[0])) < 1e-8
+
+
+def test_numeric_tension_feasible_points_are_the_legendre_domain():
+    # feasible floored its margin at 1e-9 while legendre_sigma asked for 1e-7,
+    # so (5e-8, 0.3) was feasible and its value raised DomainBoundary
+    num = tn.numeric_tension(tn.hex_curve())
+    assert not num.feasible(5e-8, 0.3)
+    with pytest.raises(DomainBoundary):
+        num.value(5e-8, 0.3)
+    assert num.feasible(2 * tn.LEGENDRE_INSET, 0.3)
 
 
 def test_legendre_involution_ff():
