@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Inconsistent, NonConvergence, SlopeOutOfDomain
-from .tension import SurfaceTension, coarse_to_fine
+from .tension import SurfaceTension
 
 BOX_INSET = 1e-6   # how far inside each edge of the slope polygon the solver stays
 CHORD_MARGIN = 0.1   # a chord step is taken when predicted to land this far under tol
@@ -283,7 +283,7 @@ class SolveInfo:
     converged: bool = True
     evals: int = 0         # objective (action plus gradient) evaluations
     backtracks: int = 0    # line-search trials rejected
-    start_checks: int = 0  # feasibility checks choosing the default start
+    start_checks: int = 0  # polygon checks choosing the start: 1 default, 0 given
     factorizations: int = 0   # steps along a fresh Hessian assembly and block sweep
     chord_steps: int = 0      # steps along the last sweep's kept factorization
     phase_s: dict = field(default_factory=dict)   # seconds per solver phase
@@ -345,36 +345,19 @@ def _back_substitute(cp, rp):
 
 def _default_start(grid: CylinderGrid, x1, x2, kappa: float, sigma: SurfaceTension):
     """Affine interpolation of the end columns at the median feasible one of
-    63 constant x-slopes s, and the feasibility checks spent finding it.
+    63 constant x-slopes s, and the one feasibility check spent finding it.
 
-    The x-edge slopes are s plus a constant, the y-edge slopes do not depend
-    on s and the domain is convex, so the feasible s form an interval: one
-    member is found coarse to fine (middle, quarter points, eighth points,
-    ...), then both ends by bisection."""
+    The x-edge slopes are s plus those of the s = 0 field and the y-edge
+    slopes do not depend on s, so the feasible s are the interval that
+    `sigma.interval` reads off the polygon for the s = 0 field's pairings."""
     frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
-    slopes = np.linspace(sigma.lo + BOX_INSET, sigma.hi - BOX_INSET, 65)
-    checks = 0
-
-    def candidate(k):
-        return (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * slopes[k])
-
-    def ok(k):
-        nonlocal checks
-        checks += 1
-        edges = HeightField(grid, candidate(k), kappa).edge_slopes()
-        return sigma.feasible(*_pairings(edges), margin=BOX_INSET)
-
-    def end(bad, good):   # bisect between an index outside and one inside
-        while abs(good - bad) > 1:
-            mid = (bad + good) // 2
-            bad, good = (bad, mid) if ok(mid) else (mid, good)
-        return good
-
-    inside = next((k for k in coarse_to_fine(65) if ok(k)), None)
-    if inside is None:
+    slopes = np.linspace(sigma.lo + BOX_INSET, sigma.hi - BOX_INSET, 65)[1:-1]
+    edges = HeightField(grid, (1 - frac) * x1[None, :] + frac * x2[None, :], kappa).edge_slopes()
+    lo, hi = sigma.interval(*_pairings(edges), margin=BOX_INSET)
+    inside = slopes[(lo < slopes) & (slopes < hi)]
+    if not inside.size:
         raise SlopeOutOfDomain("no constant x-slope gives a feasible starting field")
-    first, last = end(0, inside), end(64, inside)
-    return candidate(first + (last - first + 1) // 2), checks
+    return (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * inside[len(inside) // 2]), 1
 
 
 @dataclass(frozen=True)

@@ -517,10 +517,15 @@ def _legendre_polygon(curve: SpectralCurve) -> np.ndarray:
     return newton_polygon([k for k, _ in curve.coeffs]) - [0.0, 0.0, LEGENDRE_INSET]
 
 
+def _stacked(s, t) -> np.ndarray:
+    """The (s, t) pairs as the columns of one (2, n) float array."""
+    return np.array(np.broadcast_arrays(s, t) if np.shape(s) != np.shape(t) else (s, t),
+                    dtype=float).reshape(2, -1)
+
+
 def _inside(polygon, s, t, margin=0.0) -> bool:
     """Whether a s + b t < h - margin on every edge at every (s, t); False for NaN."""
-    st = np.array(np.broadcast_arrays(s, t) if np.shape(s) != np.shape(t) else (s, t), dtype=float)
-    return bool((polygon[:, :2] @ st.reshape(2, -1) < polygon[:, 2:] - margin).all())
+    return bool((polygon[:, :2] @ _stacked(s, t) < polygon[:, 2:] - margin).all())
 
 
 def _check_domain(polygon, s, t, message):
@@ -716,10 +721,11 @@ def grad_free_energy_ff(H, V, u):
     return clamped_acos(arg_h) / np.pi, clamped_acos(arg_v) / np.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceTension:
     """Evaluator bundle (value, gradient, Hessian) on a slope polygon: one row
-    (a, b, h) per edge, counterclockwise, inside which a s + b t < h on each."""
+    (a, b, h) per edge, counterclockwise, inside which a s + b t < h on each.
+    Frozen, so the bounding box `lo`/`hi` is computed once per bundle."""
 
     variant: str
     value: object
@@ -736,17 +742,27 @@ class SurfaceTension:
         """Whether every (s, t) has a s + b t < h - margin on every edge."""
         return _inside(self.polygon, s, t, margin)
 
-    lo = property(lambda self: _bounding_box(self.polygon)[0], doc="The least vertex coordinate.")
-    hi = property(lambda self: _bounding_box(self.polygon)[1], doc="The largest vertex coordinate.")
+    def interval(self, s, t, margin: float = 0.0) -> tuple[float, float]:
+        """The open interval (lo, hi) of shifts c that keep every (s + c, t) at
+        a (s + c) + b t < h - margin on every edge: a > 0 bounds c above, a < 0
+        below, a = 0 admits every c or none.  Empty, NaN included: not lo < hi."""
+        a = self.polygon[:, 0]
+        slack = (self.polygon[:, 2:] - margin) - self.polygon[:, :2] @ _stacked(s, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = slack / np.abs(a)[:, None]   # +inf on an a = 0 edge that admits all
+        below, above = (float(np.min(bound[rows], initial=np.inf)) for rows in (a < 0, a >= 0))
+        return -below, above
 
+    @functools.cached_property
+    def _box(self):
+        """The least and largest vertex coordinate; NaN without vertices."""
+        (a, b, h), (a1, b1, h1) = self.polygon.T, np.roll(self.polygon, -1, axis=0).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertices = np.array([h * b1 - h1 * b, a * h1 - a1 * h]) / (a * b1 - a1 * b)
+        return vertices.min() + 0.0, vertices.max() + 0.0
 
-def _bounding_box(polygon):
-    """The least and largest coordinate of the vertices, where each edge meets
-    the next; NaN for a polygon without vertices."""
-    (a, b, h), (a1, b1, h1) = polygon.T, np.roll(polygon, -1, axis=0).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertices = np.array([h * b1 - h1 * b, a * h1 - a1 * h]) / (a * b1 - a1 * b)
-    return vertices.min() + 0.0, vertices.max() + 0.0
+    lo = property(lambda self: self._box[0], doc="The least vertex coordinate.")
+    hi = property(lambda self: self._box[1], doc="The largest vertex coordinate.")
 
 
 def hex_tension() -> SurfaceTension:
@@ -789,11 +805,11 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
     """Quadrature plus Legendre tension for an arbitrary curve.
 
     One `legendre_sigma` solve per point gives sigma, the maximizer (H, V)
-    as the gradient and Hess sigma as the inverse of Hess f there.  The
-    last point's result is kept, so value, grad and hess at one point share
-    its solve; one np.vectorize lifts the solve to arrays.  The polygon is
-    the curve's Newton polygon inset by LEGENDRE_INSET, the slopes
-    `legendre_sigma` takes.
+    as the gradient and Hess sigma as the inverse of Hess f there; one
+    np.vectorize lifts it to arrays.  The last point's result and the last
+    (s, t) call's outputs are kept, so value, grad and hess on the same
+    slopes share one solve per entry, and equal neighbouring entries share
+    one.  The polygon is the curve's Newton polygon inset by LEGENDRE_INSET.
     """
     fef = FreeEnergyField(curve)
 
@@ -804,10 +820,18 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
         return sig, H, V, h11, h12, h22
 
     lifted = np.vectorize(lambda s, t: solve(float(s), float(t)), otypes=[float] * 6)
+    last = [(), ()]   # the last call's (s, t), copied, and its six output arrays
+
+    def solved(s, t):
+        st = (np.array(s, dtype=float), np.array(t, dtype=float))
+        if not (last[0] and all(map(np.array_equal, last[0], st))):
+            last[:] = st, lifted(*st)
+        return last[1]
+
     return SurfaceTension("NumericLegendre",
-                          lambda s, t: lifted(s, t)[0],
-                          lambda s, t: lifted(s, t)[1:3],
-                          lambda s, t: lifted(s, t)[3:], _legendre_polygon(curve))
+                          lambda s, t: solved(s, t)[0],
+                          lambda s, t: solved(s, t)[1:3],
+                          lambda s, t: solved(s, t)[3:], _legendre_polygon(curve))
 
 
 # ---------------------------------------------------------------------------
@@ -825,29 +849,21 @@ class PartialLegendre:
     d22: float     # = (d12 sigma)^2/d11 sigma - d22 sigma = -det/d11
 
 
-def coarse_to_fine(n: int) -> list:
-    """Interior indices of an n = 2^m + 1 point grid: the middle, then the
-    quarter points, then the eighths, and so on."""
-    return sorted(range(1, n - 1), key=lambda k: -(k & -k))
-
-
 def partial_legendre(sigma: SurfaceTension, p: float, xi: float) -> PartialLegendre:
     """Legendre transform of sigma in its first slot at fixed xi.
 
     Solves g(nu) = d1 sigma(nu, xi) - p = 0 by Newton on g' = d11 sigma from
-    the first feasible point of a 65-point grid, searched coarse to fine.
-    Every evaluated point tightens a bracket of the root; a step that leaves
-    it is bisected, and an infeasible trial point becomes the bracket end on
-    its side (the feasible slice is an interval).  Raises DomainBoundary if
-    no grid point is feasible, Unbounded if the bracket closes on an end of
-    the slice without a change of sign.
+    the middle of the slice `sigma.interval(0, xi)` inset by 1e-9, which is
+    also the first bracket of the root.  Every evaluated point tightens it;
+    a step that leaves it is bisected, and a trial point that rounding puts
+    outside the polygon becomes its end on that side.  Raises DomainBoundary
+    if the slice is empty, Unbounded if the bracket closes on an end of the
+    slice without a change of sign.
     """
-    grid = np.linspace(sigma.lo + 1e-9, sigma.hi - 1e-9, 65)
-    nu = next((float(grid[k]) for k in coarse_to_fine(65) + [0, 64]
-               if sigma.feasible(grid[k], xi, margin=0.0)), None)
-    if nu is None:
+    a, b = sigma.interval(0.0, xi, margin=1e-9)
+    if not a < b:
         raise DomainBoundary(f"xi={xi} leaves no feasible slice")
-    a, b, evaluated = float(grid[0]), float(grid[-1]), set()
+    nu, evaluated = 0.5 * (a + b), set()
     for _ in range(200):
         d1s, d2s = (float(x) for x in sigma.grad(nu, xi))
         h11, h12, h22 = (float(x) for x in sigma.hess(nu, xi))

@@ -1279,6 +1279,47 @@ def test_polygon_decides_as_the_parent_tests(name, margin, points):
             assert got == want, (a, b)
 
 
+# a slope pair per point: s spread about 0 (the shift finds the polygon) by
+# up to 15 % of the polygon's width, t from 5 % below to 5 % above its height
+_SPREAD = st.tuples(st.floats(-0.15, 0.15), st.floats(-0.05, 1.05))
+
+
+@pytest.mark.parametrize("name", _ORACLE)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(margin=st.sampled_from([0.0, 1e-6]), points=st.lists(_SPREAD, min_size=1, max_size=6),
+       fractions=st.lists(st.floats(1e-3, 1 - 1e-3), min_size=1, max_size=3),
+       beyond=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=3), nan=st.booleans())
+def test_interval_is_where_the_shifted_slopes_are_feasible(name, margin, points, fractions,
+                                                           beyond, nan):
+    sigma, vertices = _ORACLE[name][:2]
+    (s_lo, t_lo), (s_hi, t_hi) = np.min(vertices, axis=0), np.max(vertices, axis=0)
+    s = np.array([ds * (s_hi - s_lo) for ds, _ in points])
+    t = np.array([t_lo + dt * (t_hi - t_lo) for _, dt in points])
+    if nan:
+        t[-1] = math.nan
+    for a, b in ((s, t), (s[-1], t[-1])):
+        lo, hi = sigma.interval(a, b, margin)
+        if nan:
+            assert not lo < hi
+        ends = [e for e in (lo, hi) if math.isfinite(e)]
+        shifts = [e + d for e in ends for d in (-1e-12, 1e-12)]
+        shifts += [e + d for e in ends for d in beyond] + [e - d for e in ends for d in beyond]
+        if lo < hi and hi - lo > 1e-9:
+            shifts += [lo + f * (hi - lo) for f in fractions]
+        for c in shifts:
+            assert (lo < c < hi) == sigma.feasible(a + c, b, margin), (a, b, c)
+
+
+def test_surface_tension_is_frozen_and_replace_rebuilds_its_box():
+    sigma, wider = tn.hex_tension(), tn.newton_polygon([(0, 0), (2, 0), (0, 2)])
+    assert (sigma.lo, sigma.hi) == (0.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sigma.polygon = wider
+    replaced = dataclasses.replace(sigma, polygon=wider)
+    assert (replaced.lo, replaced.hi) == (0.0, 2.0)
+    assert (sigma.lo, sigma.hi) == (0.0, 1.0)
+
+
 def test_numeric_tension_box_comes_from_its_polygon():
     # 1 + 1/z + w has s in [-1, 0]: the [0, 1] box the numeric tension used
     # to carry left partial_legendre no feasible grid point at xi = 0.3
@@ -1507,12 +1548,44 @@ def test_numeric_tension_solves_each_point_once(monkeypatch):
 
     monkeypatch.setattr(tn, "legendre_sigma", counted)
     num = tn.numeric_tension(tn.hex_curve())
-    # grad and hess at each of the Newton iterates, then the value at the last
+    # grad and hess at each of the Newton iterates from the slice's middle
+    # 0.35, then the value at the last
     tn.partial_legendre(num, 0.1, 0.3)
-    assert len(solved) == 5
+    assert len(solved) == len(set(solved)) == 4
     solved.clear()
     num.value(0.3, 0.4), num.grad(0.3, 0.4), num.hess(0.3, 0.4)
     assert solved == [(0.3, 0.4)]
+
+
+def test_numeric_tension_solves_each_entry_once_across_value_grad_hess(monkeypatch):
+    solved = []
+    real = tn.legendre_sigma
+
+    def counted(fef, s, t, tol=1e-9):
+        solved.append((s, t))
+        return real(fef, s, t, tol=tol)
+
+    monkeypatch.setattr(tn, "legendre_sigma", counted)
+    num = tn.numeric_tension(tn.hex_curve())
+    # five distinct points; (0.2, 0.5) twice, not next to itself
+    s = np.array([[0.3, 0.2, 0.25], [0.2, 0.35, 0.4]])
+    t = np.array([[0.4, 0.5, 0.3], [0.5, 0.2, 0.4]])
+    grad, value, hess = num.grad(s, t), num.value(s, t), num.hess(s, t)
+    assert len(solved) == s.size
+    assert value.shape == s.shape and all(x.shape == s.shape for x in (*grad, *hess))
+    # the kept call is a copy: an input edited in place is a new call
+    s[0, 0] = 0.31
+    num.value(s, t)
+    assert len(solved) == 2 * s.size
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="legendre_sigma's Newton from (0, 0), its step capped at 0.5 and "
+                          "60 iterations, stalls at residual 6.5e-3 near the s = 0 edge")
+def test_legendre_sigma_near_an_edge_of_the_numeric_polygon():
+    assert tn.numeric_tension(tn.hex_curve()).feasible(1e-5, 0.3)
+    sig, _ = tn.legendre_sigma(tn.FreeEnergyField(tn.hex_curve()), 1e-5, 0.3)
+    assert abs(sig - float(tn.sigma_hex(1e-5, 0.3))) < 1e-8
 
 
 def test_numeric_tension_matches_hex():
