@@ -47,6 +47,7 @@ Coordinates are optional and only needed for height-function checks.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -348,15 +349,12 @@ def cmd_solve(opts) -> int:
     code = EXIT_OK
     try:
         hf, info = sh.minimize_action(grid, sigma, bd, V=V, tol=tol, max_iter=60000)
-        log.update(converged=True, iterations=info.iterations, grad_norm=info.grad_norm,
-                   evals=info.evals, backtracks=info.backtracks,
-                   start_checks=info.start_checks, factorizations=info.factorizations,
-                   chord_steps=info.chord_steps, phase_s=info.phase_s)
-    except NonConvergence as err:
-        hf = err.best
-        log["converged"] = False
-        log["diagnostics"] = {k: float(v) for k, v in err.diagnostics.items()}
+        record = dataclasses.asdict(info)
+    except NonConvergence as err:   # its diagnostics are the same SolveInfo record
+        hf, record = err.best, {"converged": False, **err.diagnostics}
         code = EXIT_NONCONVERGENCE
+    record.pop("actions", None)     # one action per Newton step: not a summary
+    log.update(record)
 
     xs, ys = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     if np.ptp(t_left) < 1e-14 and np.ptp(t_right) < 1e-14 \

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -283,7 +283,6 @@ class SolveInfo:
     converged: bool = True
     evals: int = 0         # objective (action plus gradient) evaluations
     backtracks: int = 0    # line-search trials rejected
-    start_checks: int = 0  # polygon checks choosing the start: 1 default, 0 given
     factorizations: int = 0   # steps along a fresh Hessian assembly and block sweep
     chord_steps: int = 0      # steps along the last sweep's kept factorization
     phase_s: dict = field(default_factory=dict)   # seconds per solver phase
@@ -344,20 +343,19 @@ def _back_substitute(cp, rp):
 
 
 def _default_start(grid: CylinderGrid, x1, x2, kappa: float, sigma: SurfaceTension):
-    """Affine interpolation of the end columns at the median feasible one of
-    63 constant x-slopes s, and the one feasibility check spent finding it.
+    """Affine interpolation of the end columns at the middle of the interval of
+    feasible constant x-slopes s: the affine start farthest from the edges
+    that bound s.
 
     The x-edge slopes are s plus those of the s = 0 field and the y-edge
     slopes do not depend on s, so the feasible s are the interval that
     `sigma.interval` reads off the polygon for the s = 0 field's pairings."""
     frac = np.linspace(0.0, 1.0, grid.nx)[:, None]
-    slopes = np.linspace(sigma.lo + BOX_INSET, sigma.hi - BOX_INSET, 65)[1:-1]
     edges = HeightField(grid, (1 - frac) * x1[None, :] + frac * x2[None, :], kappa).edge_slopes()
     lo, hi = sigma.interval(*_pairings(edges), margin=BOX_INSET)
-    inside = slopes[(lo < slopes) & (slopes < hi)]
-    if not inside.size:
+    if not lo < hi:
         raise SlopeOutOfDomain("no constant x-slope gives a feasible starting field")
-    return (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * inside[len(inside) // 2]), 1
+    return (1 - frac) * x1[None, :] + frac * (x2[None, :] + grid.T * 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -420,7 +418,8 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     the right end column are the free variables.  At most max_iter Newton
     steps are taken, and every cell's slope pairings stay BOX_INSET inside
     each edge of the tension's slope polygon.  Raises NonConvergence
-    (carrying the best iterate) if the gradient criterion is not met.
+    (carrying the best iterate, and the SolveInfo as a dict in its
+    diagnostics) if the gradient criterion is not met.
 
     Chord rule: after a full Newton step accepted at step 1 that took the
     gradient norm from g0 to g1, quadratic convergence predicts g1^2 / g0
@@ -445,10 +444,9 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
         finally:
             phase_s[phase] += time.perf_counter() - tic
 
-    checks = 0
     with timed("start"):
         if start is None:
-            h0, checks = _default_start(grid, x1, x2, kappa, sigma)
+            h0 = _default_start(grid, x1, x2, kappa, sigma)
         else:
             h0 = np.asarray(start, dtype=float).copy()
             if h0.shape != (grid.nx, grid.ny):
@@ -531,12 +529,8 @@ def minimize_action(grid: CylinderGrid, sigma: SurfaceTension,
     hf = unpack(v)
     info = SolveInfo(iterations=n_iter, grad_norm=gnorm, actions=actions,
                      converged=gnorm <= tol, evals=evals, backtracks=backtracks,
-                     start_checks=checks, factorizations=factorizations,
-                     chord_steps=chord_steps, phase_s=phase_s)
+                     factorizations=factorizations, chord_steps=chord_steps, phase_s=phase_s)
     if not info.converged:
         raise NonConvergence("projected gradient criterion not met", best=hf,
-                             diagnostics={"grad_norm": gnorm, "iterations": n_iter,
-                                          "evals": evals, "backtracks": backtracks,
-                                          "factorizations": factorizations,
-                                          "chord_steps": chord_steps})
+                             diagnostics=asdict(info))
     return hf, info

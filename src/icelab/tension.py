@@ -549,8 +549,9 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
     ``return_info`` (sigma, (H, V), info): the Newton ``iterations``, the
     ``grad_calls``, the last gradient ``residual`` and the final free
     energy's ``n``, ``estimate``, ``crossing_residual`` and
-    ``crossing_condition``.
-    A free energy that misses ``fef.tol`` there raises `NonConvergence`.
+    ``crossing_condition``.  Every `NonConvergence` it raises carries the
+    first three as diagnostics, a free energy that misses ``fef.tol`` at the
+    root its own fields as well.
     """
     _check_domain(_legendre_polygon(fef.curve), s, t,
                   f"slope ({s}, {t}) not strictly inside the Newton polygon")
@@ -563,6 +564,10 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
         (gh, gv), hess = grad_free_energy(fef.curve, H, V)
         return np.array([gh - s, gv - t]), hess
 
+    def record(iterations):   # the solve's counts, on its info and on every raise
+        return {"iterations": iterations, "grad_calls": grad_calls,
+                "residual": float(np.abs(r).max())}
+
     r, jac = residual(H, V)
     prev = None
     for iterations in range(60):
@@ -572,11 +577,14 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
             if abs(np.linalg.det(jac)) >= 1e-14:
                 delta = np.linalg.solve(jac, -r)
                 H, V = H + delta[0], V + delta[1]
-            f, f_info = fef._value_info(H, V)
+            try:
+                f, f_info = fef._value_info(H, V)
+            except NonConvergence as err:
+                err.diagnostics.update(record(iterations))
+                raise
             if not return_info:
                 return s * H + t * V - f, (H, V)
-            info = {"iterations": iterations, "grad_calls": grad_calls,
-                    "residual": float(np.abs(r).max())}
+            info = record(iterations)
             info.update((k, f_info[k]) for k in _FREE_ENERGY_FIELDS)
             return s * H + t * V - f, (H, V), info
         if abs(np.linalg.det(jac)) < 1e-14:
@@ -584,7 +592,7 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
             # last liquid point (or probe inward from the start)
             if prev is None:
                 raise NonConvergence("gradient map flat at the start point",
-                                     best=(H, V))
+                                     best=(H, V), diagnostics=record(iterations))
             H, V = 0.5 * (H + prev[0]), 0.5 * (V + prev[1])
             r, jac = residual(H, V)
             continue
@@ -602,14 +610,12 @@ def legendre_sigma(fef: FreeEnergyField, s: float, t: float, tol: float = 1e-9,
             scale *= 0.5
         else:
             raise NonConvergence("line search stalled in the Legendre solve", best=(H, V),
-                                 diagnostics={"residual": float(base), "iterations": iterations,
-                                              "grad_calls": grad_calls})
+                                 diagnostics=record(iterations))
         prev = (H, V)
         H, V = H + scale * delta[0], V + scale * delta[1]
         r, jac = rn, jn
     raise NonConvergence("Legendre solve did not reach tolerance", best=(H, V),
-                         diagnostics={"residual": float(np.max(np.abs(r))), "iterations": 60,
-                                      "grad_calls": grad_calls})
+                         diagnostics=record(60))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +731,7 @@ def grad_free_energy_ff(H, V, u):
 class SurfaceTension:
     """Evaluator bundle (value, gradient, Hessian) on a slope polygon: one row
     (a, b, h) per edge, counterclockwise, inside which a s + b t < h on each.
-    Frozen, so the bounding box `lo`/`hi` is computed once per bundle."""
+    Frozen: `dataclasses.replace` builds a new bundle."""
 
     variant: str
     value: object
@@ -752,17 +758,6 @@ class SurfaceTension:
             bound = slack / np.abs(a)[:, None]   # +inf on an a = 0 edge that admits all
         below, above = (float(np.min(bound[rows], initial=np.inf)) for rows in (a < 0, a >= 0))
         return -below, above
-
-    @functools.cached_property
-    def _box(self):
-        """The least and largest vertex coordinate; NaN without vertices."""
-        (a, b, h), (a1, b1, h1) = self.polygon.T, np.roll(self.polygon, -1, axis=0).T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertices = np.array([h * b1 - h1 * b, a * h1 - a1 * h]) / (a * b1 - a1 * b)
-        return vertices.min() + 0.0, vertices.max() + 0.0
-
-    lo = property(lambda self: self._box[0], doc="The least vertex coordinate.")
-    hi = property(lambda self: self._box[1], doc="The largest vertex coordinate.")
 
 
 def hex_tension() -> SurfaceTension:

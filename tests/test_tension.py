@@ -192,6 +192,46 @@ def test_legendre_sigma_reports_its_solve(monkeypatch):
                                               "crossing_condition"))
 
 
+def _flat_hessian(real):
+    return lambda *a: (real(*a)[0], np.zeros((2, 2)))
+
+
+def _stiff_hessian(real):   # Newton steps a hundredth of the way: 60 are too few
+    return lambda *a: (real(*a)[0], 100.0 * real(*a)[1])
+
+
+@pytest.mark.parametrize("grad, tol, n_max, message", [
+    (None, 0.0, None, "line search stalled"),
+    (_flat_hessian, 1e-9, None, "gradient map flat"),
+    (_stiff_hessian, 1e-9, None, "did not reach tolerance"),
+    (None, 1e-9, 16, "free energy missed")], ids=["stall", "flat", "iterations", "free-energy"])
+def test_every_legendre_raise_carries_its_counts(monkeypatch, grad, tol, n_max, message):
+    real, calls = tn.grad_free_energy, []
+    wrapped = real if grad is None else grad(real)
+    monkeypatch.setattr(tn, "grad_free_energy", lambda *a: calls.append(a) or wrapped(*a))
+    if n_max is not None:
+        monkeypatch.setattr(tn, "N_MAX", n_max)
+    with pytest.raises(NonConvergence, match=message) as err:
+        tn.legendre_sigma(tn.FreeEnergyField(tn.hex_curve()), 0.3, 0.35, tol=tol)
+    info = err.value.diagnostics
+    assert {"iterations", "grad_calls", "residual"} <= set(info)
+    assert info["grad_calls"] == len(calls) and 0 <= info["iterations"] <= 60
+    assert np.isfinite(info["residual"])
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergence,
+                   reason="legendre_sigma's Newton starts at (H, V) = (0, 0), outside the "
+                          "amoeba of 10 - z - w, where the gradient map is flat")
+def test_legendre_sigma_off_an_amoeba_that_misses_the_origin():
+    # f(H, V) = log 10 + f_hex(H - log 10, V - log 10), so the Legendre
+    # transform is sigma_hex shifted by (s + t - 1) log 10
+    fef = tn.FreeEnergyField(tn.SpectralCurve.from_dict({(0, 0): 10.0, (1, 0): -1.0,
+                                                         (0, 1): -1.0}))
+    for s, t in ((0.3, 0.3), (0.1, 0.1), (0.45, 0.45)):
+        sig, _ = tn.legendre_sigma(fef, s, t)
+        assert abs(sig - float(tn.sigma_hex(s, t)) - (s + t - 1) * math.log(10)) < 1e-9
+
+
 def test_a_missed_free_energy_reports_its_crossings(monkeypatch):
     monkeypatch.setattr(tn, "N_MAX", 16)
     fef = tn.FreeEnergyField(tn.hex_curve())
@@ -1312,12 +1352,12 @@ def test_interval_is_where_the_shifted_slopes_are_feasible(name, margin, points,
 
 def test_surface_tension_is_frozen_and_replace_rebuilds_its_box():
     sigma, wider = tn.hex_tension(), tn.newton_polygon([(0, 0), (2, 0), (0, 2)])
-    assert (sigma.lo, sigma.hi) == (0.0, 1.0)
+    assert sigma.interval(0.0, 0.5) == (0.0, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sigma.polygon = wider
     replaced = dataclasses.replace(sigma, polygon=wider)
-    assert (replaced.lo, replaced.hi) == (0.0, 2.0)
-    assert (sigma.lo, sigma.hi) == (0.0, 1.0)
+    assert replaced.interval(0.0, 0.5) == (0.0, 1.5)
+    assert sigma.interval(0.0, 0.5) == (0.0, 0.5)
 
 
 def test_numeric_tension_box_comes_from_its_polygon():
@@ -1326,7 +1366,7 @@ def test_numeric_tension_box_comes_from_its_polygon():
     curve = tn.SpectralCurve.from_dict({(0, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0})
     sigma = tn.numeric_tension(curve)
     assert sigma.feasible(-0.3, 0.3)
-    assert (sigma.lo, sigma.hi) == pytest.approx((-1.0, 1.0), abs=1e-6)
+    assert sigma.interval(0.0, 0.3) == pytest.approx((-0.7, 0.0), abs=1e-6)
     pl = tn.partial_legendre(sigma, 0.0, 0.3)
     assert -0.7 < pl.nu_star < 0.0
     assert abs(float(sigma.grad(pl.nu_star, 0.3)[0])) < 1e-8
