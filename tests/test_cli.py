@@ -182,6 +182,16 @@ def test_sixv_transfer_rows_out_of_range(tmp_path, capsys):
         assert not (tmp_path / rows).exists()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lattice partition functions under- and overflow silently: "
+                          "sixv prints Z_torus(2000,10) = 0 and exits 0")
+def test_sixv_torus_that_underflows_exits_1_with_one_line(tmp_path, capsys):
+    code = run(["sixv", "--regime", "A1", "--u", "0.3", "--gamma", "0.5",
+                "--torus", "2000,10", "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert code == 1 and len(err.splitlines()) == 1
+
+
 def test_tension_csv_hex(tmp_path):
     code = run(["tension", "--variant", "hex", "--lo", "0.3333333333333333",
                 "--hi", "0.3333333333333333", "--n", "1", "--out", str(tmp_path)])

@@ -312,7 +312,8 @@ def test_default_filter_keeps_roundoff_out(ny):
 
 
 @pytest.mark.xfail(strict=True, reason="the default cutoff bounds roundoff growth and cuts "
-                   "solution modes at x = 0.25 (4.8e-4 off burgers_evolve); ROADMAP item 3")
+                   "solution modes at x = 0.25 (4.8e-4 off burgers_evolve); Known defect "
+                   "\"hamilton_evolve's default cutoff truncates the solution\"")
 def test_default_filter_keeps_the_solution_modes():
     st = sine_state(128, amp=0.1)
     endB = fl.burgers_evolve(st, fl.hex_burgers(), 0.25)

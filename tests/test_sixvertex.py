@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,28 @@ def test_torus_trivials():
     zp = sv.torus_partition(2, 3, sv.VertexWeights(1.3, 0.8, 1.1, 0.4, 0.0))
     zm = sv.torus_partition(2, 3, sv.VertexWeights(1.3, 0.8, 1.1, -0.4, 0.0))
     assert abs(zp - zm) < 1e-12 * abs(zp)
+
+
+# Known defect "lattice partition functions under- and overflow silently":
+# T^M is multiplied out with no renormalization
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lattice partition functions under- and overflow silently: "
+                          "the A1 torus at M = 2000, N = 10 comes back as 0.0")
+def test_torus_partition_stays_finite_and_positive_at_large_m():
+    w = sv.weights_from_baxter(sv.BaxterParam("A1", 0.3, 0.5))
+    z = sv.torus_partition(2000, 10, w)
+    assert math.isfinite(z) and z > 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="lattice partition functions under- and overflow silently: "
+                          "the (1, 1, 1) cylinder at M = 300, N = 12 overflows to nan")
+def test_cylinder_partition_stays_finite_and_positive_at_large_m():
+    eta = sv.BoundaryWord((1, 0) * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = sv.cylinder_partition(300, 12, sv.VertexWeights(1, 1, 1), eta, eta)
+    assert math.isfinite(z) and z > 0.0
 
 
 def test_oracle_equivalence_random():

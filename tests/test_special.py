@@ -1,9 +1,12 @@
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from icelab.errors import BranchCut
@@ -71,7 +74,32 @@ def test_dilog_bernoulli_branch_against_mpmath():
     z = rng.uniform(0.4, 1.0, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
     z = z[(np.abs(z) > 0.4) & (np.abs(1.0 - z) > 0.26)]
     want = np.array([complex(mp.polylog(2, complex(v))) for v in z])
-    assert np.max(np.abs(dilog(z) - want)) <= 8e-15
+    assert np.max(np.abs(dilog(z) - want)) <= 4e-16
+
+
+def test_dilog_on_and_near_the_unit_circle_against_mpmath():
+    # |z| = 1 and 1 -+ 1e-6, from both sides of the cut's end z = 1, where
+    # |u| reaches pi/3; and points on both sides of Re z = 1/2, where the
+    # fold switches between its identities
+    args = np.concatenate([np.geomspace(1e-6, np.pi, 80), -np.geomspace(1e-9, 1.0, 40)])
+    circles = [r * np.exp(1j * args) for r in (1.0 - 1e-6, 1.0, 1.0 + 1e-6)]
+    t = np.linspace(-1.5, 1.5, 61)
+    half = [0.5 + d + 1j * t for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+    z = np.concatenate(circles + half)
+    with mp.workdps(30):
+        want = np.array([complex(mp.polylog(2, mp.mpc(v))) for v in z])
+    assert np.max(np.abs(dilog(z) - want)) <= 5e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-2.3, 2.3), st.floats(1e-6, math.pi - 1e-6), st.booleans())
+def test_dilog_reflection_and_inversion_identities(log_r, angle, below):
+    # off the real axis, for |z| from 0.1 to 10
+    z = cmath.rect(math.exp(log_r), -angle if below else angle)
+    li2 = dilog(z)
+    reflection = li2 + dilog(1.0 - z) - (special.PI2_6 - cmath.log(z) * cmath.log(1.0 - z))
+    inversion = li2 + dilog(1.0 / z) - (-special.PI2_6 - cmath.log(-z) ** 2 / 2.0)
+    assert abs(reflection) <= 1e-14 and abs(inversion) <= 1e-14
 
 
 def test_dilog_branch_cut_raises():

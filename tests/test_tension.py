@@ -500,7 +500,8 @@ def test_a_curve_real_on_a_torus_arc_raises_singular_locus():
 
 @pytest.mark.xfail(strict=True, reason="at H = 0 the fiber roots of a z <-> 1/z symmetric "
                    "curve touch |z| = 1 in reciprocal pairs, R has double roots and the "
-                   "polish stalls (residual 1.54 at (0, 0.1)); ROADMAP item 6(a)")
+                   "polish stalls (residual 1.54 at (0, 0.1)); Known defect \"polish "
+                   "residuals on a z <-> 1/z symmetric curve at H = 0\"")
 @pytest.mark.parametrize("point, mirror", [((0.0, 0.1), (0.1, 0.0)),
                                            ((0.0, 0.01), (0.01, 0.0))], ids=["0.1", "0.01"])
 def test_tangencies_of_a_symmetric_curve_polish_like_its_mirror_point(point, mirror):
