@@ -63,7 +63,7 @@ from . import flow as fl
 from . import shapes as sh
 from . import sixvertex as sv
 from . import tension as tn
-from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected, TooLarge
+from .errors import IceLabError, NonConvergence, OutOfRange, ShockDetected
 from .suites import (FLOW_VARIATIONAL_TOL, SEEDED, SUITES, el_mesh_study,
                      flow_variational_gap, run_suite)
 
@@ -544,24 +544,28 @@ def cmd_sixv(opts) -> int:
             print(f"Yang-Baxter residual: {res:.3e}")
     else:
         w = sv.VertexWeights(1.0, 1.0, 1.0, H, V)
-    if opts["transfer"] is not None:      # 0 and N > DENSE_CAP are errors
-        if opts["transfer"] > sv.DENSE_CAP:
-            raise TooLarge(f"dense transfer capped at N = {sv.DENSE_CAP}, got {opts['transfer']}")
+    if opts["transfer"] is not None:      # 0 and N above the dense cap are errors
         op = sv.transfer(opts["transfer"], w)
-        _write_csv(os.path.join(out, "transfer.csv"),
-                   [f"c{k}" for k in range(op.dim)], op.matrix)
+        mat = op.matrix                   # refuses before the 2^N-column header is built
+        _write_csv(os.path.join(out, "transfer.csv"), [f"c{k}" for k in range(op.dim)], mat)
         payload["transfer_rows"] = op.dim
     if opts["torus"]:
         m, n = (int(x) for x in opts["torus"].split(","))
-        payload["torus_partition"] = sv.torus_partition(m, n, w)
-        print(f"Z_torus({m},{n}) = {payload['torus_partition']:.12g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = payload["torus_partition"] = sv.torus_partition(m, n, w)
+        if not (math.isfinite(z) and z > 0.0):      # positive weights: 0 is underflow
+            raise ValueError(f"Z_torus({m},{n}) came out {z:g}: T^M under- or overflowed")
+        print(f"Z_torus({m},{n}) = {z:.12g}")
     if opts["cylinder"]:
         m, n = (int(x) for x in opts["cylinder"].split(","))
         for key in ("eta1", "eta2"):       # the empty word by default
             opts[key] = opts[key] or "0" * n
         e1, e2 = (sv.BoundaryWord(tuple(map(int, opts[k]))) for k in ("eta1", "eta2"))
-        payload["cylinder_partition"] = sv.cylinder_partition(m, n, w, e1, e2)
-        print(f"Z_cyl({m},{n}) = {payload['cylinder_partition']:.12g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = payload["cylinder_partition"] = sv.cylinder_partition(m, n, w, e1, e2)
+        if not math.isfinite(z):                    # an exact 0 across the words stays
+            raise ValueError(f"Z_cyl({m},{n}) came out {z:g}: T^M overflowed")
+        print(f"Z_cyl({m},{n}) = {z:.12g}")
     _write_json(os.path.join(out, "sixv.json"), payload)
     return EXIT_OK
 

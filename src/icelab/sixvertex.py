@@ -26,7 +26,7 @@ matrix layout in `_vertex_matrix`, the Baxter families in `_FAMILIES`):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,60 +214,54 @@ class BoundaryWord:
         return 2 * k - len(self.bits)
 
 
-def _site_tensor(w: VertexWeights) -> np.ndarray:
-    # R[(q_out, a_out), (q_in, a_in)] -> [q_out, a_south, q_in, a_north]
-    return r_matrix(w).reshape(2, 2, 2, 2)
-
-
 @dataclass
 class TransferOperator:
     """Column-to-column transfer operator on the 2^N slice space.
 
     The ice rule conserves the number k of occupied horizontal edges, so
-    T is block diagonal, T = (+)_k T_k.  The explicit form keeps only these
-    blocks, blocks[k] with rows and columns in sector_indices()[k] order
-    (1.5 MB at N = 10, 21.6 MB at N = 12); without them apply is matrix-free.
+    T is block diagonal, T = (+)_k T_k.  Up to DENSE_CAP `transfer` keeps
+    these blocks, blocks[k] with rows and columns in sector_indices()[k]
+    order, for the dense matrix, commutators, torus traces and cylinder
+    propagation; `dense_blocks` refuses that work above the cap.  `apply`
+    is matrix-free at every N.
     """
 
     n_rows: int
     weights: VertexWeights
     blocks: list[np.ndarray] | None = None
-    _tensor: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._tensor = _site_tensor(self.weights)
 
     @property
     def dim(self) -> int:
         return 1 << self.n_rows
 
-    @property
-    def matrix(self) -> np.ndarray | None:
-        """The dense 2^N x 2^N matrix, assembled from the blocks on demand."""
+    def dense_blocks(self) -> list[np.ndarray]:
+        """The sector blocks; TooLarge above DENSE_CAP, where there are none."""
         if self.blocks is None:
-            return None
+            raise TooLarge(f"dense transfer capped at N = {DENSE_CAP} (DENSE_CAP), "
+                           f"got N = {self.n_rows}")
+        return self.blocks
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense 2^N x 2^N matrix, assembled from the blocks on demand."""
+        blocks = self.dense_blocks()
         out = np.zeros((self.dim, self.dim))
-        for idx, blk in zip(self.sector_indices(), self.blocks):
+        for idx, blk in zip(self.sector_indices(), blocks):
             out[np.ix_(idx, idx)] = blk
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Block by block if explicit, else matrix-free in O(N 2^N)."""
+        """T vec, matrix-free in O(N 2^N)."""
         n = self.n_rows
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {vec.shape} vs 2^{n}")
-        if self.blocks is not None:
-            out = np.empty(self.dim)
-            for idx, blk in zip(self.sector_indices(), self.blocks):
-                out[idx] = blk @ vec[idx]
-            return out
         # G[e0, e_cur, out-block, in-block]; rows consumed LSB first, so the
         # current input row is the fastest axis of the in-block.
         g = np.zeros((2, 2, 1, self.dim))
         g[0, 0, 0, :] = vec
         g[1, 1, 0, :] = vec
-        t = self._tensor  # [q_out, a_south, q_in, a_north]
+        t = r_matrix(self.weights).reshape(2, 2, 2, 2)  # [q_out, a_south, q_in, a_north]
         for _ in range(n):
             d_out = g.shape[2]
             d_in = g.shape[3] // 2
@@ -315,14 +309,14 @@ def _fold_sectors(t: list, cur: list, r: int, pairs) -> list[np.ndarray]:
 
 
 def transfer(n: int, w: VertexWeights) -> TransferOperator:
-    """Transfer operator for N rows: explicit sector blocks up to DENSE_CAP,
-    matrix-free above.  The blocks hold C(2N, N) of the 4^N dense entries:
-    1.5 MB instead of 8.4 MB at N = 10, 21.6 MB instead of 134 MB at N = 12."""
+    """Transfer operator for N rows: sector blocks up to DENSE_CAP, none
+    above.  The blocks hold C(2N, N) of the 4^N dense entries: 1.5 MB
+    instead of 8.4 MB at N = 10, 21.6 MB instead of 134 MB at N = 12."""
     if n < 1:
         raise OutOfRange("need at least one row")
     if n > DENSE_CAP:
         return TransferOperator(n, w)
-    t = _site_tensor(w).tolist()  # [q_out][a_south][q_in][a_north]
+    t = r_matrix(w).reshape(2, 2, 2, 2).tolist()  # [q_out][a_south][q_in][a_north]
     # zero rows: the auxiliary edge passes through unchanged
     cur = [[[np.ones((1, 1)) if e0 == etop else np.zeros((0, 1))] for etop in range(2)]
            for e0 in range(2)]
@@ -336,10 +330,8 @@ def commutator_residual(t1: TransferOperator, t2: TransferOperator) -> float:
     """Relative max-norm of [t1, t2], evaluated sector by sector."""
     if t1.n_rows != t2.n_rows:
         raise DimensionMismatch("transfer operators of different size")
-    if t1.blocks is None or t2.blocks is None:
-        raise TooLarge("commutator test needs dense operators")
     num = den = 0.0
-    for a, b in zip(t1.blocks, t2.blocks):
+    for a, b in zip(t1.dense_blocks(), t2.dense_blocks()):
         ab = a @ b
         num = max(num, float(np.max(np.abs(ab - b @ a))))
         den = max(den, float(np.max(np.abs(ab))))
@@ -356,9 +348,9 @@ def cylinder_partition(m: int, n: int, w: VertexWeights,
     if eta1.magnetization() != eta2.magnetization():
         return 0.0
     op = transfer(n, w)
-    if op.blocks is None:       # matrix-free, over the whole space
+    if op.blocks is None:       # above DENSE_CAP: matrix-free, over the whole space
         idx, step = np.arange(op.dim), op.apply
-    else:                       # inside eta2's sector only
+    else:                       # eta2's sector block, cheaper than apply wherever it exists
         k = sum(eta2.bits)
         idx, step = op.sector_indices()[k], op.blocks[k].__matmul__
     vec = (idx == eta2.index).astype(float)
@@ -371,9 +363,8 @@ def torus_partition(m: int, n: int, w: VertexWeights) -> float:
     """Trace of t^M, summed over the sector blocks."""
     if m < 1 or n < 1:
         raise OutOfRange("need at least one row and one column")
-    if n > DENSE_CAP:
-        raise TooLarge(f"torus trace capped at N = {DENSE_CAP}")
-    return float(sum(np.trace(np.linalg.matrix_power(b, m)) for b in transfer(n, w).blocks))
+    blocks = transfer(n, w).dense_blocks()
+    return float(sum(np.trace(np.linalg.matrix_power(b, m)) for b in blocks))
 
 
 def cylinder_field_exponent(m: int, eta: BoundaryWord) -> float:

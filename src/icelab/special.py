@@ -24,22 +24,18 @@ from .errors import BranchCut
 
 PI2_6 = np.pi ** 2 / 6.0
 
-# Bernoulli numbers B_0..B_48, each the float nearest the exact rational
-# (scipy's bernoulli(48) is not: its B_4 is off by 1.7e-12 relative).  Odd
+# Bernoulli numbers B_0..B_20, each the float nearest the exact rational
+# (scipy's bernoulli(20) is not: its B_4 is off by 1.7e-12 relative).  Odd
 # ones beyond B_1 vanish.
-_BERN = np.zeros(49)
+_BERN = np.zeros(21)
 _BERN[:2] = 1.0, -0.5
 _BERN[2::2] = (
     0.16666666666666666, -0.03333333333333333, 0.023809523809523808, -0.03333333333333333,
     0.07575757575757576, -0.2531135531135531, 1.1666666666666667, -7.092156862745098,
-    54.971177944862156, -529.1242424242424, 6192.123188405797, -86580.25311355312,
-    1425517.1666666667, -27298231.067816094, 601580873.9006424, -15116315767.092157,
-    429614643061.1667, -13711655205088.332, 488332318973593.2, -1.9296579341940068e+16,
-    8.416930475736826e+17, -4.0338071854059454e+19, 2.1150748638081993e+21,
-    -1.2086626522296526e+23)
+    54.971177944862156, -529.1242424242424)
 # B_2k / (2k + 1)! for k = 1..10: at |u| <= pi/3 the omitted terms sum
 # to less than 7.1e-19, below the rounding of the kept ones
-_COEF = _BERN[2:21:2] / [float(math.factorial(2 * k + 1)) for k in range(1, 11)]
+_COEF = _BERN[2::2] / [float(math.factorial(2 * k + 1)) for k in range(1, 11)]
 
 
 def dilog(z):

@@ -174,7 +174,10 @@ def test_sixv_weights_and_partitions(tmp_path):
 def test_sixv_transfer_rows_out_of_range(tmp_path, capsys):
     assert run(["sixv", "--transfer", "2", "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "transfer.csv").read_text().splitlines()) == 5
-    for rows, message in (("13", "capped at N = 12"), ("0", "at least one row")):
+    capped = "error: dense transfer capped at N = 12 (DENSE_CAP), got N = {}"
+    # N = 40 refuses before anything of size 2^N is built, or the test hangs
+    for rows, message in (("13", capped.format(13)), ("40", capped.format(40)),
+                          ("0", "at least one row")):
         capsys.readouterr()
         assert run(["sixv", "--transfer", rows, "--out", str(tmp_path / rows)]) == 1
         err = capsys.readouterr().err.strip()
@@ -182,14 +185,30 @@ def test_sixv_transfer_rows_out_of_range(tmp_path, capsys):
         assert not (tmp_path / rows).exists()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="lattice partition functions under- and overflow silently: "
-                          "sixv prints Z_torus(2000,10) = 0 and exits 0")
 def test_sixv_torus_that_underflows_exits_1_with_one_line(tmp_path, capsys):
     code = run(["sixv", "--regime", "A1", "--u", "0.3", "--gamma", "0.5",
                 "--torus", "2000,10", "--out", str(tmp_path)])
     err = capsys.readouterr().err.strip()
     assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith("error: Z_torus(2000,10)") and not (tmp_path / "sixv.json").exists()
+
+
+def test_sixv_cylinder_that_overflows_exits_1_with_one_line(tmp_path, capsys):
+    code = run(["sixv", "--cylinder", "300,12", "--eta1", "101010101010",
+                "--eta2", "101010101010", "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith("error: Z_cyl(300,12)") and not (tmp_path / "sixv.json").exists()
+
+
+def test_sixv_cylinder_exact_zero_stays(tmp_path):
+    # no state takes 1100 to 0011 in one column: 0.0 is exact, not underflow
+    assert run(["sixv", "--cylinder", "1,4", "--eta1", "0011", "--eta2", "1100",
+                "--out", str(tmp_path)]) == 0
+    e1, e2 = sv.BoundaryWord((0, 0, 1, 1)), sv.BoundaryWord((1, 1, 0, 0))
+    w = sv.VertexWeights(1.0, 1.0, 1.0)
+    assert sv.enumerate_cylinder_partition(1, 4, w, e1, e2) == 0.0
+    assert json.loads((tmp_path / "sixv.json").read_text())["cylinder_partition"] == 0.0
 
 
 def test_tension_csv_hex(tmp_path):

@@ -357,21 +357,26 @@ def test_transfer_dense_cap_and_matrix_free():
     # above DENSE_CAP the operator is matrix-free, and dense-only work refuses it
     big = sv.transfer(13, ff_weights(0.5))
     assert big.blocks is None
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^dense transfer capped at N = 12 \(DENSE_CAP\), got N = 13$"):
         sv.commutator_residual(big, big)
+    # apply is the tensordot contraction at every N, not bit for bit the blocks
     rng = np.random.default_rng(4)
-    w = sv.VertexWeights(1.1, 0.7, 1.3, 0.2, -0.3)
-    dense = sv.transfer(5, w)
-    free = sv.TransferOperator(5, w)
-    v = rng.standard_normal(32)
-    assert np.max(np.abs(dense.apply(v) - free.apply(v))) < 1e-12
-    # the tensordot contraction is not bit for bit the sector-block apply
-    for n in (8, 11):
+    for n in range(1, 12):
         for w in (ff_weights(0.7), sv.VertexWeights(1.1, 0.8, 1.3, 0.35, -0.6)):
-            v = rng.standard_normal(1 << n)
-            ref = sv.transfer(n, w).apply(v)
-            err = np.max(np.abs(sv.TransferOperator(n, w).apply(v) - ref))
+            op, v = sv.transfer(n, w), rng.standard_normal(1 << n)
+            ref = op.matrix @ v
+            err = np.max(np.abs(op.apply(v) - ref))
             assert err <= 1e-12 * np.max(np.abs(ref)), (n, w)
+
+
+@pytest.mark.parametrize("refused", ["matrix", "torus_partition"])
+def test_dense_only_work_refuses_a_matrix_free_operator(refused):
+    w = sv.VertexWeights(1.0, 1.0, 1.0)
+    calls = {"matrix": lambda: sv.transfer(13, w).matrix,
+             "torus_partition": lambda: sv.torus_partition(1, 13, w)}
+    with pytest.raises(TooLarge) as exc:
+        calls[refused]()
+    assert str(exc.value) == "dense transfer capped at N = 12 (DENSE_CAP), got N = 13"
 
 
 def test_sector_blocks_bound_memory_and_keep_sectors_apart():
@@ -474,6 +479,32 @@ def test_oracle_equivalence_random():
         zc = sv.cylinder_partition(m, n, w, eta, eta)
         zce = sv.enumerate_cylinder_partition(m, n, w, eta, eta)
         assert abs(zc - zce) <= 1e-12 * max(abs(zce), 1e-12)
+
+
+def test_cylinder_partition_matrix_free_branch(monkeypatch):
+    # with DENSE_CAP at 0 every N takes cylinder_partition's apply branch
+    rng = np.random.default_rng(12)
+    blocked = []
+    for n in range(6, 9):
+        a, b, c = rng.uniform(0.3, 2.0, 3)
+        H, V = rng.uniform(-0.7, 0.7, 2)
+        w = sv.VertexWeights(a, b, c, H, V)
+        # two words in the sector of n // 2 occupied edges
+        eta1, eta2 = (sv.BoundaryWord(tuple(int(x) for x in rng.permutation(n) < n // 2))
+                      for _ in range(2))
+        blocked.append((n, w, eta1, eta2, sv.cylinder_partition(7, n, w, eta1, eta2)))
+    monkeypatch.setattr(sv, "DENSE_CAP", 0)
+    assert sv.transfer(1, sv.VertexWeights(1, 1, 1)).blocks is None
+    for n, w, eta1, eta2, z in blocked:
+        assert abs(sv.cylinder_partition(7, n, w, eta1, eta2) - z) <= 1e-12 * abs(z), n
+    for m, n in [(1, 1), (2, 2), (3, 2), (1, 4), (4, 1), (3, 3), (2, 4), (1, 9), (9, 1)]:
+        a, b, c = rng.uniform(0.3, 2.0, 3)
+        H, V = rng.uniform(-0.7, 0.7, 2)
+        w = sv.VertexWeights(a, b, c, H, V)
+        eta = sv.BoundaryWord(tuple(int(x) for x in rng.integers(0, 2, n)))
+        zc = sv.cylinder_partition(m, n, w, eta, eta)
+        zce = sv.enumerate_cylinder_partition(m, n, w, eta, eta)
+        assert abs(zc - zce) <= 1e-12 * abs(zce), (m, n)
 
 
 # ---------------------------------------------------------------------------
