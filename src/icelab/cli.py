@@ -104,16 +104,25 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_profile(path: str, L: float):
+def _read_profile(path: str, L: float, offset: float):
     """The profile CSV at ``path`` (a header row, then ``y,value`` lines) as a
-    function of n: its samples resampled onto n rows by
-    `shapes.resample_profile`, so that every grid resamples the original samples."""
+    function of n: its samples resampled onto (k + offset) L / n, k < n, by
+    `shapes.resample_profile`, so that every grid resamples the original samples.
+    Refuses y that are not finite and distinct or span a period, and values
+    that are not finite."""
     with open(path) as fh:
         rows = [line.split(",")[:2] for line in fh.read().splitlines()[1:] if line.strip()]
     if not rows:
         raise ValueError(f"profile {path} holds no samples")
     ys, vals = np.array(rows, dtype=float).T
-    return lambda n: sh.resample_profile(ys, vals, n, L)
+    if not (np.isfinite(ys).all() and len(np.unique(ys)) == len(ys)):
+        raise ValueError(f"profile {path}: the y are not finite and distinct")
+    if np.ptp(ys) >= L:
+        raise ValueError(f"profile {path}: the y span {np.ptp(ys):g}, "
+                         f"one period L = {L:g} or more")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"profile {path}: a value is not finite")
+    return lambda n: sh.resample_profile(ys - offset * L / n, vals, n, L)
 
 
 def _svg_heatmap(path: str, values: np.ndarray) -> None:
@@ -337,8 +346,8 @@ def cmd_solve(opts) -> int:
     sigma = _tension_bundle(opts["tension"], (opts["u"] or [None])[0])
     grid = sh.CylinderGrid(T, L, nx, ny)
 
-    def profile(csv_path, const):
-        return _read_profile(csv_path, L) if csv_path else lambda n: np.full(n, const)
+    def profile(csv_path, const):    # an end slope j is that of [y_j, y_j+1]: at its middle
+        return _read_profile(csv_path, L, 0.5) if csv_path else lambda n: np.full(n, const)
 
     left = profile(opts["left_csv"], opts["t_left"])
     right = profile(opts["right_csv"], opts["t_right"])
@@ -418,9 +427,9 @@ def cmd_flow(opts) -> int:
     if not opts["t0_csv"] and not 2 * abs(opts["mode"]) < ny:
         # mode ny/2 samples sin as zero, higher modes alias onto lower ones
         raise OutOfRange(f"--mode {opts['mode']} needs 2|mode| < ny = {ny}")
-    t0 = (_read_profile(opts["t0_csv"], L)(ny) if opts["t0_csv"]
+    t0 = (_read_profile(opts["t0_csv"], L, 0.0)(ny) if opts["t0_csv"]
           else opts["tbar"] + opts["amp"] * np.sin(2 * np.pi * opts["mode"] * ys / L))
-    p0 = (_read_profile(opts["p0_csv"], L)(ny) if opts["p0_csv"]
+    p0 = (_read_profile(opts["p0_csv"], L, 0.0)(ny) if opts["p0_csv"]
           else np.full(ny, opts["pbar"]))
     state = fl.FlowState(L, p0, t0)
 
@@ -448,14 +457,10 @@ def cmd_flow(opts) -> int:
         for n in range(1, 5):
             vals = [fl.conserved_In(st, n) for st in states]
             # from the input, so a perturbation the projection removed shows
-            base = fl.conserved_In(state, n)
-            series[f"I{n}"] = {
-                "x": [float(x) for x in xs_traj],
-                "re": [v.real for v in vals],
-                "im": [v.imag for v in vals],
-                "max_rel_drift": max(abs(v - base) / max(abs(base), 1e-30)
-                                     for v in vals),
-            }
+            series[f"I{n}"] = {"x": [float(x) for x in xs_traj],
+                               "re": [v.real for v in vals], "im": [v.imag for v in vals],
+                               "max_rel_drift": fl.moment_drift(state, states, (n,))}
+        worst = fl.moment_drift(state, states)
         if method == "both":
             endB = fl.burgers_evolve(state, dens.burgers, horizon)
             series["hamilton_vs_burgers_sup"] = float(
@@ -479,8 +484,6 @@ def cmd_flow(opts) -> int:
     if code == EXIT_SHOCK:
         print("flow: shock detected before the horizon")
     else:
-        worst = max(report["conservation"][f"I{n}"]["max_rel_drift"]
-                    for n in range(1, 5))
         print(f"flow: done, worst I_n drift {worst:.3e}")
         if worst > drift_tol:
             print(f"flow: worst I_n drift {worst:.3e} exceeds tol {drift_tol:g}",

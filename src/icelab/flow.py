@@ -303,8 +303,12 @@ def conserved_In(state: FlowState, n: int) -> complex:
     return complex(np.mean(state.l ** n) * state.L)
 
 
-def conserved_In_bar(state: FlowState, n: int) -> complex:
-    return complex(np.mean(np.conj(state.l) ** n) * state.L)
+def moment_drift(start: FlowState, states, orders=(1, 2, 3, 4)) -> float:
+    """The largest relative drift |I_n(s) - I_n(start)| / |I_n(start)| over the
+    states s and the orders n, with |I_n(start)| floored at 1e-30."""
+    base = {n: conserved_In(start, n) for n in orders}
+    return max(abs(conserved_In(s, n) - i0) / max(abs(i0), 1e-30)
+               for s in states for n, i0 in base.items())
 
 
 # ---------------------------------------------------------------------------

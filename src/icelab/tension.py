@@ -835,13 +835,12 @@ def numeric_tension(curve: SpectralCurve, tol: float = 1e-9) -> SurfaceTension:
 
 @dataclass
 class PartialLegendre:
-    """tau(p, xi) with its maximizer and closed second partials."""
+    """tau(p, xi) with its maximizer nu* = d1 tau and d2 tau; the second
+    partials are `flow.HamiltonianDensity.partials`."""
 
     tau: float
     nu_star: float
     d2: float      # = -d2 sigma at (nu_star, xi)
-    d11: float     # = 1 / d11 sigma
-    d22: float     # = (d12 sigma)^2/d11 sigma - d22 sigma = -det/d11
 
 
 def partial_legendre(sigma: SurfaceTension, p: float, xi: float) -> PartialLegendre:
@@ -861,7 +860,7 @@ def partial_legendre(sigma: SurfaceTension, p: float, xi: float) -> PartialLegen
     nu, evaluated = 0.5 * (a + b), set()
     for _ in range(200):
         d1s, d2s = (float(x) for x in sigma.grad(nu, xi))
-        h11, h12, h22 = (float(x) for x in sigma.hess(nu, xi))
+        h11 = float(sigma.hess(nu, xi)[0])
         if h11 <= 0:
             raise NonConvergence("second derivative not positive at the maximizer")
         evaluated.add(nu)
@@ -878,9 +877,7 @@ def partial_legendre(sigma: SurfaceTension, p: float, xi: float) -> PartialLegen
         nu = nu_new
     else:
         raise NonConvergence("partial Legendre solve did not converge")
-    tau = p * nu - float(sigma.value(nu, xi))
-    det = h11 * h22 - h12 * h12
-    return PartialLegendre(tau=tau, nu_star=nu, d2=-d2s, d11=1.0 / h11, d22=-det / h11)
+    return PartialLegendre(tau=p * nu - float(sigma.value(nu, xi)), nu_star=nu, d2=-d2s)
 
 
 def hess_spectral_independence(s: float, t: float, u_list) -> float:

@@ -497,6 +497,23 @@ def test_flow_constant_profile_zero_drift(tmp_path):
         assert report["conservation"][f"I{n}"]["max_rel_drift"] <= 1e-12
 
 
+def test_flow_drifts_are_moment_drift_and_tol_gates_the_worst(tmp_path, capsys):
+    args = ["flow", "--ny", "32", "--horizon", "0.15", "--steps", "32",
+            "--method", "hamilton", "--out", str(tmp_path)]
+    assert run(args) == 0
+    report = json.loads((tmp_path / "conservation.json").read_text())
+    ys = np.arange(32) / 32
+    state = fl.FlowState(1.0, np.zeros(32), 0.6 + 0.03 * np.sin(2 * np.pi * ys))
+    states = fl.hamilton_evolve(state, fl.hex_density(), (0.0, 0.15), 32, keep_every=4).states
+    for n in range(1, 5):
+        assert report["conservation"][f"I{n}"]["max_rel_drift"] == fl.moment_drift(
+            state, states, (n,))
+    worst = fl.moment_drift(state, states)
+    for tol, code in ((np.nextafter(worst, 0.0), 1), (np.nextafter(worst, 1.0), 0)):
+        assert run(args + ["--tol", repr(float(tol))]) == code
+    assert "exceeds tol" in capsys.readouterr().err
+
+
 def test_flow_compare_variational(tmp_path):
     code = run(["flow", "--variant", "hex", "--ny", "32", "--horizon", "0.2",
                 "--steps", "64", "--compare-variational", "--out", str(tmp_path)])
@@ -746,12 +763,60 @@ def test_solve_mesh_study_reuses_the_main_solve(tmp_path, monkeypatch):
     # the same numbers as a study that solves every level itself
     monkeypatch.setattr(sh, "minimize_action", solve)
 
-    def problem(n):
+    def problem(n):     # the end slopes read at the interval midpoints
         return sh.CylinderGrid(0.7, 1.0, n + 1, n), sh.BoundaryData(
-            sh.resample_profile(ys, left, n, 1.0), sh.resample_profile(ys, right, n, 1.0))
+            sh.resample_profile(ys - 0.5 / n, left, n, 1.0),
+            sh.resample_profile(ys - 0.5 / n, right, n, 1.0))
 
     fresh = el_mesh_study(tn.hex_tension(), problem, (32, 64), 1e-9)
     assert log["mesh_study"]["residuals"] == {str(k): v for k, v in fresh.items()}
+
+
+def _write_profile(path, ys, vals):
+    rows = "".join(f"{y!r},{v!r}\n" for y, v in zip(ys.tolist(), vals.tolist()))
+    path.write_text("y,value\n" + rows)
+    return str(path)
+
+
+def test_solve_reads_end_profiles_at_the_interval_midpoints(tmp_path):
+    # t_left[j] is the slope of [y_j, y_j+1]; resampling onto the nodes put
+    # midpoint samples half a cell off (1.2e-2 at ny = 16) and moved the
+    # solved heights by 2.2e-3
+    ny, hy = 16, 1.0 / 16
+    mids = (np.arange(ny) + 0.5) * hy
+    left = 1 / 3 + 0.06 * np.sin(2 * np.pi * mids)
+    right = 1 / 3 - 0.04 * np.sin(2 * np.pi * mids + 0.7)
+    paths = [_write_profile(tmp_path / f"{name}.csv", mids, vals)
+             for name, vals in (("left", left), ("right", right))]
+    assert np.max(np.abs(cli._read_profile(paths[0], 1.0, 0.5)(ny) - left)) <= 1e-15
+    assert run(["solve", "--T", "0.7", "--nx", str(ny + 1), "--ny", str(ny),
+                "--left-csv", paths[0], "--right-csv", paths[1],
+                "--out", str(tmp_path / "out")]) == 0
+    got = np.loadtxt(tmp_path / "out" / "height.csv", delimiter=",", skiprows=1)[:, 2]
+    hf, _ = sh.minimize_action(sh.CylinderGrid(0.7, 1.0, ny + 1, ny), tn.hex_tension(),
+                               sh.BoundaryData(left, right), tol=1e-9, max_iter=60000)
+    assert np.max(np.abs(got - hf.values.ravel())) <= 1e-8
+
+
+_BAD_PROFILES = {
+    "two periods": (np.arange(16) / 8, 1 / 3 + 0.04 * np.sin(np.pi * np.arange(16) / 8)),
+    "repeated y": (np.array([0.0, 0.25, 0.25, 0.5, 0.75]), np.array([0.3, 0.9, 0.3, 0.3, 0.3])),
+    "NaN value": (np.arange(8) / 8, np.r_[np.full(7, 1 / 3), np.nan]),
+    "infinite y": (np.r_[np.arange(7) / 8, np.inf], np.full(8, 1 / 3)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_PROFILES))
+@pytest.mark.parametrize("argv", [
+    ["solve", "--nx", "9", "--ny", "8", "--left-csv", "{}", "--right-csv", "{}"],
+    ["flow", "--ny", "16", "--steps", "8", "--t0-csv", "{}"]])
+def test_malformed_profiles_exit_1_with_one_line(tmp_path, capsys, argv, bad):
+    # each was resampled silently; the NaN made solve report an infeasible start
+    path = _write_profile(tmp_path / "bad.csv", *_BAD_PROFILES[bad])
+    assert run([a.format(path) for a in argv] + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and path in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_mesh_study_reports_no_order_for_an_exact_solution(tmp_path, capsys):

@@ -1421,23 +1421,29 @@ def test_gradient_consistency_with_value_functions():
 def test_partial_legendre_quadratic_exact():
     qa, qb, qc = 1.7, 0.4, 2.2
     quad = tn.quadratic_tension(qa, qb, qc)
+    partials = fl.density_from_tension(quad).partials
     for p, xi in [(0.3, -0.5), (-1.1, 0.8)]:
         pl = tn.partial_legendre(quad, p, xi)
         tau = p * p / (2 * qa) - (qb / qa) * p * xi + 0.5 * (qb * qb / qa - qc) * xi * xi
         assert abs(pl.tau - tau) < 1e-12
         assert abs(pl.nu_star - (p - qb * xi) / qa) < 1e-12
-        assert abs(pl.d11 * qa - 1.0) < 1e-12
-        assert abs(pl.d22 + (qa * qc - qb * qb) / qa) < 1e-12
+        _, d11, _, d22 = partials(p, xi)
+        assert abs(d11 * qa - 1.0) < 1e-12
+        assert abs(d22 + (qa * qc - qb * qb) / qa) < 1e-12
 
 
 def test_partial_legendre_hessian_identities_hex():
+    # tau's second partials are the generic density's, at the partial
+    # Legendre maximizer
     hx = tn.hex_tension()
+    partials = fl.density_from_tension(hx).partials
     for p, xi in [(0.1, 0.3), (-0.2, 0.45), (0.0, 0.25)]:
         pl = tn.partial_legendre(hx, p, xi)
         h11, h12, h22 = (float(x) for x in hx.hess(pl.nu_star, xi))
         det = h11 * h22 - h12 * h12
-        assert abs(pl.d11 * h11 - 1.0) < 1e-12
-        assert abs(pl.d22 / pl.d11 + det) < 1e-10
+        _, d11, _, d22 = partials(p, xi)
+        assert abs(d11 * h11 - 1.0) < 1e-12
+        assert abs(d22 / d11 + det) < 1e-10
 
 
 def test_partial_legendre_unbounded():
@@ -1554,7 +1560,8 @@ def _grad_calls(name, p, xi):
 def test_partial_legendre_matches_recorded_values():
     for name, p, xi, _, *ref in _PL_RECORDED:
         pl = tn.partial_legendre(_PL_TENSIONS[name], p, xi)
-        for got, want in zip((pl.tau, pl.nu_star, pl.d2, pl.d11, pl.d22), ref):
+        _, d11, _, d22 = fl.density_from_tension(_PL_TENSIONS[name]).partials(p, xi)
+        for got, want in zip((pl.tau, pl.nu_star, pl.d2, d11, d22), ref):
             assert abs(got - want) <= 1e-10 * abs(want), (name, p, xi)
 
 
